@@ -23,7 +23,16 @@ from .errors import (
     SvkitError,
     TopNTooLarge,
 )
-from .scoring import Cohort, ScoreSet, TrialList
+from .scoring import (
+    _ROW_BLOCK,
+    Cohort,
+    ScoreSet,
+    TrialList,
+    _cosine_matrix,
+    _intern_sides,
+    _rows,
+    _topn_desc,
+)
 
 SHORT_MIN_S = 2.0
 LONG_MIN_S = 6.0
@@ -57,51 +66,47 @@ def gen_calibration_trials(
     if per_class == 0:
         return TrialList([], [])
 
-    buckets = {"short": [], "long": []}
-    speaker_of = {}
-    for utt_id in emb_set.ids:
+    ids = emb_set.ids
+    metas = []
+    for utt_id in ids:
         m = emb_set.meta.get(utt_id)
         if m is None or m.speaker is None:
             raise MissingMeta(utt_id)
-        speaker_of[utt_id] = m.speaker
-        if m.duration_s >= LONG_MIN_S:
-            buckets["long"].append(utt_id)
-        elif m.duration_s >= SHORT_MIN_S:
-            buckets["short"].append(utt_id)
+        metas.append(m)
+    dur = np.array([m.duration_s for m in metas], dtype=np.float64)
+    speaker = np.unique([m.speaker for m in metas], return_inverse=True)[1]
+    rank = np.unique(ids, return_inverse=True)[1]  # lexicographic id rank
+    buckets = {
+        "short": np.flatnonzero((dur >= SHORT_MIN_S) & (dur < LONG_MIN_S)),
+        "long": np.flatnonzero(dur >= LONG_MIN_S),
+    }
 
     rng = np.random.default_rng(seed)
-    used = set()
     enroll, test, labels = [], [], []
-
-    def candidate_pairs(cls, want_target):
-        a_bucket, b_bucket = cls.split("-")
-        pairs = []
-        for a in buckets[a_bucket]:
-            for b in buckets[b_bucket]:
-                if a == b or (a, b) in used or (b, a) in used:
-                    continue
-                if a_bucket == b_bucket and a > b:
-                    continue  # unordered within one bucket
-                if (speaker_of[a] == speaker_of[b]) == want_target:
-                    pairs.append((a, b))
-        return pairs
-
+    # Every unordered pair is a candidate in exactly one (class, label)
+    # pass: the class fixes which side is in which bucket, a within-bucket
+    # pair is only taken in id order, and the label is fixed by the
+    # speakers. So no pair can be drawn twice and no used-pair set is kept.
     for cls in TRIAL_CLASSES:
+        a_bucket, b_bucket = cls.split("-")
+        a, b = buckets[a_bucket][:, None], buckets[b_bucket][None, :]
+        valid = a != b
+        if a_bucket == b_bucket:
+            valid &= rank[a] < rank[b]  # unordered within one bucket
+        same = speaker[a] == speaker[b]
         for want_target in (True, False):
             need = per_class // 2
-            pairs = candidate_pairs(cls, want_target)
-            if len(pairs) < need:
+            # row-major candidate order, as a nested loop over a then b
+            ai, bi = np.nonzero(valid & (same == want_target))
+            if len(ai) < need:
                 kind = "target" if want_target else "nontarget"
                 raise InsufficientData(
-                    cls, f"need {need} {kind} pairs, have {len(pairs)}"
+                    cls, f"need {need} {kind} pairs, have {len(ai)}"
                 )
-            picked = rng.choice(len(pairs), size=need, replace=False)
-            for idx in sorted(picked.tolist()):
-                a, b = pairs[idx]
-                used.add((a, b))
-                enroll.append(a)
-                test.append(b)
-                labels.append(1 if want_target else 0)
+            picked = np.sort(rng.choice(len(ai), size=need, replace=False))
+            enroll += [ids[k] for k in a[ai[picked], 0].tolist()]
+            test += [ids[k] for k in b[0, bi[picked]].tolist()]
+            labels += [1 if want_target else 0] * need
     return TrialList(enroll, test, labels)
 
 
@@ -117,26 +122,32 @@ def duration_qmf(meta: UttMeta, log_scale=True) -> float:
     return float(np.log1p(frames)) if log_scale else float(frames)
 
 
+def _imposter_means(vecs, cohort: Cohort, metric, top_n):
+    """Mean of each row's top_n cohort scores under the chosen metric
+    (top_n=None averages the whole cohort), one gemm per row block."""
+    if metric not in ("inner_product", "cosine"):
+        raise SvkitError(f"unknown imposter metric '{metric}'")
+    if top_n is not None and top_n > len(cohort):
+        raise TopNTooLarge(f"top_n={top_n} exceeds cohort size {len(cohort)}")
+    out = np.empty(len(vecs))
+    for lo in range(0, len(vecs), _ROW_BLOCK):
+        block = vecs[lo:lo + _ROW_BLOCK]
+        if metric == "cosine":
+            scores = _cosine_matrix(block, cohort.means)
+        else:
+            scores = block @ cohort.means.T
+        if top_n is not None:
+            scores = _topn_desc(scores, top_n)
+        out[lo:lo + _ROW_BLOCK] = scores.mean(axis=1)
+    return out
+
+
 def imposter_mean_qmf(vec, cohort: Cohort, metric="inner_product",
                       top_n=None) -> float:
     """Mean of the (unit) embedding's top_n cohort scores under the chosen
     metric; top_n=None averages the whole cohort."""
     vec = np.asarray(vec, dtype=np.float64)
-    if metric == "inner_product":
-        scores = cohort.means @ vec
-    elif metric == "cosine":
-        scores = (cohort.means @ vec) / (
-            np.linalg.norm(cohort.means, axis=1) * np.linalg.norm(vec)
-        )
-    else:
-        raise SvkitError(f"unknown imposter metric '{metric}'")
-    if top_n is not None:
-        if top_n > len(cohort):
-            raise TopNTooLarge(
-                f"top_n={top_n} exceeds cohort size {len(cohort)}"
-            )
-        scores = np.sort(scores)[::-1][:top_n]
-    return float(scores.mean())
+    return float(_imposter_means(vec[None, :], cohort, metric, top_n)[0])
 
 
 @dataclass(frozen=True)
@@ -159,54 +170,41 @@ class QmfConfig:
     log_duration: bool = True
 
 
-def utterance_qmfs(emb_set: EmbeddingSet, cohort: Cohort,
-                   config: QmfConfig = QmfConfig()):
-    """Per-utterance (dur_q, imp_q) pairs, cached by id."""
-    out = {}
-    for utt_id in emb_set.ids:
+def _qmf_columns(emb_set: EmbeddingSet, ids, cohort: Cohort,
+                 config: QmfConfig):
+    """(dur_q, imp_q) arrays for `ids` of one set."""
+    dur = []
+    for utt_id in ids:
         m = emb_set.meta.get(utt_id)
         if m is None:
             raise MissingMeta(utt_id)
-        out[utt_id] = (
-            duration_qmf(m, log_scale=config.log_duration),
-            imposter_mean_qmf(
-                emb_set.vector(utt_id), cohort, config.metric, config.top_n
-            ),
-        )
-    return out
+        dur.append(duration_qmf(m, log_scale=config.log_duration))
+    vecs = emb_set.vectors[_rows(emb_set, ids)]
+    imp = _imposter_means(vecs, cohort, config.metric, config.top_n)
+    return np.array(dur, dtype=np.float64), imp
+
+
+def utterance_qmfs(emb_set: EmbeddingSet, cohort: Cohort,
+                   config: QmfConfig = QmfConfig()):
+    """Per-utterance (dur_q, imp_q) pairs, cached by id."""
+    dur, imp = _qmf_columns(emb_set, emb_set.ids, cohort, config)
+    return dict(zip(emb_set.ids, zip(dur.tolist(), imp.tolist())))
 
 
 def trial_qmfs(trials: TrialList, enroll: EmbeddingSet, test: EmbeddingSet,
                cohort: Cohort, config: QmfConfig = QmfConfig()):
     """Symmetric per-trial QMF vectors: (min, max) over the two sides for
-    each metric."""
-    cache = {}
-
-    def get(emb_set, utt_id):
-        if utt_id not in cache:
-            m = emb_set.meta.get(utt_id)
-            if m is None:
-                raise MissingMeta(utt_id)
-            cache[utt_id] = (
-                duration_qmf(m, log_scale=config.log_duration),
-                imposter_mean_qmf(
-                    emb_set.vector(utt_id), cohort, config.metric,
-                    config.top_n
-                ),
-            )
-        return cache[utt_id]
-
-    out = []
-    for e, t, _ in trials:
-        dur_e, imp_e = get(enroll, e)
-        dur_t, imp_t = get(test, t)
-        out.append(QmfVector(
-            min_dur_q=min(dur_e, dur_t),
-            max_dur_q=max(dur_e, dur_t),
-            min_imp_q=min(imp_e, imp_t),
-            max_imp_q=max(imp_e, imp_t),
-        ))
-    return out
+    each metric. Each side's values come from its own set, once per
+    unique utterance."""
+    (e_ids, inv_e), (t_ids, inv_t) = _intern_sides(trials, enroll, test)
+    dur_e, imp_e = _qmf_columns(enroll, e_ids, cohort, config)
+    dur_t, imp_t = ((dur_e, imp_e) if t_ids is e_ids
+                    else _qmf_columns(test, t_ids, cohort, config))
+    dur_e, imp_e, dur_t, imp_t = (
+        dur_e[inv_e], imp_e[inv_e], dur_t[inv_t], imp_t[inv_t])
+    q = np.column_stack([np.minimum(dur_e, dur_t), np.maximum(dur_e, dur_t),
+                         np.minimum(imp_e, imp_t), np.maximum(imp_e, imp_t)])
+    return [QmfVector(*row) for row in q.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ NONTARGET = 0
 UNKNOWN = -1
 
 _SIGMA_FLOOR = 1e-12
+# rows of each utterance x cohort score block: bounds peak memory at
+# O(_ROW_BLOCK x cohort) whatever the number of utterances
+_ROW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,8 @@ class ScoreSet:
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != (len(trials),):
             raise SvkitError("scores length mismatch with trial list")
+        if not np.all(np.isfinite(scores)):
+            raise SvkitError("scores must be finite")
         self.trials = trials
         self.scores = scores
         self.scores.setflags(write=False)
@@ -103,19 +108,24 @@ def build_cohort(emb_set: EmbeddingSet) -> Cohort:
     return Cohort(tuple(speakers), means)
 
 
+def _rows(emb_set, ids):
+    """Row indices of `ids` in `emb_set`; UnknownId names a missing one."""
+    try:
+        return np.array([emb_set.index(u) for u in ids], dtype=np.intp)
+    except SvkitError as e:
+        raise UnknownId(str(e)) from None
+
+
 def cosine_score(
     trials: TrialList, enroll: EmbeddingSet, test: EmbeddingSet | None = None
 ) -> ScoreSet:
     """Dot product of the (unit) enroll and test vectors."""
     if test is None:
         test = enroll
-    try:
-        e_idx = [enroll.index(u) for u in trials.enroll_ids]
-        t_idx = [test.index(u) for u in trials.test_ids]
-    except SvkitError as e:
-        raise UnknownId(str(e)) from None
     scores = np.einsum(
-        "ij,ij->i", enroll.vectors[e_idx], test.vectors[t_idx]
+        "ij,ij->i",
+        enroll.vectors[_rows(enroll, trials.enroll_ids)],
+        test.vectors[_rows(test, trials.test_ids)],
     )
     return ScoreSet(trials, scores)
 
@@ -127,12 +137,41 @@ def _cosine_matrix(vecs, cohort_means):
     return sims
 
 
+def _topn_desc(scores, n):
+    """The n largest entries of each row of `scores`, in descending order.
+
+    A partition keeps the top n, so only n values per row are sorted. The
+    ordered top-n values are the same whichever tied entry is kept, so any
+    statistic of them is independent of tie-breaking.
+    """
+    m = scores.shape[1]
+    if n < m:
+        scores = np.partition(scores, m - n, axis=1)[:, m - n:]
+    return -np.sort(-scores, axis=1)
+
+
 def _topn_stats(cohort_scores, top_n):
-    """Mean and population std of the top_n largest cohort scores; ties are
-    broken by cohort (lexicographic speaker) order via stable sort."""
-    order = np.argsort(-cohort_scores, axis=1, kind="stable")[:, :top_n]
-    top = np.take_along_axis(cohort_scores, order, axis=1)
+    """Mean and population std of each row's top_n largest cohort scores.
+    Only the multiset of those values matters, so ties need no rule."""
+    top = _topn_desc(cohort_scores, top_n)
     return top.mean(axis=1), top.std(axis=1)
+
+
+def _intern_sides(trials, enroll, test):
+    """Sorted unique ids of each trial side and every trial's index into
+    them. When enroll is test both sides share one id list (the same
+    object), so per-utterance work runs once over their union."""
+    n = len(trials)
+    if enroll is test:
+        ids, inv = np.unique(trials.enroll_ids + trials.test_ids,
+                             return_inverse=True)
+        ids = ids.tolist()
+        return (ids, inv[:n]), (ids, inv[n:])
+    (e_ids, inv_e), (t_ids, inv_t) = (
+        np.unique(side, return_inverse=True)
+        for side in (trials.enroll_ids, trials.test_ids)
+    )
+    return (e_ids.tolist(), inv_e), (t_ids.tolist(), inv_t)
 
 
 def snorm(
@@ -145,14 +184,16 @@ def snorm(
 ) -> ScoreSet:
     """Adaptive symmetric score normalization.
 
-    Per trial with raw score s: rank the enroll embedding's cosine scores
-    against the cohort, keep the top_n largest, take mean/population-std
+    Per trial with raw score s: take the enroll embedding's top_n largest
+    cosine scores against the cohort and their mean/population-std
     (mu_e, sigma_e); same on the test side; return
-    0.5 * ((s - mu_e) / sigma_e + (s - mu_t) / sigma_t).
+    0.5 * ((s - mu_e) / sigma_e + (s - mu_t) / sigma_t). Ties among cohort
+    scores do not matter: only the multiset of the top_n values is used.
 
-    top_n=None uses the whole cohort. `similarity` overrides the cohort
-    scoring function (for property testing); it maps (vectors, cohort_means)
-    to a score matrix.
+    Statistics are computed once per unique utterance, in fixed row blocks,
+    so memory stays O(block x cohort). top_n=None uses the whole cohort.
+    `similarity` overrides the cohort scoring function (for property
+    testing); it maps (vectors, cohort_means) to a score matrix.
     """
     if top_n is None:
         top_n = len(cohort)
@@ -163,28 +204,30 @@ def snorm(
     if similarity is None:
         similarity = _cosine_matrix
 
-    e_ids = sorted(set(scores.trials.enroll_ids))
-    t_ids = sorted(set(scores.trials.test_ids))
-
     def side_stats(emb_set, ids):
-        vecs = np.array([emb_set.vector(u) for u in ids])
-        mu, sigma = _topn_stats(similarity(vecs, cohort.means), top_n)
-        bad = np.where(sigma < _SIGMA_FLOOR)[0]
+        rows = _rows(emb_set, ids)
+        mu = np.empty(len(ids))
+        sigma = np.empty(len(ids))
+        for lo in range(0, len(ids), _ROW_BLOCK):
+            hi = lo + _ROW_BLOCK
+            mu[lo:hi], sigma[lo:hi] = _topn_stats(
+                similarity(emb_set.vectors[rows[lo:hi]], cohort.means), top_n)
+        return mu, sigma
+
+    (e_ids, inv_e), (t_ids, inv_t) = _intern_sides(scores.trials, enroll,
+                                                   test)
+    mu_e, sig_e = side_stats(enroll, e_ids)
+    mu_t, sig_t = (mu_e, sig_e) if t_ids is e_ids else side_stats(test, t_ids)
+    for ids, sigma, inv in ((e_ids, sig_e, inv_e), (t_ids, sig_t, inv_t)):
+        bad = inv[sigma[inv] < _SIGMA_FLOOR]
         if bad.size:
             raise DegenerateCohort(
-                f"constant cohort scores for '{ids[int(bad[0])]}'"
+                f"constant cohort scores for '{ids[int(bad.min())]}'"
             )
-        return {u: (mu[i], sigma[i]) for i, u in enumerate(ids)}
 
-    e_stats = side_stats(enroll, e_ids)
-    t_stats = side_stats(test, t_ids)
-
-    out = np.empty(len(scores))
-    for i, (e, t, _) in enumerate(scores.trials):
-        s = scores.scores[i]
-        mu_e, sig_e = e_stats[e]
-        mu_t, sig_t = t_stats[t]
-        out[i] = 0.5 * ((s - mu_e) / sig_e + (s - mu_t) / sig_t)
+    s = scores.scores
+    out = 0.5 * ((s - mu_e[inv_e]) / sig_e[inv_e]
+                 + (s - mu_t[inv_t]) / sig_t[inv_t])
     return scores.with_scores(out)
 
 

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     CropTooLong,
@@ -23,6 +22,14 @@ from .errors import (
 )
 
 _UNIT_ATOL = 1e-3  # loose: finite-difference probes perturb off the sphere
+
+
+def _logsumexp(a, axis=None):
+    """log(sum(exp(a))) along `axis` (all entries when None), shifted by
+    the maximum so no exponential overflows. Inputs are finite."""
+    m = np.max(a, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
 
 
 def _check_unit(arr, name):
@@ -83,7 +90,7 @@ def aam_softmax_loss(embedding, class_weights, target_class,
     sin_t = math.sqrt(1.0 - c_t * c_t)
     logits[target_class] = s * (c_t * math.cos(m) - sin_t * math.sin(m))
 
-    lse = logsumexp(logits)
+    lse = _logsumexp(logits)
     loss = float(lse - logits[target_class])
     p = np.exp(logits - lse)
 
@@ -176,7 +183,7 @@ def moco_loss(batch: ContrastiveBatch, queue: NegativeQueue):
     pos_logit = s * np.einsum("ij,ij->i", X, P)       # (n,)
     neg_logits = s * X @ Q.T                           # (n, N)
     all_logits = np.hstack([pos_logit[:, None], neg_logits])
-    lse = logsumexp(all_logits, axis=1)
+    lse = _logsumexp(all_logits, axis=1)
     loss = float(np.mean(lse - pos_logit))
 
     probs = np.exp(all_logits - lse[:, None])          # softmax rows

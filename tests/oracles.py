@@ -75,6 +75,19 @@ def snorm_oracle(raw_score, enroll_cohort_scores, test_cohort_scores, top_n):
                   + (raw_score - mu_t) / sig_t)
 
 
+def imposter_mean_oracle(vec, cohort_means, top_n=None):
+    """Mean of the top_n inner-product cohort scores, from an explicitly
+    sorted list with every sum taken exactly (math.fsum)."""
+    scores = sorted(
+        (math.fsum(float(x) * float(y) for x, y in zip(vec, m))
+         for m in cohort_means),
+        reverse=True,
+    )
+    if top_n is not None:
+        scores = scores[:top_n]
+    return math.fsum(scores) / len(scores)
+
+
 def cosine_oracle(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -227,7 +227,7 @@ def _shift_short_short(scores, emb_set, delta=-0.1):
     for i, (e, t, _) in enumerate(scores.trials):
         cls = duration_class(emb_set.meta[e].duration_s,
                              emb_set.meta[t].duration_s)
-        if cls == "short":
+        if cls == "short-short":
             out[i] += delta
     return scores.with_scores(out)
 

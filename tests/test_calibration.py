@@ -1,7 +1,10 @@
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import oracles
 from svkit import (
     EmbeddingSet,
     TrialList,
@@ -117,6 +120,23 @@ def test_gen_trials_deterministic():
     assert a.enroll_ids == b.enroll_ids and a.test_ids == b.test_ids
 
 
+def test_gen_trials_frozen_output():
+    # ids out of lexicographic order, so the within-bucket id-order rule
+    # and the row-major candidate order both show in the digest
+    emb = length_normalize(
+        synth_dataset(20, 8, 8, 4.0, (2.0, 12.0), seed=1))
+    perm = np.random.default_rng(0).permutation(len(emb))
+    emb = EmbeddingSet([emb.ids[i] for i in perm], emb.vectors[perm],
+                       emb.meta)
+    trials = gen_calibration_trials(emb, 40, seed=2)
+    text = "".join(f"{e} {t} {int(lab)}\n" for e, t, lab in trials)
+    assert len(trials) == 120
+    assert text.startswith("spk0018_utt000 spk0018_utt004 1\n"
+                           "spk0008_utt004 spk0008_utt005 1\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0b79ab830170b317f57cb678d5de414bc25517e9e4ae122671d76c49c5a453aa")
+
+
 def test_gen_trials_insufficient():
     emb = _toy_set()
     with pytest.raises(InsufficientData):
@@ -171,11 +191,36 @@ def test_trial_qmfs_symmetry_and_values():
         dur = sorted([
             duration_qmf(emb.meta[e]), duration_qmf(emb.meta[t])])
         imp = sorted([
-            imposter_mean_qmf(emb.vector(e), cohort, "inner_product", 5),
-            imposter_mean_qmf(emb.vector(t), cohort, "inner_product", 5),
+            oracles.imposter_mean_oracle(emb.vector(e), cohort.means, 5),
+            oracles.imposter_mean_oracle(emb.vector(t), cohort.means, 5),
         ])
         assert q.min_dur_q == dur[0] and q.max_dur_q == dur[1]
-        assert q.min_imp_q == imp[0] and q.max_imp_q == imp[1]
+        assert abs(q.min_imp_q - imp[0]) <= 1e-15
+        assert abs(q.max_imp_q - imp[1]) <= 1e-15
+
+
+def test_trial_qmfs_sides_sharing_ids_use_their_own_vectors():
+    # the enroll and test sets share ids but hold different vectors
+    rng = np.random.default_rng(8)
+    ids = ["a", "b", "c"]
+    meta = {u: UttMeta(300 + 100 * i, 5.0, "s") for i, u in enumerate(ids)}
+    enroll = length_normalize(
+        EmbeddingSet(ids, rng.standard_normal((3, 8)), meta))
+    test = length_normalize(
+        EmbeddingSet(ids, rng.standard_normal((3, 8)), meta))
+    cohort = Cohort(tuple(f"k{i}" for i in range(6)),
+                    rng.standard_normal((6, 8)))
+    trials = TrialList(["a", "b", "c"], ["a", "c", "b"])
+    cfg = QmfConfig(top_n=3)
+    for (e, t, _), q in zip(trials, trial_qmfs(trials, enroll, test,
+                                                cohort, cfg)):
+        imp = sorted([
+            oracles.imposter_mean_oracle(enroll.vector(e), cohort.means, 3),
+            oracles.imposter_mean_oracle(test.vector(t), cohort.means, 3),
+        ])
+        assert q.min_imp_q < q.max_imp_q
+        assert abs(q.min_imp_q - imp[0]) <= 1e-15
+        assert abs(q.max_imp_q - imp[1]) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,17 @@ def test_metrics_perfect_separation(tmp_path, capsys):
     assert payload["min_dcf"] == 0.0
 
 
+def test_non_finite_score_is_data_error(tmp_path, capsys):
+    trials = tmp_path / "t.txt"
+    scores = tmp_path / "s.txt"
+    trials.write_text("a x 1\nb y 1\nc z 0\nd w 0\n")
+    scores.write_text("a x 0.9\nb y nan\nc z 0.3\nd w 0.2\n")
+    code, payload = _run(capsys, "metrics", "--trials", str(trials),
+                         "--scores", str(scores), "--p-target", "0.01")
+    assert code == 2
+    assert payload is None
+
+
 def test_clr_command(capsys):
     code, payload = _run(capsys, "clr", "--t", "65000")
     assert code == 0

@@ -24,7 +24,7 @@ from svkit.errors import (
     SvkitError,
     UnknownId,
 )
-from svkit.scoring import ScoreSet
+from svkit.scoring import Cohort, ScoreSet
 
 
 def _labeled_set(vectors, speakers):
@@ -118,6 +118,34 @@ def test_snorm_matches_oracle(top_n):
         assert abs(out.scores[i] - want) < 1e-10
 
 
+@pytest.mark.parametrize("shared", [True, False])
+def test_snorm_tied_cohort_over_several_row_blocks(shared):
+    # every cohort mean appears twice, so top_n=5 splits a tied pair; both
+    # sides hold more unique utterances than one statistics block
+    cohort_set = length_normalize(synth_dataset(15, 3, 8, 4.0, seed=7))
+    base = build_cohort(cohort_set)
+    cohort = Cohort(base.speaker_ids + tuple(f"{s}-dup" for s in
+                                             base.speaker_ids),
+                    np.vstack([base.means, base.means]))
+    emb = length_normalize(synth_dataset(300, 4, 8, 4.0, seed=8))
+    test = emb if shared else emb.with_vectors(emb.vectors)
+    rng = np.random.default_rng(9)
+    ids = emb.ids
+    assert len(ids) > 1024
+    trials = TrialList([ids[i] for i in rng.permutation(len(ids))],
+                       [ids[i] for i in rng.permutation(len(ids))])
+    raw = cosine_score(trials, emb, test)
+    out = snorm(raw, emb, test, cohort, 5)
+    cohort_scores = {
+        u: [oracles.cosine_oracle(emb.vector(u), c) for c in cohort.means]
+        for u in ids
+    }
+    for i, (e, t, _) in enumerate(trials):
+        want = oracles.snorm_oracle(raw.scores[i], cohort_scores[e],
+                                    cohort_scores[t], 5)
+        assert abs(out.scores[i] - want) <= 1e-10
+
+
 def test_snorm_symmetric():
     emb, cohort, trials, raw = _snorm_setup(seed=3)
     out = snorm(raw, emb, emb, cohort, 10)
@@ -161,6 +189,22 @@ def test_snorm_top_n_bounds():
         snorm(raw, emb, emb, cohort, 1)
     with pytest.raises(SvkitError):
         snorm(raw, emb, emb, cohort, len(cohort) + 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_score_set_rejects_non_finite(bad):
+    trials = TrialList(["a", "b", "c", "d"], ["w", "x", "y", "z"],
+                       [1, 1, 0, 0])
+    with pytest.raises(SvkitError):
+        ScoreSet(trials, [0.9, bad, 0.3, 0.2])
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_read_scores_rejects_non_finite(tmp_path, text):
+    path = tmp_path / "scores.txt"
+    path.write_text(f"a x 0.9\nb y {text}\n")
+    with pytest.raises(SvkitError):
+        read_scores(path)
 
 
 def test_mean_fuse():
