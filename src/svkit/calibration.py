@@ -18,6 +18,7 @@ import numpy as np
 from .embeddings import EmbeddingSet, UttMeta
 from .errors import (
     ArityMismatch,
+    DuplicateId,
     InsufficientData,
     MissingMeta,
     SvkitError,
@@ -179,7 +180,7 @@ def _qmf_columns(emb_set: EmbeddingSet, ids, cohort: Cohort,
         if m is None:
             raise MissingMeta(utt_id)
         dur.append(duration_qmf(m, log_scale=config.log_duration))
-    vecs = emb_set.vectors[_rows(emb_set, ids)]
+    vecs = emb_set.vectors[_rows(emb_set._index, ids)]
     imp = _imposter_means(vecs, cohort, config.metric, config.top_n)
     return np.array(dur, dtype=np.float64), imp
 
@@ -191,19 +192,22 @@ def utterance_qmfs(emb_set: EmbeddingSet, cohort: Cohort,
     return dict(zip(emb_set.ids, zip(dur.tolist(), imp.tolist())))
 
 
+def _minmax_pairs(side_e, side_t):
+    """(n, 4) [min, max] of dur_q, then of imp_q, over two (n, 2) sides."""
+    lo, hi = np.minimum(side_e, side_t), np.maximum(side_e, side_t)
+    return np.column_stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]])
+
+
 def trial_qmfs(trials: TrialList, enroll: EmbeddingSet, test: EmbeddingSet,
                cohort: Cohort, config: QmfConfig = QmfConfig()):
     """Symmetric per-trial QMF vectors: (min, max) over the two sides for
     each metric. Each side's values come from its own set, once per
     unique utterance."""
     (e_ids, inv_e), (t_ids, inv_t) = _intern_sides(trials, enroll, test)
-    dur_e, imp_e = _qmf_columns(enroll, e_ids, cohort, config)
-    dur_t, imp_t = ((dur_e, imp_e) if t_ids is e_ids
-                    else _qmf_columns(test, t_ids, cohort, config))
-    dur_e, imp_e, dur_t, imp_t = (
-        dur_e[inv_e], imp_e[inv_e], dur_t[inv_t], imp_t[inv_t])
-    q = np.column_stack([np.minimum(dur_e, dur_t), np.maximum(dur_e, dur_t),
-                         np.minimum(imp_e, imp_t), np.maximum(imp_e, imp_t)])
+    side_e = np.column_stack(_qmf_columns(enroll, e_ids, cohort, config))
+    side_t = (side_e if t_ids is e_ids else
+              np.column_stack(_qmf_columns(test, t_ids, cohort, config)))
+    q = _minmax_pairs(side_e[inv_e], side_t[inv_t])
     return [QmfVector(*row) for row in q.tolist()]
 
 
@@ -307,15 +311,14 @@ def fit_logreg(features, labels, l2=1e-6, max_iter=100,
 
 def build_features(scores: ScoreSet, qmfs=None):
     """Design matrix: [score] or [score, min_dur, max_dur, min_imp,
-    max_imp]."""
-    cols = [scores.scores]
-    if qmfs is not None:
-        if len(qmfs) != len(scores):
-            raise SvkitError("qmf list length mismatch")
-        q = np.array([v.as_array() for v in qmfs])
-        cols.append(q)
-        return np.column_stack(cols)
-    return scores.scores[:, None]
+    max_imp]. `qmfs` is an (n, 4) array or a list of QmfVector."""
+    if qmfs is None:
+        return scores.scores[:, None]
+    if len(qmfs) != len(scores):
+        raise SvkitError("qmf list length mismatch")
+    if not isinstance(qmfs, np.ndarray):
+        qmfs = [v.as_array() for v in qmfs]
+    return np.column_stack([scores.scores, qmfs])
 
 
 def apply_calibration(model: CalibrationModel, scores: ScoreSet,
@@ -338,6 +341,7 @@ def write_model(model: CalibrationModel, path):
         "feature_names": list(model.feature_names),
         "weights": [float(v) for v in model.weights],
         "bias": float(model.bias),
+        "converged": bool(model.converged),
     }
     with open(path, "w") as f:
         json.dump(payload, f, indent=2)
@@ -349,10 +353,14 @@ def read_model(path) -> CalibrationModel:
         payload = json.load(f)
     if payload.get("version") != 1:
         raise SvkitError(f"{path}: unsupported model version")
+    converged = payload.get("converged", True)  # absent in older files
+    if not isinstance(converged, bool):
+        raise SvkitError(f"{path}: 'converged' must be true or false")
     return CalibrationModel(
         np.array(payload["weights"], dtype=np.float64),
         float(payload["bias"]),
         tuple(payload.get("feature_names", ())),
+        converged,
     )
 
 
@@ -372,5 +380,8 @@ def read_qmf_cache(path) -> dict:
         if reader.fieldnames != ["utt_id", "dur_q", "imp_q"]:
             raise SvkitError(f"{path}: bad qmf cache header")
         for row in reader:
+            if row["utt_id"] in out:
+                raise DuplicateId(f"{path}:{reader.line_num}: duplicate "
+                                  f"utterance id '{row['utt_id']}'")
             out[row["utt_id"]] = (float(row["dur_q"]), float(row["imp_q"]))
     return out

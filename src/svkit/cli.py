@@ -64,8 +64,6 @@ def _add_qmf_args(p):
 
 def build_parser():
     parser = _Parser(prog="svkit", description=__doc__)
-    parser.add_argument("--threads", type=int, default=0,
-                        help="cap internal parallelism (0 = auto)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled set")
@@ -144,7 +142,6 @@ def build_parser():
     p.add_argument("--batch-size", type=int, default=10000)
     p.add_argument("--n-batches", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--normalize", action="store_true", default=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("ahc", help="Ward AHC over k-means centers")
@@ -247,19 +244,16 @@ def _cmd_qmf(args):
     _emit({"command": "qmf", "utterances": len(cache), "out": args.out})
 
 
-def _trial_qmf_vectors(trials, cache):
-    out = []
-    for e, t, _ in trials:
-        try:
-            dur_e, imp_e = cache[e]
-            dur_t, imp_t = cache[t]
-        except KeyError as k:
-            raise SvkitError(f"no QMF cache entry for {k}") from None
-        out.append(calibration.QmfVector(
-            min(dur_e, dur_t), max(dur_e, dur_t),
-            min(imp_e, imp_t), max(imp_e, imp_t),
-        ))
-    return out
+def _trial_qmf_vectors(trials, qmf_path):
+    """(n, 4) trial QMF features from the QMF cache at `qmf_path`, or None."""
+    if not qmf_path:
+        return None
+    cache = calibration.read_qmf_cache(qmf_path)
+    index = {u: i for i, u in enumerate(cache)}
+    values = np.array(list(cache.values()), dtype=np.float64).reshape(-1, 2)
+    e, t = (values[scoring._rows(index, ids, "no QMF cache entry for")]
+            for ids in (trials.enroll_ids, trials.test_ids))
+    return calibration._minmax_pairs(e, t)
 
 
 def _cmd_fit_cal(args):
@@ -267,11 +261,9 @@ def _cmd_fit_cal(args):
     scores = scoring.read_scores(args.scores, trials)
     if np.any(trials.labels < 0):
         raise SvkitError("calibration trials need target/nontarget labels")
-    qmfs = None
+    qmfs = _trial_qmf_vectors(trials, args.qmf)
     names = ("score",)
-    if args.qmf:
-        cache = calibration.read_qmf_cache(args.qmf)
-        qmfs = _trial_qmf_vectors(trials, cache)
+    if qmfs is not None:
         names = ("score", "min_dur_q", "max_dur_q", "min_imp_q", "max_imp_q")
     X = calibration.build_features(scores, qmfs)
     model = calibration.fit_logreg(X, trials.labels, args.l2, args.max_iter,
@@ -284,10 +276,7 @@ def _cmd_fit_cal(args):
 def _cmd_apply_cal(args):
     trials = scoring.read_trials(args.trials)
     scores = scoring.read_scores(args.scores, trials)
-    qmfs = None
-    if args.qmf:
-        cache = calibration.read_qmf_cache(args.qmf)
-        qmfs = _trial_qmf_vectors(trials, cache)
+    qmfs = _trial_qmf_vectors(trials, args.qmf)
     model = calibration.read_model(args.model)
     out = calibration.apply_calibration(model, scores, qmfs)
     scoring.write_scores(out, args.out)
@@ -325,7 +314,7 @@ def _cmd_metrics(args):
 
 
 def _cmd_kmeans(args):
-    emb = _load_set(args.emb, normalize=args.normalize)
+    emb = _load_set(args.emb, normalize=True)
     model = clustering.minibatch_kmeans(emb, args.k, args.batch_size,
                                         args.n_batches, args.seed)
     clustering.write_kmeans(model, args.out)

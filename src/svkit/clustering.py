@@ -16,10 +16,11 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 
 from . import metrics as _metrics
-from .embeddings import EmbeddingSet
+from .embeddings import EmbeddingSet, _check_payload
 from .errors import (
     BadMagic,
     DimMismatch,
+    DuplicateId,
     EmptyInput,
     IdSetChanged,
     KTooLarge,
@@ -378,6 +379,9 @@ def read_labels(path) -> dict:
                 continue
             if len(parts) != 2:
                 raise SvkitError(f"{path}:{lineno}: malformed label line")
+            if parts[0] in out:
+                raise DuplicateId(f"{path}:{lineno}: duplicate id "
+                                  f"'{parts[0]}'")
             out[parts[0]] = int(parts[1])
     return out
 
@@ -403,6 +407,7 @@ def read_kmeans(path) -> KMeansModel:
         version, d, k = struct.unpack("<IIQ", header[4:])
         if version != _KM_VERSION:
             raise SvkitError(f"{path}: unsupported version {version}")
+        _check_payload(f, path, 4 * k * d + 8 * k, f"{k} centers of dim {d}")
         centers_raw = f.read(4 * k * d)
         if len(centers_raw) < 4 * k * d:
             raise TruncatedFile(f"{path}: centers truncated")

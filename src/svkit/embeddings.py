@@ -12,6 +12,7 @@ Binary embedding file layout (little-endian):
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
 
@@ -173,6 +174,9 @@ def _read_binary(path):
         version, dim, count = struct.unpack("<IIQ", header[4:])
         if version != _VERSION:
             raise SvkitError(f"{path}: unsupported version {version}")
+        # a record is at least a u16 length, a 1-byte id and dim f32s
+        _check_payload(f, path, count * (3 + 4 * dim),
+                      f"{count} records of dim {dim}")
         ids = []
         vecs = np.empty((count, dim), dtype=np.float64)
         for r in range(count):
@@ -191,6 +195,17 @@ def _read_binary(path):
         if f.read(1):
             raise SvkitError(f"{path}: trailing bytes after {count} records")
     return EmbeddingSet(ids, vecs)
+
+
+def _check_payload(f, path, need, what):
+    """Raise TruncatedFile unless at least `need` bytes follow the header
+    read from `f`, so nothing is allocated from a corrupt header's
+    counts."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if need > left:
+        raise TruncatedFile(
+            f"{path}: header claims {what} ({need} bytes at least), "
+            f"but {left} bytes follow")
 
 
 def _write_text(emb_set, path):
@@ -244,6 +259,9 @@ def read_metadata(path):
             raise SvkitError(f"{path}: missing metadata columns")
         for row in reader:
             speaker = row.get("speaker") or None
+            if row["utt_id"] in meta:
+                raise DuplicateId(f"{path}:{reader.line_num}: duplicate "
+                                  f"utterance id '{row['utt_id']}'")
             meta[row["utt_id"]] = UttMeta(
                 speech_frames=int(row["speech_frames"]),
                 duration_s=float(row["duration_s"]),

@@ -1,5 +1,7 @@
 
 import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from svkit.calibration import (
 )
 from svkit.errors import (
     ArityMismatch,
+    DuplicateId,
     InsufficientData,
     SvkitError,
     TopNTooLarge,
@@ -361,8 +364,27 @@ def test_model_json_round_trip(tmp_path):
     assert back.feature_names == m.feature_names
 
 
+def test_model_json_converged_round_trip(tmp_path):
+    m = CalibrationModel(np.array([1.5]), -0.5, ("score",), converged=False)
+    path = tmp_path / "model.json"
+    write_model(m, path)
+    assert read_model(path).converged is False
+    # files written before the key existed read as converged
+    payload = json.loads(path.read_text())
+    del payload["converged"]
+    path.write_text(json.dumps(payload))
+    assert read_model(path).converged is True
+
+
 def test_qmf_cache_round_trip(tmp_path):
     cache = {"a": (1.5, -0.25), "b": (6.39693, 0.125)}
     path = tmp_path / "q.csv"
     write_qmf_cache(cache, path)
     assert read_qmf_cache(path) == cache
+
+
+def test_qmf_cache_duplicate_id(tmp_path):
+    path = tmp_path / "q.csv"
+    path.write_text("utt_id,dur_q,imp_q\na,1.5,0.25\na,2.5,0.5\n")
+    with pytest.raises(DuplicateId, match=re.escape(f"{path}:3: ") + ".*'a'"):
+        read_qmf_cache(path)

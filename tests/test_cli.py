@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from svkit import read_scores, read_trials
+from svkit import EmbeddingSet, read_scores, read_trials, write_embeddings
 from svkit.cli import run
 from svkit.clustering import read_labels
 
@@ -46,6 +47,39 @@ def test_non_finite_score_is_data_error(tmp_path, capsys):
     scores.write_text("a x 0.9\nb y nan\nc z 0.3\nd w 0.2\n")
     code, payload = _run(capsys, "metrics", "--trials", str(trials),
                          "--scores", str(scores), "--p-target", "0.01")
+    assert code == 2
+    assert payload is None
+
+
+@pytest.mark.parametrize("trial_text, score_text, bad", [
+    ("a x 1\nb y\nc z 0\nd w 0 1\n", "a x 0.9\n", "t.txt:4"),
+    ("a x 1\nb y 2\n", "a x 0.9\n", "t.txt:2"),
+    ("a x 1\nb y 0\n", "a x 0.9\nb y\n", "s.txt:2"),
+    ("a x 1\nb y 0\n", "a x 0.9\nb y 0.1 0.2\n", "s.txt:2"),
+    ("a x 1\nb y 0\n", "a x 0.9\nb y high\n", "s.txt:2"),
+])
+def test_malformed_trial_or_score_line_is_data_error(
+        tmp_path, capsys, caplog, trial_text, score_text, bad):
+    trials = tmp_path / "t.txt"
+    scores = tmp_path / "s.txt"
+    trials.write_text(trial_text)
+    scores.write_text(score_text)
+    code, payload = _run(capsys, "metrics", "--trials", str(trials),
+                         "--scores", str(scores))
+    assert code == 2
+    assert payload is None
+    assert f"{tmp_path / bad}: malformed" in caplog.text
+
+
+def test_corrupt_embedding_header_is_data_error(tmp_path, capsys):
+    emb = tmp_path / "e.svb"
+    write_embeddings(EmbeddingSet(["a", "b"], [[1.0, 0.0], [0.0, 1.0]]), emb)
+    raw = emb.read_bytes()
+    emb.write_bytes(raw[:12] + (2**40).to_bytes(8, "little") + raw[20:])
+    trials = tmp_path / "t.txt"
+    trials.write_text("a b\n")
+    code, payload = _run(capsys, "score", "--trials", str(trials),
+                         "--enroll", str(emb), "--out", str(tmp_path / "o"))
     assert code == 2
     assert payload is None
 
@@ -148,6 +182,15 @@ def test_full_supervised_pipeline(tmp_path, capsys):
     assert code == 0
     assert payload["eer_pct"] < 10.0
     assert payload["act_dcf"] >= payload["min_dcf"] - 1e-12
+
+    # a trial side missing from the QMF cache is a data error
+    first = read_trials(trials).enroll_ids[0]
+    qmf.write_text("".join(line for line in qmf.read_text().splitlines(True)
+                           if not line.startswith(f"{first},")))
+    code, _ = _run(capsys, "apply-cal", "--model", str(qa_model),
+                   "--trials", str(trials), "--scores", str(fused),
+                   "--qmf", str(qmf), "--out", str(final))
+    assert code == 2
 
 
 def test_cluster_commands(tmp_path, capsys):

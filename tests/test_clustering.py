@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from svkit.clustering import (
 from svkit.errors import (
     BadMagic,
     DimMismatch,
+    DuplicateId,
     EmptyInput,
     IdSetChanged,
     KTooLarge,
@@ -324,6 +327,13 @@ def test_labels_file_round_trip(tmp_path):
     assert read_labels(path) == labs
 
 
+def test_labels_file_duplicate_id(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("u1 0\nu2 1\n\nu1 2\n")
+    with pytest.raises(DuplicateId, match=re.escape(f"{path}:4: ") + ".*'u1'"):
+        read_labels(path)
+
+
 def test_kmeans_file_round_trip(tmp_path):
     rng = np.random.default_rng(36)
     centers = rng.standard_normal((5, 3)).astype(np.float32)
@@ -348,3 +358,8 @@ def test_kmeans_file_errors(tmp_path):
     trunc.write_bytes(good.read_bytes()[:-4])
     with pytest.raises(TruncatedFile):
         read_kmeans(trunc)
+    huge = tmp_path / "h.svkm"
+    raw = good.read_bytes()
+    huge.write_bytes(raw[:12] + (2**40).to_bytes(8, "little") + raw[20:])
+    with pytest.raises(TruncatedFile):
+        read_kmeans(huge)

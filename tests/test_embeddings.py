@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,17 @@ def test_binary_truncated(tmp_path):
         read_embeddings(bad)
 
 
+def test_binary_header_count_beyond_file_size(tmp_path):
+    good = tmp_path / "g.svb"
+    write_embeddings(EmbeddingSet(["a"], [[1.0, 2.0]]), good)
+    raw = good.read_bytes()
+    bad = tmp_path / "h.svb"
+    # header claims 2**40 records: rejected before anything is allocated
+    bad.write_bytes(raw[:12] + (2**40).to_bytes(8, "little") + raw[20:])
+    with pytest.raises(TruncatedFile, match="1099511627776 records"):
+        read_embeddings(bad)
+
+
 def test_text_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     s = EmbeddingSet(["x", "y"], rng.standard_normal((2, 5)))
@@ -135,6 +148,14 @@ def test_metadata_round_trip(tmp_path):
     assert back["a"] == meta["a"]
     assert back["b"].speech_frames == 0
     assert back["b"].speaker is None
+
+
+def test_metadata_duplicate_id(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("utt_id,speech_frames,duration_s\n"
+                    "a,300,3.5\nb,200,2.5\na,100,1.5\n")
+    with pytest.raises(DuplicateId, match=re.escape(f"{path}:4: ") + ".*'a'"):
+        read_metadata(path)
 
 
 def test_synth_noise_free_limit():

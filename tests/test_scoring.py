@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ from svkit.errors import (
     SvkitError,
     UnknownId,
 )
-from svkit.scoring import Cohort, ScoreSet
+from svkit.scoring import _ROW_BLOCK, Cohort, ScoreSet
 
 
 def _labeled_set(vectors, speakers):
@@ -73,6 +76,32 @@ def test_cosine_score_unknown_id():
     s = EmbeddingSet(["i"], [[1.0]])
     with pytest.raises(UnknownId):
         cosine_score(TrialList(["i"], ["nope"]), s)
+
+
+def _random_trials(n_ids, n_trials, dim, seed):
+    rng = np.random.default_rng(seed)
+    ids = [f"u{i}" for i in range(n_ids)]
+    s = length_normalize(EmbeddingSet(ids, rng.standard_normal((n_ids, dim))))
+    e, t = rng.integers(0, n_ids, (2, n_trials))
+    return s, e, t, TrialList([ids[i] for i in e], [ids[i] for i in t])
+
+
+def test_cosine_score_across_row_blocks_equals_full_gather():
+    s, e, t, trials = _random_trials(300, 3 * _ROW_BLOCK + 7, 37, seed=9)
+    want = np.einsum("ij,ij->i", s.vectors[e], s.vectors[t])
+    assert np.array_equal(cosine_score(trials, s).scores, want)
+
+
+def test_cosine_score_memory_is_bounded():
+    # a full gather of both sides would need 2 x 100k x 64 x 8 B = 102 MB
+    s, _, _, trials = _random_trials(2000, 100_000, 64, seed=10)
+    tracemalloc.start()
+    try:
+        cosine_score(trials, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_cosine_score_symmetric_bounded():
@@ -240,3 +269,30 @@ def test_trial_and_score_files(tmp_path):
     assert line == "a x 0.123456789"
     sback = read_scores(spath, back)
     assert np.abs(sback.scores - scores.scores).max() < 1e-8
+
+
+@pytest.mark.parametrize("line", ["a", "a b 1 x", "a b 2", "a b -1"])
+def test_read_trials_malformed_line_names_path_and_line(tmp_path, line):
+    path = tmp_path / "trials.txt"
+    path.write_text(f"a b 1\n{line}\n")
+    msg = re.escape(f"{path}:2: malformed trial line")
+    with pytest.raises(SvkitError, match=msg):
+        read_trials(path)
+
+
+@pytest.mark.parametrize("line", ["a b", "a b 0.5 1", "a b x"])
+def test_read_scores_malformed_line_names_path_and_line(tmp_path, line):
+    path = tmp_path / "scores.txt"
+    path.write_text(f"a b 0.5\n\n{line}\n")
+    msg = re.escape(f"{path}:3: malformed score line")
+    with pytest.raises(SvkitError, match=msg):
+        read_scores(path)
+
+
+def test_read_trials_mixed_labeled_and_unlabeled_lines(tmp_path):
+    path = tmp_path / "trials.txt"
+    path.write_text("a x 1\nb y\n\nc z 0\n")
+    trials = read_trials(path)
+    assert trials.enroll_ids == ["a", "b", "c"]
+    assert trials.test_ids == ["x", "y", "z"]
+    assert trials.labels.tolist() == [1, -1, 0]
