@@ -3,7 +3,6 @@ calibration, detection metrics, pseudo-label clustering and the training
 math behind it."""
 
 from .embeddings import (
-    Embedding,
     EmbeddingSet,
     UttMeta,
     length_normalize,
@@ -55,7 +54,6 @@ from .clustering import (
     identity_refresher,
     iterate,
     make_prototype_pull_refresher,
-    lloyd_kmeans,
     minibatch_kmeans,
     read_kmeans,
     sweep_cluster_count,

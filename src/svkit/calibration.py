@@ -11,28 +11,28 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, UttMeta
+from .embeddings import EmbeddingSet, UttMeta, _reading
 from .errors import (
     ArityMismatch,
     DuplicateId,
     InsufficientData,
     MissingMeta,
     SvkitError,
-    TopNTooLarge,
 )
 from .scoring import (
-    _ROW_BLOCK,
     Cohort,
     ScoreSet,
     TrialList,
+    _cohort_stats,
     _cosine_matrix,
+    _intern,
     _intern_sides,
     _rows,
-    _topn_desc,
 )
 
 SHORT_MIN_S = 2.0
@@ -75,8 +75,8 @@ def gen_calibration_trials(
             raise MissingMeta(utt_id)
         metas.append(m)
     dur = np.array([m.duration_s for m in metas], dtype=np.float64)
-    speaker = np.unique([m.speaker for m in metas], return_inverse=True)[1]
-    rank = np.unique(ids, return_inverse=True)[1]  # lexicographic id rank
+    speaker = _intern([m.speaker for m in metas])[1]
+    rank = _intern(ids)[1]  # lexicographic id rank
     buckets = {
         "short": np.flatnonzero((dur >= SHORT_MIN_S) & (dur < LONG_MIN_S)),
         "long": np.flatnonzero(dur >= LONG_MIN_S),
@@ -114,33 +114,23 @@ def gen_calibration_trials(
 # ---------------------------------------------------------------------------
 # quality measures
 
-def duration_qmf(meta: UttMeta, log_scale=True) -> float:
-    """Speech-duration quality measure: log(1 + speech_frames) by default,
-    the raw count otherwise."""
+def duration_qmf(meta: UttMeta) -> float:
+    """Speech-duration quality measure: log(1 + speech_frames)."""
     if meta is None:
         raise MissingMeta("<missing>")
-    frames = meta.speech_frames
-    return float(np.log1p(frames)) if log_scale else float(frames)
+    return float(np.log1p(meta.speech_frames))
 
 
 def _imposter_means(vecs, cohort: Cohort, metric, top_n):
     """Mean of each row's top_n cohort scores under the chosen metric
-    (top_n=None averages the whole cohort), one gemm per row block."""
-    if metric not in ("inner_product", "cosine"):
+    (top_n=None averages the whole cohort)."""
+    similarity = {"inner_product": lambda v, means: v @ means.T,
+                  "cosine": _cosine_matrix}.get(metric)
+    if similarity is None:
         raise SvkitError(f"unknown imposter metric '{metric}'")
-    if top_n is not None and top_n > len(cohort):
-        raise TopNTooLarge(f"top_n={top_n} exceeds cohort size {len(cohort)}")
-    out = np.empty(len(vecs))
-    for lo in range(0, len(vecs), _ROW_BLOCK):
-        block = vecs[lo:lo + _ROW_BLOCK]
-        if metric == "cosine":
-            scores = _cosine_matrix(block, cohort.means)
-        else:
-            scores = block @ cohort.means.T
-        if top_n is not None:
-            scores = _topn_desc(scores, top_n)
-        out[lo:lo + _ROW_BLOCK] = scores.mean(axis=1)
-    return out
+    if top_n is None:
+        top_n = len(cohort)
+    return _cohort_stats(vecs, cohort, top_n, similarity)[0]
 
 
 def imposter_mean_qmf(vec, cohort: Cohort, metric="inner_product",
@@ -168,7 +158,6 @@ class QmfVector:
 class QmfConfig:
     metric: str = "inner_product"
     top_n: int | None = 100
-    log_duration: bool = True
 
 
 def _qmf_columns(emb_set: EmbeddingSet, ids, cohort: Cohort,
@@ -179,7 +168,7 @@ def _qmf_columns(emb_set: EmbeddingSet, ids, cohort: Cohort,
         m = emb_set.meta.get(utt_id)
         if m is None:
             raise MissingMeta(utt_id)
-        dur.append(duration_qmf(m, log_scale=config.log_duration))
+        dur.append(duration_qmf(m))
     vecs = emb_set.vectors[_rows(emb_set._index, ids)]
     imp = _imposter_means(vecs, cohort, config.metric, config.top_n)
     return np.array(dur, dtype=np.float64), imp
@@ -273,16 +262,16 @@ def fit_logreg(features, labels, l2=1e-6, max_iter=100,
     def objective(w, b):
         return _bce(X @ w + b, y) + 0.5 * l2 * float(w @ w)
 
-    converged = False
-    for _ in range(max_iter):
+    steps = 0
+    while True:
         z = X @ w + b
         p = _sigmoid(z)
         grad_w = X.T @ (p - y) / n + l2 * w
         grad_b = float(np.mean(p - y))
-        gnorm = max(np.abs(grad_w).max(), abs(grad_b))
-        if gnorm < 1e-9:
-            converged = True
+        converged = bool(max(np.abs(grad_w).max(), abs(grad_b)) < 1e-9)
+        if converged or steps >= max_iter:
             break
+        steps += 1
         r = p * (1.0 - p)
         Xa = np.hstack([X, np.ones((n, 1))])
         H = (Xa * r[:, None]).T @ Xa / n
@@ -299,12 +288,6 @@ def fit_logreg(features, labels, l2=1e-6, max_iter=100,
                 break
             t *= 0.5
         w, b = w_new, b_new
-    else:
-        z = X @ w + b
-        p = _sigmoid(z)
-        grad_w = X.T @ (p - y) / n + l2 * w
-        grad_b = float(np.mean(p - y))
-        converged = max(np.abs(grad_w).max(), abs(grad_b)) < 1e-9
 
     return CalibrationModel(w, float(b), tuple(feature_names), converged)
 
@@ -349,19 +332,35 @@ def write_model(model: CalibrationModel, path):
 
 
 def read_model(path) -> CalibrationModel:
-    with open(path) as f:
-        payload = json.load(f)
+    try:
+        with _reading(path) as f:
+            payload = json.load(f)
+    except ValueError as e:
+        raise SvkitError(f"{path}: not a JSON model ({e})") from None
+    if not isinstance(payload, dict):
+        raise SvkitError(f"{path}: model must be a JSON object")
     if payload.get("version") != 1:
         raise SvkitError(f"{path}: unsupported model version")
+    if "weights" not in payload or "bias" not in payload:
+        raise SvkitError(f"{path}: model needs 'weights' and 'bias'")
     converged = payload.get("converged", True)  # absent in older files
     if not isinstance(converged, bool):
         raise SvkitError(f"{path}: 'converged' must be true or false")
-    return CalibrationModel(
-        np.array(payload["weights"], dtype=np.float64),
-        float(payload["bias"]),
-        tuple(payload.get("feature_names", ())),
-        converged,
-    )
+    try:
+        weights = np.array(payload["weights"], dtype=np.float64)
+        bias = float(payload["bias"])
+    except (TypeError, ValueError):
+        raise SvkitError(f"{path}: weights and bias must be numbers") from None
+    if weights.ndim != 1:
+        raise SvkitError(f"{path}: weights must be a flat list")
+    names = payload.get("feature_names", [])
+    if not (isinstance(names, list)
+            and all(isinstance(n, str) for n in names)):
+        raise SvkitError(f"{path}: 'feature_names' must be a list of names")
+    if names and len(names) != weights.size:
+        raise SvkitError(f"{path}: {len(names)} feature names for "
+                         f"{weights.size} weights")
+    return CalibrationModel(weights, bias, tuple(names), converged)
 
 
 def write_qmf_cache(qmfs: dict, path):
@@ -375,13 +374,20 @@ def write_qmf_cache(qmfs: dict, path):
 
 def read_qmf_cache(path) -> dict:
     out = {}
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
+    with _reading(path, newline="") as f:
+        reader = csv.DictReader(f, restval="")
         if reader.fieldnames != ["utt_id", "dur_q", "imp_q"]:
             raise SvkitError(f"{path}: bad qmf cache header")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             if row["utt_id"] in out:
-                raise DuplicateId(f"{path}:{reader.line_num}: duplicate "
-                                  f"utterance id '{row['utt_id']}'")
-            out[row["utt_id"]] = (float(row["dur_q"]), float(row["imp_q"]))
+                raise DuplicateId(f"{where}: duplicate utterance id "
+                                  f"'{row['utt_id']}'")
+            try:
+                q = (float(row["dur_q"]), float(row["imp_q"]))
+            except ValueError:
+                raise SvkitError(f"{where}: malformed qmf row") from None
+            if not all(map(math.isfinite, q)):
+                raise SvkitError(f"{where}: qmf values must be finite")
+            out[row["utt_id"]] = q
     return out

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 
 from . import metrics as _metrics
-from .embeddings import EmbeddingSet, _check_payload
+from .embeddings import EmbeddingSet, _check_payload, _reading
 from .errors import (
     BadMagic,
     DimMismatch,
@@ -27,6 +27,7 @@ from .errors import (
     SvkitError,
     TruncatedFile,
 )
+from .scoring import ScoreSet, _row_dots, _rows
 
 _KM_MAGIC = b"SVKM"
 _KM_VERSION = 1
@@ -47,6 +48,8 @@ class KMeansModel:
             raise SvkitError("counts length mismatch")
         if np.any(self.counts < 0):
             raise SvkitError("counts must be nonnegative")
+        if not np.all(np.isfinite(self.centers)):
+            raise SvkitError("centers must be finite")
 
     @property
     def k(self):
@@ -84,20 +87,17 @@ def _sq_dists(points, centers):
     return d2
 
 
-def _nearest(points, centers, chunk=4096):
-    out = np.empty(points.shape[0], dtype=np.int64)
-    for lo in range(0, points.shape[0], chunk):
-        hi = min(lo + chunk, points.shape[0])
-        out[lo:hi] = np.argmin(_sq_dists(points[lo:hi], centers), axis=1)
-    return out
-
-
-def _inertia(points, centers, chunk=4096):
-    total = 0.0
-    for lo in range(0, points.shape[0], chunk):
-        hi = min(lo + chunk, points.shape[0])
-        total += float(np.min(_sq_dists(points[lo:hi], centers), axis=1).sum())
-    return total
+def _nearest(points, centers):
+    """Index of each point's nearest center and its squared distance to
+    it, 4096 points at a time."""
+    idx = np.empty(points.shape[0], dtype=np.int64)
+    d2 = np.empty(points.shape[0])
+    for lo in range(0, points.shape[0], 4096):
+        hi = lo + 4096
+        dists = _sq_dists(points[lo:hi], centers)
+        idx[lo:hi] = np.argmin(dists, axis=1)
+        d2[lo:hi] = dists[np.arange(dists.shape[0]), idx[lo:hi]]
+    return idx, d2
 
 
 def minibatch_kmeans(emb_set: EmbeddingSet, k, batch_size=10000,
@@ -127,7 +127,7 @@ def minibatch_kmeans(emb_set: EmbeddingSet, k, batch_size=10000,
     last_assign = None
     for _ in range(n_batches):
         batch = X[rng.integers(0, n, size=min(batch_size, n))]
-        assign = _nearest(batch, centers)
+        assign = _nearest(batch, centers)[0]
         hit = np.unique(assign)
         sums = np.zeros((hit.size, X.shape[1]))
         np.add.at(sums, np.searchsorted(hit, assign), batch)
@@ -149,34 +149,7 @@ def minibatch_kmeans(emb_set: EmbeddingSet, k, batch_size=10000,
             centers[c] = last_batch[order[i]]
             counts[c] = 1
 
-    return KMeansModel(centers, counts, _inertia(X, centers))
-
-
-def lloyd_kmeans(emb_set: EmbeddingSet, k, max_iter=300, seed=0,
-                 init_centers=None) -> KMeansModel:
-    """Full-batch Lloyd reference; inertia is non-increasing per iteration.
-    Used as the oracle against the mini-batch variant."""
-    X = emb_set.vectors
-    n = X.shape[0]
-    if k > n:
-        raise KTooLarge(f"k={k} exceeds {n} points")
-    if init_centers is None:
-        rng = np.random.default_rng(seed)
-        centers = X[rng.choice(n, size=k, replace=False)].copy()
-    else:
-        centers = np.array(init_centers, dtype=np.float64)
-    assign = _nearest(X, centers)
-    for _ in range(max_iter):
-        for c in range(k):
-            mask = assign == c
-            if mask.any():
-                centers[c] = X[mask].mean(axis=0)
-        new_assign = _nearest(X, centers)
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-    counts = np.bincount(assign, minlength=k)
-    return KMeansModel(centers, counts, _inertia(X, centers))
+    return KMeansModel(centers, counts, float(_nearest(X, centers)[1].sum()))
 
 
 def ahc_ward(centers, num_clusters):
@@ -217,7 +190,7 @@ def assign_pseudo_labels(emb_set: EmbeddingSet, kmeans: KMeansModel,
         raise SvkitError("center_labels length mismatch")
     num_clusters = int(center_labels.max()) + 1
 
-    nearest = _nearest(emb_set.vectors, kmeans.centers)
+    nearest = _nearest(emb_set.vectors, kmeans.centers)[0]
     labels = center_labels[nearest]
     assignment = {u: int(labels[i]) for i, u in enumerate(emb_set.ids)}
 
@@ -234,17 +207,15 @@ def assign_pseudo_labels(emb_set: EmbeddingSet, kmeans: KMeansModel,
 
 
 def prototype_scores(labeling: PseudoLabeling, trials):
-    """Score = cosine of the two utterances' cluster prototypes."""
-    from .scoring import ScoreSet
-
+    """Score = cosine of the two utterances' cluster prototypes (0 for an
+    empty cluster's zero prototype), in bounded memory (`_row_dots`)."""
     protos = labeling.prototypes
-    norms = np.linalg.norm(protos, axis=1)
-    out = np.empty(len(trials))
-    for i, (e, t, _) in enumerate(trials):
-        a, b = labeling.assignment[e], labeling.assignment[t]
-        denom = norms[a] * norms[b]
-        out[i] = float(protos[a] @ protos[b] / denom) if denom > 0 else 0.0
-    return ScoreSet(trials, out)
+    norms = np.linalg.norm(protos, axis=1, keepdims=True)
+    unit = np.divide(protos, norms, out=np.zeros_like(protos),
+                     where=norms > 0)
+    return ScoreSet(trials, _row_dots(
+        unit, _rows(labeling.assignment, trials.enroll_ids),
+        unit, _rows(labeling.assignment, trials.test_ids)))
 
 
 def sweep_cluster_count(emb_set: EmbeddingSet, kmeans: KMeansModel,
@@ -305,10 +276,8 @@ def make_prototype_pull_refresher(pull=0.2):
     cluster prototype and re-normalizes (stand-in for network retraining)."""
 
     def refresh(emb_set, labeling):
-        vecs = emb_set.vectors.copy()
-        for i, utt_id in enumerate(emb_set.ids):
-            proto = labeling.prototypes[labeling.assignment[utt_id]]
-            vecs[i] = (1.0 - pull) * vecs[i] + pull * proto
+        protos = labeling.prototypes[_rows(labeling.assignment, emb_set.ids)]
+        vecs = (1.0 - pull) * emb_set.vectors + pull * protos
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         return emb_set.with_vectors(vecs)
 
@@ -372,7 +341,7 @@ def write_labels(assignment: dict, path):
 
 def read_labels(path) -> dict:
     out = {}
-    with open(path) as f:
+    with _reading(path) as f:
         for lineno, line in enumerate(f, 1):
             parts = line.split()
             if not parts:
@@ -382,7 +351,11 @@ def read_labels(path) -> dict:
             if parts[0] in out:
                 raise DuplicateId(f"{path}:{lineno}: duplicate id "
                                   f"'{parts[0]}'")
-            out[parts[0]] = int(parts[1])
+            try:
+                out[parts[0]] = int(parts[1])
+            except ValueError:
+                raise SvkitError(
+                    f"{path}:{lineno}: malformed label line") from None
     return out
 
 

@@ -11,7 +11,9 @@ Binary embedding file layout (little-endian):
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -20,7 +22,6 @@ import numpy as np
 
 from .errors import (
     BadMagic,
-    DimMismatch,
     DuplicateId,
     SvkitError,
     TruncatedFile,
@@ -44,20 +45,14 @@ class UttMeta:
     def __post_init__(self):
         if self.speech_frames < 0:
             raise SvkitError("speech_frames must be nonnegative")
-        if self.duration_s < 0:
-            raise SvkitError("duration_s must be nonnegative")
+        if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
+            raise SvkitError("duration_s must be finite and nonnegative")
         # allow half a frame of slack for rounding at the boundary
         if self.speech_frames > self.duration_s * FRAME_RATE + 0.5:
             raise SvkitError(
                 f"speech_frames={self.speech_frames} inconsistent with "
                 f"duration_s={self.duration_s} at {FRAME_RATE} fps"
             )
-
-
-@dataclass(frozen=True)
-class Embedding:
-    id: str
-    vec: np.ndarray
 
 
 class EmbeddingSet:
@@ -102,13 +97,6 @@ class EmbeddingSet:
     def __len__(self):
         return len(self.ids)
 
-    def __iter__(self):
-        for i, u in enumerate(self.ids):
-            yield Embedding(u, self.vectors[i])
-
-    def __contains__(self, utt_id):
-        return utt_id in self._index
-
     def vector(self, utt_id):
         return self.vectors[self.index(utt_id)]
 
@@ -136,24 +124,18 @@ def length_normalize(emb_set: EmbeddingSet) -> EmbeddingSet:
 # ---------------------------------------------------------------------------
 # file formats
 
-def write_embeddings(emb_set: EmbeddingSet, path, fmt="binary"):
-    if fmt == "binary":
-        _write_binary(emb_set, path)
-    elif fmt == "text":
-        _write_text(emb_set, path)
-    else:
-        raise SvkitError(f"unknown embedding format '{fmt}'")
+@contextlib.contextmanager
+def _reading(path, newline=None):
+    """Open the text file at `path`; bytes that do not decode, or CSV the
+    csv module cannot parse, raise SvkitError naming the path."""
+    try:
+        with open(path, newline=newline) as f:
+            yield f
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise SvkitError(f"{path}: unreadable text ({e})") from None
 
 
-def read_embeddings(path, fmt="binary") -> EmbeddingSet:
-    if fmt == "binary":
-        return _read_binary(path)
-    if fmt == "text":
-        return _read_text(path)
-    raise SvkitError(f"unknown embedding format '{fmt}'")
-
-
-def _write_binary(emb_set, path):
+def write_embeddings(emb_set: EmbeddingSet, path):
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<IIQ", _VERSION, emb_set.dim, len(emb_set)))
@@ -164,7 +146,7 @@ def _write_binary(emb_set, path):
             f.write(emb_set.vectors[i].astype("<f4").tobytes())
 
 
-def _read_binary(path):
+def read_embeddings(path) -> EmbeddingSet:
     with open(path, "rb") as f:
         header = f.read(20)
         if len(header) < 20:
@@ -190,7 +172,11 @@ def _read_binary(path):
             payload = f.read(4 * dim)
             if len(payload) < 4 * dim:
                 raise TruncatedFile(f"{path}: record {r} truncated")
-            ids.append(raw.decode("utf-8"))
+            try:
+                ids.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise SvkitError(
+                    f"{path}: record {r} id is not UTF-8") from None
             vecs[r] = np.frombuffer(payload, dtype="<f4")
         if f.read(1):
             raise SvkitError(f"{path}: trailing bytes after {count} records")
@@ -206,32 +192,6 @@ def _check_payload(f, path, need, what):
         raise TruncatedFile(
             f"{path}: header claims {what} ({need} bytes at least), "
             f"but {left} bytes follow")
-
-
-def _write_text(emb_set, path):
-    with open(path, "w") as f:
-        for i, utt_id in enumerate(emb_set.ids):
-            vals = " ".join(repr(float(v)) for v in emb_set.vectors[i])
-            f.write(f"{utt_id} {vals}\n")
-
-
-def _read_text(path):
-    ids, rows = [], []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            ids.append(parts[0])
-            try:
-                rows.append([float(x) for x in parts[1:]])
-            except ValueError as e:
-                raise SvkitError(f"{path}:{lineno}: {e}") from None
-    if rows:
-        dims = {len(r) for r in rows}
-        if len(dims) != 1:
-            raise DimMismatch(f"{path}: inconsistent dimensions {sorted(dims)}")
-    return EmbeddingSet(ids, np.array(rows, dtype=np.float64))
 
 
 def write_metadata(meta, path):
@@ -252,21 +212,24 @@ def write_metadata(meta, path):
 
 def read_metadata(path):
     meta = {}
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
+    with _reading(path, newline="") as f:
+        reader = csv.DictReader(f, restval="")
         required = {"utt_id", "speech_frames", "duration_s"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise SvkitError(f"{path}: missing metadata columns")
         for row in reader:
-            speaker = row.get("speaker") or None
+            where = f"{path}:{reader.line_num}"
             if row["utt_id"] in meta:
-                raise DuplicateId(f"{path}:{reader.line_num}: duplicate "
-                                  f"utterance id '{row['utt_id']}'")
-            meta[row["utt_id"]] = UttMeta(
-                speech_frames=int(row["speech_frames"]),
-                duration_s=float(row["duration_s"]),
-                speaker=speaker,
-            )
+                raise DuplicateId(f"{where}: duplicate utterance id "
+                                  f"'{row['utt_id']}'")
+            try:
+                meta[row["utt_id"]] = UttMeta(
+                    speech_frames=int(row["speech_frames"]),
+                    duration_s=float(row["duration_s"]),
+                    speaker=row.get("speaker") or None,
+                )
+            except (ValueError, SvkitError) as e:
+                raise SvkitError(f"{where}: bad metadata row ({e})") from None
     return meta
 
 

@@ -6,12 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSet
+from .embeddings import EmbeddingSet, _reading
 from .errors import (
     DegenerateCohort,
     MisalignedTrials,
     MissingLabel,
     SvkitError,
+    TopNTooLarge,
     UnknownId,
 )
 
@@ -95,17 +96,18 @@ class ScoreSet:
 def build_cohort(emb_set: EmbeddingSet) -> Cohort:
     """Mean of each speaker's (already length-normalized) embeddings, one
     vector per speaker, speakers in lexicographic order."""
-    by_speaker = {}
+    speakers = []
     for utt_id in emb_set.ids:
         m = emb_set.meta.get(utt_id)
         if m is None or m.speaker is None:
             raise MissingLabel(utt_id)
-        by_speaker.setdefault(m.speaker, []).append(emb_set.index(utt_id))
-    speakers = sorted(by_speaker)
-    means = np.array(
-        [emb_set.vectors[by_speaker[s]].mean(axis=0) for s in speakers]
-    )
-    return Cohort(tuple(speakers), means)
+        speakers.append(m.speaker)
+    table, spk = _intern(speakers)
+    # rows are added to their speaker's sum in set order, as a per-speaker
+    # mean would add them
+    sums = np.zeros((len(table), emb_set.dim))
+    np.add.at(sums, spk, emb_set.vectors)
+    return Cohort(tuple(table), sums / np.bincount(spk)[:, None])
 
 
 def _rows(index, ids, missing="unknown utterance id"):
@@ -116,23 +118,29 @@ def _rows(index, ids, missing="unknown utterance id"):
         raise UnknownId(f"{missing} '{e.args[0]}'") from None
 
 
+def _row_dots(a, a_rows, b, b_rows):
+    """a[a_rows[i]] . b[b_rows[i]] for every i, `_ROW_BLOCK` rows at a time:
+    extra memory is O(_ROW_BLOCK x dim) for any number of rows, and as a
+    row's dot product does not depend on its batch, the result is
+    bit-identical to gathering every row at once."""
+    out = np.empty(len(a_rows))
+    for lo in range(0, len(a_rows), _ROW_BLOCK):
+        hi = lo + _ROW_BLOCK
+        np.einsum("ij,ij->i", a[a_rows[lo:hi]], b[b_rows[lo:hi]],
+                  out=out[lo:hi])
+    return out
+
+
 def cosine_score(
     trials: TrialList, enroll: EmbeddingSet, test: EmbeddingSet | None = None
 ) -> ScoreSet:
-    """Dot product of the (unit) enroll and test vectors, `_ROW_BLOCK`
-    trials at a time: extra memory is O(_ROW_BLOCK x dim) for any number of
-    trials, and as a row's dot product does not depend on its batch, the
-    scores are bit-identical to gathering every trial at once."""
+    """Dot product of the (unit) enroll and test vectors, in bounded
+    memory (`_row_dots`)."""
     if test is None:
         test = enroll
-    e_rows = _rows(enroll._index, trials.enroll_ids)
-    t_rows = _rows(test._index, trials.test_ids)
-    scores = np.empty(len(trials))
-    for lo in range(0, len(trials), _ROW_BLOCK):
-        hi = lo + _ROW_BLOCK
-        np.einsum("ij,ij->i", enroll.vectors[e_rows[lo:hi]],
-                  test.vectors[t_rows[lo:hi]], out=scores[lo:hi])
-    return ScoreSet(trials, scores)
+    return ScoreSet(trials, _row_dots(
+        enroll.vectors, _rows(enroll._index, trials.enroll_ids),
+        test.vectors, _rows(test._index, trials.test_ids)))
 
 
 def _cosine_matrix(vecs, cohort_means):
@@ -155,11 +163,20 @@ def _topn_desc(scores, n):
     return -np.sort(-scores, axis=1)
 
 
-def _topn_stats(cohort_scores, top_n):
-    """Mean and population std of each row's top_n largest cohort scores.
-    Only the multiset of those values matters, so ties need no rule."""
-    top = _topn_desc(cohort_scores, top_n)
-    return top.mean(axis=1), top.std(axis=1)
+def _cohort_stats(vecs, cohort: Cohort, top_n, similarity=_cosine_matrix):
+    """Mean and population std of each row's top_n largest similarity
+    scores against the cohort means, one score matrix per `_ROW_BLOCK`
+    rows, so memory stays O(_ROW_BLOCK x cohort). Only the multiset of the
+    top_n values is used, so ties need no rule."""
+    if top_n > len(cohort):
+        raise TopNTooLarge(f"top_n={top_n} exceeds cohort size {len(cohort)}")
+    mu = np.empty(len(vecs))
+    sigma = np.empty(len(vecs))
+    for lo in range(0, len(vecs), _ROW_BLOCK):
+        hi = lo + _ROW_BLOCK
+        top = _topn_desc(similarity(vecs[lo:hi], cohort.means), top_n)
+        mu[lo:hi], sigma[lo:hi] = top.mean(axis=1), top.std(axis=1)
+    return mu, sigma
 
 
 def _intern(ids):
@@ -204,20 +221,12 @@ def snorm(
         top_n = len(cohort)
     if top_n < 2:
         raise SvkitError("top_n must be >= 2")
-    if top_n > len(cohort):
-        raise SvkitError(f"top_n={top_n} exceeds cohort size {len(cohort)}")
     if similarity is None:
         similarity = _cosine_matrix
 
     def side_stats(emb_set, ids):
-        rows = _rows(emb_set._index, ids)
-        mu = np.empty(len(ids))
-        sigma = np.empty(len(ids))
-        for lo in range(0, len(ids), _ROW_BLOCK):
-            hi = lo + _ROW_BLOCK
-            mu[lo:hi], sigma[lo:hi] = _topn_stats(
-                similarity(emb_set.vectors[rows[lo:hi]], cohort.means), top_n)
-        return mu, sigma
+        vecs = emb_set.vectors[_rows(emb_set._index, ids)]
+        return _cohort_stats(vecs, cohort, top_n, similarity)
 
     (e_ids, inv_e), (t_ids, inv_t) = _intern_sides(scores.trials, enroll,
                                                    test)
@@ -266,7 +275,7 @@ def write_trials(trials: TrialList, path):
 
 def read_trials(path) -> TrialList:
     enroll, test, labels = [], [], []
-    with open(path) as f:
+    with _reading(path) as f:
         for lineno, line in enumerate(f, 1):
             parts = line.split()
             if not parts:
@@ -295,7 +304,7 @@ def read_scores(path, trials: TrialList | None = None) -> ScoreSet:
     """Read a score file; if `trials` is given, scores must align with it
     (labels are taken from the trial list)."""
     enroll, test, vals = [], [], []
-    with open(path) as f:
+    with _reading(path) as f:
         for lineno, line in enumerate(f, 1):
             parts = line.split()
             if not parts:

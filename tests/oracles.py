@@ -6,6 +6,7 @@ differences) and never call the code paths they verify.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,6 +93,38 @@ def cosine_oracle(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def lloyd_kmeans(emb_set, k, max_iter=300, seed=0, init_centers=None):
+    """Full-batch Lloyd k-means with brute-force distances; inertia is
+    non-increasing per iteration. The reference for the mini-batch
+    variant; returns centers, counts and inertia."""
+    X = emb_set.vectors
+    n = X.shape[0]
+    if k > n:
+        raise ValueError(f"k={k} exceeds {n} points")
+    if init_centers is None:
+        rng = np.random.default_rng(seed)
+        centers = X[rng.choice(n, size=k, replace=False)].copy()
+    else:
+        centers = np.array(init_centers, dtype=np.float64)
+
+    def sq_dists():
+        return ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+    assign = np.argmin(sq_dists(), axis=1)
+    for _ in range(max_iter):
+        for c in range(k):
+            mask = assign == c
+            if mask.any():
+                centers[c] = X[mask].mean(axis=0)
+        new_assign = np.argmin(sq_dists(), axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return SimpleNamespace(centers=centers,
+                           counts=np.bincount(assign, minlength=k),
+                           inertia=float(sq_dists().min(axis=1).sum()))
 
 
 def fd_gradient(fn, x, h=1e-6):

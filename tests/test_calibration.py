@@ -26,6 +26,7 @@ from svkit import (
     trial_qmfs,
     write_model,
 )
+from svkit import calibration
 from svkit.calibration import (
     CalibrationModel,
     QmfConfig,
@@ -153,7 +154,6 @@ def test_duration_qmf_values():
     assert duration_qmf(UttMeta(0, 0.0)) == 0.0
     assert abs(duration_qmf(UttMeta(599, 6.0)) - np.log(600.0)) < 1e-12
     assert abs(np.log(600.0) - 6.3969) < 1e-4
-    assert duration_qmf(UttMeta(599, 6.0), log_scale=False) == 599.0
     assert duration_qmf(UttMeta(42, 1.0)) == duration_qmf(UttMeta(42, 2.0))
 
 
@@ -388,3 +388,57 @@ def test_qmf_cache_duplicate_id(tmp_path):
     path.write_text("utt_id,dur_q,imp_q\na,1.5,0.25\na,2.5,0.5\n")
     with pytest.raises(DuplicateId, match=re.escape(f"{path}:3: ") + ".*'a'"):
         read_qmf_cache(path)
+
+
+@pytest.mark.parametrize("row", ["b,x,0.5", "b,1.5", "b,1.5,"])
+def test_qmf_cache_malformed_row_names_path_and_line(tmp_path, row):
+    path = tmp_path / "q.csv"
+    path.write_text(f"utt_id,dur_q,imp_q\na,1.5,0.25\n{row}\n")
+    with pytest.raises(SvkitError, match=re.escape(f"{path}:3: malformed")):
+        read_qmf_cache(path)
+
+
+@pytest.mark.parametrize("row", ["b,nan,0.5", "b,1.5,inf", "b,-inf,0.5"])
+def test_qmf_cache_rejects_non_finite(tmp_path, row):
+    path = tmp_path / "q.csv"
+    path.write_text(f"utt_id,dur_q,imp_q\na,1.5,0.25\n{row}\n")
+    with pytest.raises(SvkitError, match=re.escape(f"{path}:3: ")
+                       + ".*finite"):
+        read_qmf_cache(path)
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[1.0, 2.0]",
+    '{"version": 1, "bias": 0.0}',
+    '{"version": 1, "weights": [1.0]}',
+    '{"version": 1, "weights": ["high"], "bias": 0.0}',
+    '{"version": 1, "weights": [[1.0]], "bias": 0.0}',
+    '{"version": 1, "weights": [1.0], "bias": "low"}',
+    '{"version": 1, "weights": [1.0, 2.0], "bias": 0.0,'
+    ' "feature_names": ["score"]}',
+    '{"version": 1, "weights": [1.0], "bias": 0.0, "feature_names": 7}',
+])
+def test_read_model_rejects_malformed_file(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(SvkitError, match=re.escape(f"{path}: ")):
+        read_model(path)
+
+
+def test_imposter_means_over_whole_cohort_match_oracle():
+    emb = length_normalize(synth_dataset(12, 3, 16, 3.0, seed=21))
+    cohort = build_cohort(emb)
+    qmfs = calibration.utterance_qmfs(emb, cohort, QmfConfig(top_n=None))
+    for u in emb.ids:
+        want = oracles.imposter_mean_oracle(emb.vector(u), cohort.means)
+        assert abs(qmfs[u][1] - want) <= 1e-15
+
+
+def test_fit_logreg_not_converged_is_a_plain_bool():
+    X = np.array([[-2.0], [-1.0], [1.0], [2.0], [0.5], [-0.5]])
+    y = np.array([0, 0, 1, 1, 0, 1])
+    for max_iter in (0, 1):
+        model = fit_logreg(X, y, max_iter=max_iter)
+        assert model.converged is False
+    assert fit_logreg(X, y).converged is True

@@ -248,3 +248,93 @@ def test_cluster_commands(tmp_path, capsys):
     assert code == 0
     assert payload["iterations"] == 2
     assert len(read_labels(out_labels)) == 80
+
+
+def _synth(tmp_path, capsys, speakers=10):
+    emb, meta = tmp_path / "emb.svb", tmp_path / "meta.csv"
+    code, _ = _run(capsys, "synth", "--speakers", str(speakers),
+                   "--utts-per-speaker", "8", "--dim", "16",
+                   "--concentration", "8", "--seed", "1",
+                   "--out", str(emb), "--meta-out", str(meta))
+    assert code == 0
+    return emb, meta
+
+
+def test_short_metadata_row_is_data_error(tmp_path, capsys, caplog):
+    emb, meta = _synth(tmp_path, capsys)
+    lines = meta.read_text().splitlines(True)
+    lines[2] = lines[2].split(",")[0] + ",300\n"
+    meta.write_text("".join(lines))
+    code, _ = _run(capsys, "gen-trials", "--emb", str(emb), "--meta",
+                   str(meta), "--per-class", "20", "--out",
+                   str(tmp_path / "t.txt"))
+    assert code == 2
+    assert f"{meta}:3: " in caplog.text
+
+
+@pytest.mark.parametrize("text", [
+    "[1.0]",
+    '{"version": 1, "bias": 0.0}',
+    '{"version": 1, "weights": [[1.0]], "bias": 0.0}',
+    '{"version": 1, "weights": [1.0], "bias": 0.0, "feature_names": 7}',
+])
+def test_malformed_model_file_is_data_error(tmp_path, capsys, caplog, text):
+    trials, scores = tmp_path / "t.txt", tmp_path / "s.txt"
+    trials.write_text("a x 1\nb y 0\n")
+    scores.write_text("a x 0.9\nb y 0.1\n")
+    model = tmp_path / "m.json"
+    model.write_text(text)
+    code, _ = _run(capsys, "apply-cal", "--model", str(model), "--trials",
+                   str(trials), "--scores", str(scores), "--out",
+                   str(tmp_path / "c.txt"))
+    assert code == 2
+    assert f"{model}: " in caplog.text
+
+
+def test_fit_cal_reports_a_model_that_did_not_converge(tmp_path, capsys):
+    trials, scores = tmp_path / "t.txt", tmp_path / "s.txt"
+    trials.write_text("a x 1\nb y 0\nc z 1\nd w 0\n")
+    scores.write_text("a x 0.9\nb y 0.1\nc z 0.2\nd w 0.6\n")
+    code, payload = _run(capsys, "fit-cal", "--trials", str(trials),
+                         "--scores", str(scores), "--max-iter", "0",
+                         "--out", str(tmp_path / "m.json"))
+    assert code == 0
+    assert payload["converged"] is False
+
+
+def test_non_finite_kmeans_center_is_data_error(tmp_path, capsys):
+    emb, _ = _synth(tmp_path, capsys)
+    km = tmp_path / "km.svkm"
+    code, _ = _run(capsys, "kmeans", "--emb", str(emb), "--k", "4",
+                   "--seed", "4", "--out", str(km))
+    assert code == 0
+    raw = bytearray(km.read_bytes())
+    raw[20:24] = np.float32(np.nan).tobytes()
+    km.write_bytes(bytes(raw))
+    centers = tmp_path / "centers.txt"
+    centers.write_text("".join(f"center_{i} 0\n" for i in range(4)))
+    code, _ = _run(capsys, "assign", "--emb", str(emb), "--kmeans", str(km),
+                   "--center-labels", str(centers),
+                   "--out", str(tmp_path / "labels.txt"))
+    assert code == 2
+
+
+@pytest.mark.parametrize("command", ["sweep", "iterate"])
+def test_unknown_trial_id_is_data_error(tmp_path, capsys, caplog, command):
+    emb, _ = _synth(tmp_path, capsys)
+    trials = tmp_path / "t.txt"
+    trials.write_text("spk0000_utt000 spk0000_utt001 1\n"
+                      "spk0000_utt000 ghost 0\n")
+    km = tmp_path / "km.svkm"
+    _run(capsys, "kmeans", "--emb", str(emb), "--k", "20",
+         "--batch-size", "20", "--seed", "4", "--out", str(km))
+    if command == "sweep":
+        argv = ["sweep", "--kmeans", str(km), "--k-values", "5,10"]
+    else:
+        argv = ["iterate", "--k-centers", "20", "--clusters", "10",
+                "--batch-size", "20", "--max-iters", "2"]
+    code, payload = _run(capsys, *argv, "--emb", str(emb), "--trials",
+                         str(trials), "--out", str(tmp_path / "out.txt"))
+    assert code == 2
+    assert payload is None
+    assert "unknown utterance id 'ghost'" in caplog.text

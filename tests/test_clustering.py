@@ -3,6 +3,9 @@ import re
 import numpy as np
 import pytest
 
+import oracles
+from oracles import lloyd_kmeans
+
 from svkit import (
     EmbeddingSet,
     TrialList,
@@ -10,7 +13,6 @@ from svkit import (
     ahc_ward,
     assign_pseudo_labels,
     length_normalize,
-    lloyd_kmeans,
     minibatch_kmeans,
     read_kmeans,
     sweep_cluster_count,
@@ -36,6 +38,7 @@ from svkit.errors import (
     KTooLarge,
     SvkitError,
     TruncatedFile,
+    UnknownId,
 )
 
 
@@ -363,3 +366,61 @@ def test_kmeans_file_errors(tmp_path):
     huge.write_bytes(raw[:12] + (2**40).to_bytes(8, "little") + raw[20:])
     with pytest.raises(TruncatedFile):
         read_kmeans(huge)
+
+
+def test_labels_file_non_numeric_label(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("u1 0\nu2 zero\n")
+    with pytest.raises(SvkitError, match=re.escape(f"{path}:2: malformed")):
+        read_labels(path)
+
+
+def test_kmeans_model_rejects_non_finite_centers(tmp_path):
+    with pytest.raises(SvkitError, match="finite"):
+        KMeansModel([[0.0, np.nan]], [1])
+    path = tmp_path / "nan.svkm"
+    write_kmeans(KMeansModel([[0.0, 1.0], [1.0, 0.0]], [1, 1]), path)
+    raw = bytearray(path.read_bytes())
+    raw[20:24] = np.float32(np.nan).tobytes()  # first center's first value
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SvkitError, match="finite"):
+        read_kmeans(path)
+
+
+def test_prototype_scores_unknown_trial_id():
+    emb = length_normalize(synth_dataset(4, 4, 8, 6.0, seed=37))
+    km = minibatch_kmeans(emb, 4, batch_size=8, seed=38)
+    lab = assign_pseudo_labels(emb, km, ahc_ward(km.centers, 2)[1])
+    trials = TrialList([emb.ids[0], "ghost"], [emb.ids[1], emb.ids[2]])
+    with pytest.raises(UnknownId, match="unknown utterance id 'ghost'"):
+        prototype_scores(lab, trials)
+
+
+def test_prototype_scores_equal_cosine_of_prototypes():
+    emb = length_normalize(synth_dataset(6, 6, 8, 6.0, seed=39))
+    km = minibatch_kmeans(emb, 12, batch_size=12, seed=40)
+    lab = assign_pseudo_labels(emb, km, ahc_ward(km.centers, 6)[1])
+    # an empty cluster's zero prototype scores 0
+    lab.prototypes = np.vstack([lab.prototypes, np.zeros(emb.dim)])
+    lab.assignment[emb.ids[0]] = 6
+    trials = _eval_trials(emb, 3000, seed=41)
+    got = prototype_scores(lab, trials).scores
+    for i, (e, t, _) in enumerate(trials):
+        a, b = (lab.prototypes[lab.assignment[u]] for u in (e, t))
+        want = (0.0 if not (a.any() and b.any())
+                else oracles.cosine_oracle(a, b))
+        assert abs(got[i] - want) <= 1e-12
+
+
+def test_prototype_pull_refresher_equals_per_utterance_update():
+    emb = length_normalize(synth_dataset(6, 6, 8, 6.0, seed=42))
+    km = minibatch_kmeans(emb, 12, batch_size=12, seed=43)
+    lab = assign_pseudo_labels(emb, km, ahc_ward(km.centers, 6)[1])
+    got = make_prototype_pull_refresher(0.3)(emb, lab)
+    want = emb.vectors.copy()
+    for i, u in enumerate(emb.ids):
+        proto = lab.prototypes[lab.assignment[u]]
+        want[i] = (1.0 - 0.3) * want[i] + 0.3 * proto
+    want /= np.linalg.norm(want, axis=1, keepdims=True)
+    assert got.ids == emb.ids
+    assert np.array_equal(got.vectors, want)

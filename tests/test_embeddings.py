@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 
+from oracles import lloyd_kmeans
+
 from svkit import (
     EmbeddingSet,
     UttMeta,
@@ -20,7 +22,6 @@ from svkit.errors import (
     TruncatedFile,
     ZeroVector,
 )
-from svkit.clustering import lloyd_kmeans
 from svkit.metrics import adjusted_rand_index
 
 
@@ -127,16 +128,6 @@ def test_binary_header_count_beyond_file_size(tmp_path):
         read_embeddings(bad)
 
 
-def test_text_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    s = EmbeddingSet(["x", "y"], rng.standard_normal((2, 5)))
-    path = tmp_path / "e.txt"
-    write_embeddings(s, path, fmt="text")
-    back = read_embeddings(path, fmt="text")
-    assert back.ids == s.ids
-    assert np.abs(back.vectors - s.vectors).max() < 1e-6
-
-
 def test_metadata_round_trip(tmp_path):
     meta = {
         "a": UttMeta(300, 3.5, "spk1"),
@@ -204,3 +195,62 @@ def test_synth_durations_in_range():
     for m in s.meta.values():
         assert 3.0 <= m.duration_s <= 7.0
         assert m.speech_frames <= m.duration_s * 100
+
+
+@pytest.mark.parametrize("row, bad", [
+    ("b,ten,2.5", "ten"),
+    ("b,200", "''"),
+    ("b,200,x", "x"),
+])
+def test_metadata_malformed_row_names_path_and_line(tmp_path, row, bad):
+    path = tmp_path / "m.csv"
+    path.write_text(f"utt_id,speech_frames,duration_s\na,300,3.5\n{row}\n")
+    with pytest.raises(SvkitError, match=re.escape(f"{path}:3: ") + ".*"
+                       + re.escape(bad)):
+        read_metadata(path)
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf"])
+def test_metadata_non_finite_duration(tmp_path, duration):
+    path = tmp_path / "m.csv"
+    path.write_text(f"utt_id,speech_frames,duration_s\na,0,{duration}\n")
+    with pytest.raises(SvkitError, match=re.escape(f"{path}:2: ")):
+        read_metadata(path)
+    with pytest.raises(SvkitError, match="finite"):
+        UttMeta(0, float(duration))
+
+
+def test_binary_id_not_utf8(tmp_path):
+    path = tmp_path / "e.svb"
+    write_embeddings(EmbeddingSet(["a"], [[1.0, 2.0]]), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:22] + b"\xff" + raw[23:])  # the id byte
+    with pytest.raises(SvkitError, match=re.escape(f"{path}: record 0")):
+        read_embeddings(path)
+
+
+def _text_readers():
+    from svkit.calibration import read_model, read_qmf_cache
+    from svkit.clustering import read_labels
+    from svkit.scoring import read_scores, read_trials
+    return {
+        "trials": (read_trials, b"a b 1\n"),
+        "scores": (read_scores, b"a b 0.5\n"),
+        "labels": (read_labels, b"a 1\n"),
+        "metadata": (read_metadata,
+                     b"utt_id,speech_frames,duration_s\na,300,3.5\n"),
+        "qmf cache": (read_qmf_cache, b"utt_id,dur_q,imp_q\na,1.5,0.25\n"),
+        "model": (read_model, b'{"version": 1, "weights": [1.0], '
+                              b'"bias": 0.0}\n'),
+    }
+
+
+@pytest.mark.parametrize("name", list(_text_readers()))
+def test_text_readers_reject_undecodable_bytes(tmp_path, name):
+    reader, good = _text_readers()[name]
+    path = tmp_path / "f.txt"
+    path.write_bytes(good)
+    reader(path)
+    path.write_bytes(good[:1] + b"\xff\xfe" + good[1:])
+    with pytest.raises(SvkitError, match=re.escape(f"{path}: ")):
+        reader(path)

@@ -57,6 +57,19 @@ def test_cohort_one_vector_per_speaker_sorted():
     assert list(cohort.speaker_ids) == sorted(cohort.speaker_ids)
 
 
+def test_cohort_means_equal_per_speaker_means():
+    # speakers interleaved and of uneven size; each mean must equal numpy's
+    # mean over that speaker's rows in set order, bit for bit
+    rng = np.random.default_rng(3)
+    speakers = rng.choice(["b", "a", "c", "dd"], size=40).tolist()
+    s = _labeled_set(rng.standard_normal((40, 7)), speakers)
+    cohort = build_cohort(s)
+    assert cohort.speaker_ids == tuple(sorted(set(speakers)))
+    for spk, mean in zip(cohort.speaker_ids, cohort.means):
+        rows = [i for i, x in enumerate(speakers) if x == spk]
+        assert np.array_equal(mean, s.vectors[rows].mean(axis=0))
+
+
 def test_cohort_missing_label():
     s = EmbeddingSet(["a"], [[1.0]], {"a": UttMeta(1, 1.0, None)})
     with pytest.raises(MissingLabel):
