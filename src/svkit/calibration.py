@@ -16,10 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, UttMeta, _reading
+from .embeddings import (
+    EmbeddingSet,
+    UttMeta,
+    _csv_rows,
+    _keyed_rows,
+    _reading,
+)
 from .errors import (
     ArityMismatch,
-    DuplicateId,
     InsufficientData,
     MissingMeta,
     SvkitError,
@@ -346,21 +351,28 @@ def read_model(path) -> CalibrationModel:
     converged = payload.get("converged", True)  # absent in older files
     if not isinstance(converged, bool):
         raise SvkitError(f"{path}: 'converged' must be true or false")
-    try:
-        weights = np.array(payload["weights"], dtype=np.float64)
-        bias = float(payload["bias"])
-    except (TypeError, ValueError):
-        raise SvkitError(f"{path}: weights and bias must be numbers") from None
-    if weights.ndim != 1:
-        raise SvkitError(f"{path}: weights must be a flat list")
+    weights, bias = payload["weights"], payload["bias"]
+    if not (isinstance(weights, list) and all(map(_is_number, weights))
+            and _is_number(bias)):
+        raise SvkitError(f"{path}: weights must be a flat list of numbers "
+                         "and bias a number")
     names = payload.get("feature_names", [])
     if not (isinstance(names, list)
             and all(isinstance(n, str) for n in names)):
         raise SvkitError(f"{path}: 'feature_names' must be a list of names")
-    if names and len(names) != weights.size:
+    if names and len(names) != len(weights):
         raise SvkitError(f"{path}: {len(names)} feature names for "
-                         f"{weights.size} weights")
-    return CalibrationModel(weights, bias, tuple(names), converged)
+                         f"{len(weights)} weights")
+    try:
+        return CalibrationModel(weights, float(bias), tuple(names),
+                                converged)
+    except (OverflowError, SvkitError) as e:
+        raise SvkitError(f"{path}: {e}") from None
+
+
+def _is_number(value):
+    """True for a JSON number; false also for a boolean or numeric string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def write_qmf_cache(qmfs: dict, path):
@@ -372,22 +384,13 @@ def write_qmf_cache(qmfs: dict, path):
             w.writerow([utt_id, repr(float(dur_q)), repr(float(imp_q))])
 
 
+def _qmf_row(row):
+    q = (float(row["dur_q"]), float(row["imp_q"]))
+    if not all(map(math.isfinite, q)):
+        raise SvkitError("qmf values must be finite")
+    return q
+
+
 def read_qmf_cache(path) -> dict:
-    out = {}
-    with _reading(path, newline="") as f:
-        reader = csv.DictReader(f, restval="")
-        if reader.fieldnames != ["utt_id", "dur_q", "imp_q"]:
-            raise SvkitError(f"{path}: bad qmf cache header")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if row["utt_id"] in out:
-                raise DuplicateId(f"{where}: duplicate utterance id "
-                                  f"'{row['utt_id']}'")
-            try:
-                q = (float(row["dur_q"]), float(row["imp_q"]))
-            except ValueError:
-                raise SvkitError(f"{where}: malformed qmf row") from None
-            if not all(map(math.isfinite, q)):
-                raise SvkitError(f"{where}: qmf values must be finite")
-            out[row["utt_id"]] = q
-    return out
+    rows = _csv_rows(path, lambda names: names == ["utt_id", "dur_q", "imp_q"])
+    return _keyed_rows(path, rows, _qmf_row)

@@ -50,15 +50,16 @@ def _load_set(emb_path, meta_path=None, normalize=False):
     return emb
 
 
-def _qmf_config(args):
-    top_n = None if args.qmf_top_n in ("all", None) else int(args.qmf_top_n)
-    return calibration.QmfConfig(metric=args.qmf_metric, top_n=top_n)
+def _top_n(text):
+    """`--top-n` / `--qmf-top-n` value: an integer, or 'all' (None) for the
+    whole cohort."""
+    return None if text == "all" else int(text)
 
 
 def _add_qmf_args(p):
     p.add_argument("--qmf-metric", default="inner_product",
                    choices=["inner_product", "cosine"])
-    p.add_argument("--qmf-top-n", default="100",
+    p.add_argument("--qmf-top-n", type=_top_n, default=100,
                    help="integer or 'all'")
 
 
@@ -66,7 +67,12 @@ def build_parser():
     parser = _Parser(prog="svkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic labeled set")
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("synth", _cmd_synth, "generate a synthetic labeled set")
     p.add_argument("--speakers", type=int, required=True)
     p.add_argument("--utts-per-speaker", type=int, required=True)
     p.add_argument("--dim", type=int, default=64)
@@ -77,30 +83,32 @@ def build_parser():
     p.add_argument("--out", required=True, help="binary embedding file")
     p.add_argument("--meta-out", required=True, help="metadata CSV")
 
-    p = sub.add_parser("score", help="cosine-score a trial list")
+    p = command("score", _cmd_score, "cosine-score a trial list")
     p.add_argument("--trials", required=True)
     p.add_argument("--enroll", required=True)
     p.add_argument("--test", help="defaults to the enroll set")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("snorm", help="adaptive s-normalization")
+    p = command("snorm", _cmd_snorm, "adaptive s-normalization")
     p.add_argument("--trials", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--enroll", required=True)
     p.add_argument("--test")
     p.add_argument("--cohort-emb", required=True)
     p.add_argument("--cohort-meta", required=True)
-    p.add_argument("--top-n", default="100", help="integer or 'all'")
+    p.add_argument("--top-n", type=_top_n, default=100,
+                   help="integer or 'all'")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("gen-trials", help="calibration trial generation")
+    p = command("gen-trials", _cmd_gen_trials,
+                "calibration trial generation")
     p.add_argument("--emb", required=True)
     p.add_argument("--meta", required=True)
     p.add_argument("--per-class", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("qmf", help="per-utterance quality measure cache")
+    p = command("qmf", _cmd_qmf, "per-utterance quality measure cache")
     p.add_argument("--emb", required=True)
     p.add_argument("--meta", required=True)
     p.add_argument("--cohort-emb", required=True)
@@ -108,7 +116,8 @@ def build_parser():
     _add_qmf_args(p)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("fit-cal", help="fit logistic-regression calibration")
+    p = command("fit-cal", _cmd_fit_cal,
+                "fit logistic-regression calibration")
     p.add_argument("--trials", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--qmf", help="QMF cache CSV for quality-aware features")
@@ -116,19 +125,19 @@ def build_parser():
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("apply-cal", help="apply a calibration model")
+    p = command("apply-cal", _cmd_apply_cal, "apply a calibration model")
     p.add_argument("--model", required=True)
     p.add_argument("--trials", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--qmf")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("fuse", help="mean-fuse score files")
+    p = command("fuse", _cmd_fuse, "mean-fuse score files")
     p.add_argument("--trials", required=True)
     p.add_argument("--scores", nargs="+", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("metrics", help="EER / MinDCF / actual DCF")
+    p = command("metrics", _cmd_metrics, "EER / MinDCF / actual DCF")
     p.add_argument("--trials", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--p-target", type=float, default=0.01)
@@ -136,7 +145,7 @@ def build_parser():
                    help="scores are LLRs; also report actual DCF")
     p.add_argument("--det-out", help="write (P_fa, P_miss) CSV")
 
-    p = sub.add_parser("kmeans", help="mini-batch k-means")
+    p = command("kmeans", _cmd_kmeans, "mini-batch k-means")
     p.add_argument("--emb", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--batch-size", type=int, default=10000)
@@ -144,19 +153,19 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("ahc", help="Ward AHC over k-means centers")
+    p = command("ahc", _cmd_ahc, "Ward AHC over k-means centers")
     p.add_argument("--kmeans", required=True)
     p.add_argument("--clusters", type=int, required=True)
     p.add_argument("--out", required=True,
                    help="center-label file (`center_<i> label`)")
 
-    p = sub.add_parser("assign", help="assign pseudo-labels")
+    p = command("assign", _cmd_assign, "assign pseudo-labels")
     p.add_argument("--emb", required=True)
     p.add_argument("--kmeans", required=True)
     p.add_argument("--center-labels", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("sweep", help="cluster-count sweep")
+    p = command("sweep", _cmd_sweep, "cluster-count sweep")
     p.add_argument("--emb", required=True)
     p.add_argument("--kmeans", required=True)
     p.add_argument("--trials", required=True)
@@ -164,7 +173,7 @@ def build_parser():
                    help="comma-separated cluster counts")
     p.add_argument("--out", required=True, help="CSV `K,EER`")
 
-    p = sub.add_parser("iterate", help="iterative clustering driver")
+    p = command("iterate", _cmd_iterate, "iterative clustering driver")
     p.add_argument("--emb", required=True)
     p.add_argument("--k-centers", type=int, required=True)
     p.add_argument("--clusters", type=int, required=True)
@@ -177,11 +186,11 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="final labels file")
 
-    p = sub.add_parser("loss-check", help="gradient-check the losses")
+    p = command("loss-check", _cmd_loss_check, "gradient-check the losses")
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("clr", help="triangular2 learning rate at t")
+    p = command("clr", _cmd_clr, "triangular2 learning rate at t")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--cycle-len", type=int, default=130000)
     p.add_argument("--lr-min", type=float, default=1e-8)
@@ -215,11 +224,9 @@ def _cmd_snorm(args):
     raw = scoring.read_scores(args.scores, trials)
     enroll = _load_set(args.enroll, normalize=True)
     test = _load_set(args.test, normalize=True) if args.test else enroll
-    cohort_set = embeddings.length_normalize(
-        _load_set(args.cohort_emb, args.cohort_meta))
-    cohort = scoring.build_cohort(cohort_set)
-    top_n = None if args.top_n == "all" else int(args.top_n)
-    out = scoring.snorm(raw, enroll, test, cohort, top_n)
+    cohort = scoring.build_cohort(
+        _load_set(args.cohort_emb, args.cohort_meta, normalize=True))
+    out = scoring.snorm(raw, enroll, test, cohort, args.top_n)
     scoring.write_scores(out, args.out)
     _emit({"command": "snorm", "trials": len(out),
            "cohort_size": len(cohort), "out": args.out})
@@ -236,10 +243,11 @@ def _cmd_gen_trials(args):
 
 def _cmd_qmf(args):
     emb = _load_set(args.emb, args.meta, normalize=True)
-    cohort_set = embeddings.length_normalize(
-        _load_set(args.cohort_emb, args.cohort_meta))
-    cohort = scoring.build_cohort(cohort_set)
-    cache = calibration.utterance_qmfs(emb, cohort, _qmf_config(args))
+    cohort = scoring.build_cohort(
+        _load_set(args.cohort_emb, args.cohort_meta, normalize=True))
+    config = calibration.QmfConfig(metric=args.qmf_metric,
+                                   top_n=args.qmf_top_n)
+    cache = calibration.utterance_qmfs(emb, cohort, config)
     calibration.write_qmf_cache(cache, args.out)
     _emit({"command": "qmf", "utterances": len(cache), "out": args.out})
 
@@ -401,26 +409,6 @@ def _cmd_clr(args):
     _emit({"command": "clr", "t": args.t, "lr": lr})
 
 
-_DISPATCH = {
-    "synth": _cmd_synth,
-    "score": _cmd_score,
-    "snorm": _cmd_snorm,
-    "gen-trials": _cmd_gen_trials,
-    "qmf": _cmd_qmf,
-    "fit-cal": _cmd_fit_cal,
-    "apply-cal": _cmd_apply_cal,
-    "fuse": _cmd_fuse,
-    "metrics": _cmd_metrics,
-    "kmeans": _cmd_kmeans,
-    "ahc": _cmd_ahc,
-    "assign": _cmd_assign,
-    "sweep": _cmd_sweep,
-    "iterate": _cmd_iterate,
-    "loss-check": _cmd_loss_check,
-    "clr": _cmd_clr,
-}
-
-
 def run(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
@@ -433,7 +421,7 @@ def run(argv=None) -> int:
     except SystemExit as e:  # --help and friends
         return 0 if e.code in (0, None) else 1
     try:
-        _DISPATCH[args.command](args)
+        args.handler(args)
         return 0
     except (SvkitError, OSError, ValueError) as e:
         log.error("%s", e)

@@ -9,18 +9,22 @@ the cosine metric inside Ward.
 
 from __future__ import annotations
 
-import struct
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 
 from . import metrics as _metrics
-from .embeddings import EmbeddingSet, _check_payload, _reading
+from .embeddings import (
+    EmbeddingSet,
+    _keyed_rows,
+    _read_header,
+    _reading,
+    _write_header,
+)
 from .errors import (
-    BadMagic,
     DimMismatch,
-    DuplicateId,
     EmptyInput,
     IdSetChanged,
     KTooLarge,
@@ -30,7 +34,6 @@ from .errors import (
 from .scoring import ScoreSet, _row_dots, _rows
 
 _KM_MAGIC = b"SVKM"
-_KM_VERSION = 1
 
 
 @dataclass
@@ -42,8 +45,8 @@ class KMeansModel:
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64)
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.centers.ndim != 2 or self.centers.shape[0] < 1:
-            raise SvkitError("centers must be a nonempty (k, d) matrix")
+        if self.centers.ndim != 2 or 0 in self.centers.shape:
+            raise SvkitError("centers must be a (k, d) matrix with k, d >= 1")
         if self.counts.shape != (self.centers.shape[0],):
             raise SvkitError("counts length mismatch")
         if np.any(self.counts < 0):
@@ -54,17 +57,6 @@ class KMeansModel:
     @property
     def k(self):
         return self.centers.shape[0]
-
-
-@dataclass(frozen=True)
-class Dendrogram:
-    """Merge list of (node_a, node_b, height, new_node); leaves are
-    0..k-1, merged node i gets id k+i."""
-
-    merges: tuple
-
-    def heights(self):
-        return np.array([m[2] for m in self.merges])
 
 
 @dataclass
@@ -154,7 +146,9 @@ def minibatch_kmeans(emb_set: EmbeddingSet, k, batch_size=10000,
 
 def ahc_ward(centers, num_clusters):
     """Ward AHC over length-normalized centers, cut to num_clusters flat
-    clusters. Returns (Dendrogram, center_labels)."""
+    clusters. Returns (linkage, center_labels), where linkage is scipy's
+    (k-1, 4) matrix: row i merges nodes Z[i, 0] and Z[i, 1] at height
+    Z[i, 2] into node k+i of Z[i, 3] centers; leaves are 0..k-1."""
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] == 0:
         raise EmptyInput("no centers to cluster")
@@ -166,14 +160,10 @@ def ahc_ward(centers, num_clusters):
         raise SvkitError("zero-norm center cannot be normalized")
     unit = centers / norms[:, None]
     if k == 1:
-        return Dendrogram(()), np.zeros(1, dtype=np.int64)
+        return np.empty((0, 4)), np.zeros(1, dtype=np.int64)
     Z = linkage(unit, method="ward")
-    merges = tuple(
-        (int(row[0]), int(row[1]), float(row[2]), k + i)
-        for i, row in enumerate(Z)
-    )
     labels = fcluster(Z, t=num_clusters, criterion="maxclust") - 1
-    return Dendrogram(merges), labels.astype(np.int64)
+    return Z, labels.astype(np.int64)
 
 
 def assign_pseudo_labels(emb_set: EmbeddingSet, kmeans: KMeansModel,
@@ -188,6 +178,8 @@ def assign_pseudo_labels(emb_set: EmbeddingSet, kmeans: KMeansModel,
         )
     if center_labels.shape != (kmeans.k,):
         raise SvkitError("center_labels length mismatch")
+    if np.any(center_labels < 0):
+        raise SvkitError("center_labels must be nonnegative")
     num_clusters = int(center_labels.max()) + 1
 
     nearest = _nearest(emb_set.vectors, kmeans.centers)[0]
@@ -241,10 +233,7 @@ def greedy_label_match(prev: dict, curr: dict):
     """Greedy maximum-overlap matching of current cluster labels onto the
     previous iteration's labels. Returns (mapping curr->prev label,
     agreement fraction)."""
-    overlap = {}
-    for utt_id, c in curr.items():
-        p = prev[utt_id]
-        overlap[(c, p)] = overlap.get((c, p), 0) + 1
+    overlap = Counter((c, prev[utt_id]) for utt_id, c in curr.items())
     order = sorted(overlap.items(), key=lambda kv: (-kv[1], kv[0]))
     mapping = {}
     taken = set()
@@ -339,48 +328,40 @@ def write_labels(assignment: dict, path):
             f.write(f"{utt_id} {int(c)}\n")
 
 
+def _label_row(parts):
+    if len(parts) != 2:
+        raise ValueError("expected `utt_id cluster_index`")
+    label = int(parts[1])
+    if label < 0:
+        raise ValueError(f"negative cluster index {label}")
+    return label
+
+
 def read_labels(path) -> dict:
-    out = {}
-    with _reading(path) as f:
-        for lineno, line in enumerate(f, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise SvkitError(f"{path}:{lineno}: malformed label line")
-            if parts[0] in out:
-                raise DuplicateId(f"{path}:{lineno}: duplicate id "
-                                  f"'{parts[0]}'")
-            try:
-                out[parts[0]] = int(parts[1])
-            except ValueError:
-                raise SvkitError(
-                    f"{path}:{lineno}: malformed label line") from None
-    return out
+    def rows():
+        with _reading(path) as f:
+            for lineno, line in enumerate(f, 1):
+                parts = line.split()
+                if parts:
+                    yield lineno, parts[0], parts
+
+    return _keyed_rows(path, rows(), _label_row)
 
 
 def write_kmeans(model: KMeansModel, path):
-    """Binary, SVEB-style header: magic "SVKM", u32 version, u32 dim,
-    u64 k; then k*d f32 centers, then k u64 counts."""
+    """Binary, the embedding file's header with magic "SVKM" and count k;
+    then k*d f32 centers, then k u64 counts."""
     k, d = model.centers.shape
     with open(path, "wb") as f:
-        f.write(_KM_MAGIC)
-        f.write(struct.pack("<IIQ", _KM_VERSION, d, k))
+        _write_header(f, _KM_MAGIC, d, k)
         f.write(model.centers.astype("<f4").tobytes())
         f.write(model.counts.astype("<u8").tobytes())
 
 
 def read_kmeans(path) -> KMeansModel:
     with open(path, "rb") as f:
-        header = f.read(20)
-        if len(header) < 20:
-            raise TruncatedFile(f"{path}: header truncated")
-        if header[:4] != _KM_MAGIC:
-            raise BadMagic(f"{path}: bad magic {header[:4]!r}")
-        version, d, k = struct.unpack("<IIQ", header[4:])
-        if version != _KM_VERSION:
-            raise SvkitError(f"{path}: unsupported version {version}")
-        _check_payload(f, path, 4 * k * d + 8 * k, f"{k} centers of dim {d}")
+        # a center is dim f32s and its u64 count
+        d, k = _read_header(f, path, _KM_MAGIC, 8, "centers")
         centers_raw = f.read(4 * k * d)
         if len(centers_raw) < 4 * k * d:
             raise TruncatedFile(f"{path}: centers truncated")
@@ -391,5 +372,7 @@ def read_kmeans(path) -> KMeansModel:
             raise SvkitError(f"{path}: trailing bytes")
     centers = np.frombuffer(centers_raw, dtype="<f4").astype(np.float64)
     counts = np.frombuffer(counts_raw, dtype="<u8").astype(np.int64)
-    model = KMeansModel(centers.reshape(k, d), counts)
-    return model
+    try:
+        return KMeansModel(centers.reshape(k, d), counts)
+    except SvkitError as e:
+        raise SvkitError(f"{path}: {e}") from None

@@ -7,6 +7,8 @@ at 100 frames/s (10 ms shift).
 Binary embedding file layout (little-endian):
     magic "SVEB" | u32 version=1 | u32 dim | u64 count
     per record: u16 id_len | id (UTF-8) | dim * f32
+The k-means model file (`clustering.write_kmeans`) shares the 20-byte
+header with magic "SVKM".
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ FRAME_RATE = 100.0  # VAD / feature frames per second
 
 _MAGIC = b"SVEB"
 _VERSION = 1
+_HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, count
 
 
 @dataclass(frozen=True)
@@ -73,22 +76,21 @@ class EmbeddingSet:
             raise SvkitError("embedding dimension must be >= 1")
         if not np.all(np.isfinite(vectors)):
             raise SvkitError("embedding vectors must be finite")
-        seen = set()
-        for i in ids:
-            if not i:
-                raise SvkitError("utterance id must be non-empty")
-            if i in seen:
-                raise DuplicateId(f"duplicate utterance id '{i}'")
-            seen.add(i)
+        index = {u: i for i, u in enumerate(ids)}
+        if not all(index):
+            raise SvkitError("utterance id must be non-empty")
+        if len(index) < len(ids):
+            dup = next(u for i, u in enumerate(ids) if index[u] != i)
+            raise DuplicateId(f"duplicate utterance id '{dup}'")
         meta = dict(meta) if meta else {}
-        unknown = set(meta) - seen
+        unknown = meta.keys() - index.keys()
         if unknown:
             raise SvkitError(f"metadata for unknown ids: {sorted(unknown)[:5]}")
         self.ids = ids
         self.vectors = vectors
         self.vectors.setflags(write=False)
         self.meta = meta
-        self._index = {u: i for i, u in enumerate(ids)}
+        self._index = index
 
     @property
     def dim(self):
@@ -135,10 +137,62 @@ def _reading(path, newline=None):
         raise SvkitError(f"{path}: unreadable text ({e})") from None
 
 
+def _keyed_rows(path, rows, parse):
+    """{key: parse(fields)} over `rows` of (lineno, key, fields). A repeated
+    key raises DuplicateId, and a ValueError or SvkitError from `parse` an
+    SvkitError, both naming `path:lineno`."""
+    out = {}
+    for lineno, key, fields in rows:
+        where = f"{path}:{lineno}"
+        if key in out:
+            raise DuplicateId(f"{where}: duplicate id '{key}'")
+        try:
+            out[key] = parse(fields)
+        except (ValueError, SvkitError) as e:
+            raise SvkitError(f"{where}: malformed row ({e})") from None
+    return out
+
+
+def _csv_rows(path, header_ok):
+    """(lineno, utt_id, row dict) per data row of the CSV file at `path`;
+    a header row that fails `header_ok` raises SvkitError."""
+    with _reading(path, newline="") as f:
+        reader = csv.DictReader(f, restval="")
+        if not header_ok(reader.fieldnames or []):
+            raise SvkitError(f"{path}: bad header {reader.fieldnames}")
+        for row in reader:
+            yield reader.line_num, row["utt_id"], row
+
+
+def _write_header(f, magic, dim, count):
+    f.write(_HEADER.pack(magic, _VERSION, dim, count))
+
+
+def _read_header(f, path, magic, extra, what):
+    """(dim, count) from the header `_write_header` wrote with `magic`.
+    The count records that follow (`what`, in messages) hold dim f32s and
+    at least `extra` more bytes each; TruncatedFile unless the file is
+    that long, so a corrupt header's counts allocate nothing."""
+    header = f.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise TruncatedFile(f"{path}: header truncated")
+    got, version, dim, count = _HEADER.unpack(header)
+    if got != magic:
+        raise BadMagic(f"{path}: bad magic {got!r}")
+    if version != _VERSION:
+        raise SvkitError(f"{path}: unsupported version {version}")
+    need = count * (4 * dim + extra)
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if need > left:
+        raise TruncatedFile(
+            f"{path}: header claims {count} {what} of dim {dim} "
+            f"({need} bytes at least), but {left} bytes follow")
+    return dim, count
+
+
 def write_embeddings(emb_set: EmbeddingSet, path):
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<IIQ", _VERSION, emb_set.dim, len(emb_set)))
+        _write_header(f, _MAGIC, emb_set.dim, len(emb_set))
         for i, utt_id in enumerate(emb_set.ids):
             raw = utt_id.encode("utf-8")
             f.write(struct.pack("<H", len(raw)))
@@ -148,17 +202,8 @@ def write_embeddings(emb_set: EmbeddingSet, path):
 
 def read_embeddings(path) -> EmbeddingSet:
     with open(path, "rb") as f:
-        header = f.read(20)
-        if len(header) < 20:
-            raise TruncatedFile(f"{path}: header truncated")
-        if header[:4] != _MAGIC:
-            raise BadMagic(f"{path}: bad magic {header[:4]!r}")
-        version, dim, count = struct.unpack("<IIQ", header[4:])
-        if version != _VERSION:
-            raise SvkitError(f"{path}: unsupported version {version}")
         # a record is at least a u16 length, a 1-byte id and dim f32s
-        _check_payload(f, path, count * (3 + 4 * dim),
-                      f"{count} records of dim {dim}")
+        dim, count = _read_header(f, path, _MAGIC, 3, "records")
         ids = []
         vecs = np.empty((count, dim), dtype=np.float64)
         for r in range(count):
@@ -183,17 +228,6 @@ def read_embeddings(path) -> EmbeddingSet:
     return EmbeddingSet(ids, vecs)
 
 
-def _check_payload(f, path, need, what):
-    """Raise TruncatedFile unless at least `need` bytes follow the header
-    read from `f`, so nothing is allocated from a corrupt header's
-    counts."""
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if need > left:
-        raise TruncatedFile(
-            f"{path}: header claims {what} ({need} bytes at least), "
-            f"but {left} bytes follow")
-
-
 def write_metadata(meta, path):
     """CSV `utt_id,speech_frames,duration_s[,speaker]` with header row."""
     has_speaker = any(m.speaker is not None for m in meta.values())
@@ -211,26 +245,12 @@ def write_metadata(meta, path):
 
 
 def read_metadata(path):
-    meta = {}
-    with _reading(path, newline="") as f:
-        reader = csv.DictReader(f, restval="")
-        required = {"utt_id", "speech_frames", "duration_s"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise SvkitError(f"{path}: missing metadata columns")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if row["utt_id"] in meta:
-                raise DuplicateId(f"{where}: duplicate utterance id "
-                                  f"'{row['utt_id']}'")
-            try:
-                meta[row["utt_id"]] = UttMeta(
-                    speech_frames=int(row["speech_frames"]),
-                    duration_s=float(row["duration_s"]),
-                    speaker=row.get("speaker") or None,
-                )
-            except (ValueError, SvkitError) as e:
-                raise SvkitError(f"{where}: bad metadata row ({e})") from None
-    return meta
+    required = {"utt_id", "speech_frames", "duration_s"}
+    return _keyed_rows(
+        path, _csv_rows(path, required.issubset),
+        lambda row: UttMeta(speech_frames=int(row["speech_frames"]),
+                            duration_s=float(row["duration_s"]),
+                            speaker=row.get("speaker") or None))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ is linearly interpolated in (P_miss, P_fa).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,18 +114,12 @@ def adjusted_rand_index(labels_a: dict, labels_b: dict) -> float:
     contingency table. Inputs map item id -> cluster label."""
     if set(labels_a) != set(labels_b):
         raise IdMismatch("partitions cover different id sets")
-    ids = list(labels_a)
-    n = len(ids)
+    n = len(labels_a)
     if n == 0:
         raise SvkitError("empty partitions")
-    cont = {}
-    for i in ids:
-        key = (labels_a[i], labels_b[i])
-        cont[key] = cont.get(key, 0) + 1
-    a_sizes, b_sizes = {}, {}
-    for (la, lb), c in cont.items():
-        a_sizes[la] = a_sizes.get(la, 0) + c
-        b_sizes[lb] = b_sizes.get(lb, 0) + c
+    cont = Counter((la, labels_b[i]) for i, la in labels_a.items())
+    a_sizes = Counter(labels_a.values())
+    b_sizes = Counter(labels_b.values())
 
     def comb2(x):
         return x * (x - 1) // 2

@@ -426,6 +426,33 @@ def test_read_model_rejects_malformed_file(tmp_path, text):
         read_model(path)
 
 
+@pytest.mark.parametrize("weights, bias", [
+    ('["1.5"]', "0.5"),
+    ("[1.5]", '"0.5"'),
+    ("[true]", "0.5"),
+    ("[1.5]", "false"),
+])
+def test_read_model_rejects_strings_and_booleans_as_numbers(
+        tmp_path, weights, bias):
+    path = tmp_path / "model.json"
+    path.write_text(f'{{"version": 1, "weights": {weights}, "bias": {bias}}}')
+    with pytest.raises(SvkitError, match=re.escape(f"{path}: ")):
+        read_model(path)
+
+
+@pytest.mark.parametrize("weights, bias", [
+    ("[1e999]", "0.5"),
+    ("[1" + "0" * 400 + "]", "0.5"),
+    ("[1.5]", "1" + "0" * 400),
+])
+def test_read_model_names_path_for_numbers_out_of_range(
+        tmp_path, weights, bias):
+    path = tmp_path / "model.json"
+    path.write_text(f'{{"version": 1, "weights": {weights}, "bias": {bias}}}')
+    with pytest.raises(SvkitError, match=re.escape(f"{path}: ")):
+        read_model(path)
+
+
 def test_imposter_means_over_whole_cohort_match_oracle():
     emb = length_normalize(synth_dataset(12, 3, 16, 3.0, seed=21))
     cohort = build_cohort(emb)

@@ -1,10 +1,12 @@
+import argparse
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from svkit import EmbeddingSet, read_scores, read_trials, write_embeddings
-from svkit.cli import run
+from svkit.cli import build_parser, run
 from svkit.clustering import read_labels
 
 
@@ -317,6 +319,59 @@ def test_non_finite_kmeans_center_is_data_error(tmp_path, capsys):
                    "--center-labels", str(centers),
                    "--out", str(tmp_path / "labels.txt"))
     assert code == 2
+
+
+def test_zero_dimensional_kmeans_file_is_data_error(tmp_path, capsys,
+                                                    caplog):
+    emb, _ = _synth(tmp_path, capsys)
+    km = tmp_path / "km.svkm"
+    km.write_bytes(b"SVKM" + struct.pack("<IIQ", 1, 0, 2)
+                   + struct.pack("<QQ", 1, 1))
+    centers = tmp_path / "centers.txt"
+    centers.write_text("center_0 0\ncenter_1 1\n")
+    code, _ = _run(capsys, "assign", "--emb", str(emb), "--kmeans", str(km),
+                   "--center-labels", str(centers),
+                   "--out", str(tmp_path / "labels.txt"))
+    assert code == 2
+    assert f"{km}: centers must be" in caplog.text
+
+
+def test_model_with_numbers_as_strings_is_data_error(tmp_path, capsys,
+                                                     caplog):
+    trials, scores = tmp_path / "t.txt", tmp_path / "s.txt"
+    trials.write_text("a x 1\nb y 0\n")
+    scores.write_text("a x 0.9\nb y 0.1\n")
+    model = tmp_path / "m.json"
+    model.write_text('{"version": 1, "weights": ["1.5"], "bias": "0.5"}')
+    code, _ = _run(capsys, "apply-cal", "--model", str(model), "--trials",
+                   str(trials), "--scores", str(scores), "--out",
+                   str(tmp_path / "c.txt"))
+    assert code == 2
+    assert f"{model}: " in caplog.text
+
+
+@pytest.mark.parametrize("command, flag, inputs", [
+    ("snorm", "--top-n",
+     ["--trials", "--scores", "--enroll", "--cohort-emb", "--cohort-meta"]),
+    ("qmf", "--qmf-top-n", ["--emb", "--meta", "--cohort-emb",
+                            "--cohort-meta"]),
+])
+def test_bad_top_n_is_usage_error_before_any_file_is_read(
+        capsys, command, flag, inputs):
+    # every input is missing, so reading one first would exit 2
+    argv = [command, flag, "abc", "--out", "/nonexistent/out"]
+    for name in inputs:
+        argv += [name, "/nonexistent"]
+    assert run(argv) == 1
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
+def test_every_subcommand_has_a_handler():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert len(sub.choices) == 16
+    for name, parser in sub.choices.items():
+        assert callable(parser.get_default("handler")), name
 
 
 @pytest.mark.parametrize("command", ["sweep", "iterate"])

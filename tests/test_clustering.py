@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -126,8 +127,8 @@ def test_ahc_singletons():
 def test_ahc_angle_pairs_merge_first():
     angles = np.deg2rad([0.0, 5.0, 85.0, 90.0])
     centers = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    dend, labels = ahc_ward(centers, 2)
-    first_two = {frozenset(m[:2]) for m in dend.merges[:2]}
+    Z, labels = ahc_ward(centers, 2)
+    first_two = {frozenset(row[:2].astype(int)) for row in Z[:2]}
     assert first_two == {frozenset({0, 1}), frozenset({2, 3})}
     assert labels[0] == labels[1] and labels[2] == labels[3]
     assert labels[0] != labels[2]
@@ -136,8 +137,8 @@ def test_ahc_angle_pairs_merge_first():
 def test_ahc_heights_nondecreasing():
     rng = np.random.default_rng(9)
     centers = rng.standard_normal((40, 8))
-    dend, _ = ahc_ward(centers, 5)
-    h = dend.heights()
+    Z, _ = ahc_ward(centers, 5)
+    h = Z[:, 2]
     assert np.all(np.diff(h) >= -1e-12)
 
 
@@ -373,6 +374,31 @@ def test_labels_file_non_numeric_label(tmp_path):
     path.write_text("u1 0\nu2 zero\n")
     with pytest.raises(SvkitError, match=re.escape(f"{path}:2: malformed")):
         read_labels(path)
+
+
+def test_labels_file_negative_label(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("u1 0\nu2 -1\n")
+    with pytest.raises(SvkitError, match=re.escape(f"{path}:2: ")
+                       + ".*negative"):
+        read_labels(path)
+
+
+def test_assign_rejects_negative_center_labels():
+    emb = length_normalize(synth_dataset(4, 4, 8, 6.0, seed=39))
+    km = minibatch_kmeans(emb, 4, batch_size=8, seed=40)
+    with pytest.raises(SvkitError, match="nonnegative"):
+        assign_pseudo_labels(emb, km, [0, -1, 1, 1])
+
+
+def test_kmeans_model_rejects_zero_dimensional_centers(tmp_path):
+    with pytest.raises(SvkitError, match="d >= 1"):
+        KMeansModel([[], []], [1, 1])
+    path = tmp_path / "zero.svkm"
+    path.write_bytes(b"SVKM" + struct.pack("<IIQ", 1, 0, 2)
+                     + struct.pack("<QQ", 1, 1))
+    with pytest.raises(SvkitError, match="d >= 1"):
+        read_kmeans(path)
 
 
 def test_kmeans_model_rejects_non_finite_centers(tmp_path):
