@@ -51,9 +51,15 @@ def _load_set(emb_path, meta_path=None, normalize=False):
 
 
 def _top_n(text):
-    """`--top-n` / `--qmf-top-n` value: an integer, or 'all' (None) for the
-    whole cohort."""
-    return None if text == "all" else int(text)
+    """`--top-n` / `--qmf-top-n` value: a positive integer, or 'all' (None)
+    for the whole cohort."""
+    if text == "all":
+        return None
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {n}: must be >= 1 or 'all'")
+    return n
 
 
 def _add_qmf_args(p):

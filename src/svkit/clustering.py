@@ -31,7 +31,7 @@ from .errors import (
     SvkitError,
     TruncatedFile,
 )
-from .scoring import ScoreSet, _row_dots, _rows
+from .scoring import ScoreSet, _group_sums, _row_dots, _rows
 
 _KM_MAGIC = b"SVKM"
 
@@ -69,26 +69,30 @@ class PseudoLabeling:
         return self.prototypes.shape[0]
 
 
-def _sq_dists(points, centers):
-    d2 = (
-        np.sum(points ** 2, axis=1)[:, None]
-        - 2.0 * points @ centers.T
-        + np.sum(centers ** 2, axis=1)[None, :]
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def _nearest(points, centers):
     """Index of each point's nearest center and its squared distance to
-    it, 4096 points at a time."""
-    idx = np.empty(points.shape[0], dtype=np.int64)
-    d2 = np.empty(points.shape[0])
-    for lo in range(0, points.shape[0], 4096):
-        hi = lo + 4096
-        dists = _sq_dists(points[lo:hi], centers)
-        idx[lo:hi] = np.argmin(dists, axis=1)
-        d2[lo:hi] = dists[np.arange(dists.shape[0]), idx[lo:hi]]
+    it, 4096 points at a time.
+
+    ||x||^2 is the same for every center of a row, so the nearest center is
+    the argmax of x.c - ||c||^2 / 2: one gemm into a reused block buffer and
+    one in-place subtraction per block. The squared distance
+    ||x||^2 - 2 (x.c - ||c||^2 / 2) is formed only at that center, clipped
+    at 0.
+    """
+    n = points.shape[0]
+    half_sq = 0.5 * np.einsum("ij,ij->i", centers, centers)
+    buf = np.empty((min(n, 4096), centers.shape[0]))
+    idx = np.empty(n, dtype=np.int64)
+    d2 = np.empty(n)
+    for lo in range(0, n, 4096):
+        block = points[lo:lo + 4096]
+        hi = lo + len(block)
+        score = np.matmul(block, centers.T, out=buf[:len(block)])
+        score -= half_sq
+        idx[lo:hi] = np.argmax(score, axis=1)
+        best = score[np.arange(len(block)), idx[lo:hi]]
+        d2[lo:hi] = np.einsum("ij,ij->i", block, block) - 2.0 * best
+    np.maximum(d2, 0.0, out=d2)
     return idx, d2
 
 
@@ -120,22 +124,21 @@ def minibatch_kmeans(emb_set: EmbeddingSet, k, batch_size=10000,
     for _ in range(n_batches):
         batch = X[rng.integers(0, n, size=min(batch_size, n))]
         assign = _nearest(batch, centers)[0]
-        hit = np.unique(assign)
-        sums = np.zeros((hit.size, X.shape[1]))
-        np.add.at(sums, np.searchsorted(hit, assign), batch)
-        m = np.bincount(assign, minlength=k)[hit]
+        m = np.bincount(assign, minlength=k)
+        hit = np.flatnonzero(m)
+        sums = _group_sums(assign, batch, k)[hit]
         prior = counts[hit]
         centers[hit] = (
             prior[:, None] * centers[hit] + sums
-        ) / (prior + m)[:, None]
-        counts[hit] += m
+        ) / (prior + m[hit])[:, None]
+        counts += m
         last_batch, last_assign = batch, assign
 
     empty = np.where(counts == 0)[0]
     if empty.size and last_batch is not None:
         # reseed dead centers with the worst-fit points of the last batch
-        dists = _sq_dists(last_batch, centers)
-        fit = dists[np.arange(last_batch.shape[0]), last_assign]
+        diff = last_batch - centers[last_assign]
+        fit = np.einsum("ij,ij->i", diff, diff)
         order = np.argsort(-fit, kind="stable")
         for i, c in enumerate(empty[: order.size]):
             centers[c] = last_batch[order[i]]
@@ -190,8 +193,7 @@ def assign_pseudo_labels(emb_set: EmbeddingSet, kmeans: KMeansModel,
     if np.any(norms == 0):
         raise SvkitError("zero-norm embedding cannot be normalized")
     unit = emb_set.vectors / norms[:, None]
-    prototypes = np.zeros((num_clusters, emb_set.dim))
-    np.add.at(prototypes, labels, unit)
+    prototypes = _group_sums(labels, unit, num_clusters)
     sizes = np.bincount(labels, minlength=num_clusters)
     nonzero = sizes > 0
     prototypes[nonzero] /= sizes[nonzero, None]

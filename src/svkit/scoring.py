@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .embeddings import EmbeddingSet, _reading
 from .errors import (
@@ -103,10 +104,7 @@ def build_cohort(emb_set: EmbeddingSet) -> Cohort:
             raise MissingLabel(utt_id)
         speakers.append(m.speaker)
     table, spk = _intern(speakers)
-    # rows are added to their speaker's sum in set order, as a per-speaker
-    # mean would add them
-    sums = np.zeros((len(table), emb_set.dim))
-    np.add.at(sums, spk, emb_set.vectors)
+    sums = _group_sums(spk, emb_set.vectors, len(table))
     return Cohort(tuple(table), sums / np.bincount(spk)[:, None])
 
 
@@ -129,6 +127,17 @@ def _row_dots(a, a_rows, b, b_rows):
         np.einsum("ij,ij->i", a[a_rows[lo:hi]], b[b_rows[lo:hi]],
                   out=out[lo:hi])
     return out
+
+
+def _group_sums(labels, rows, n_groups):
+    """(n_groups, dim) sums of the `rows` of each group (labels in
+    [0, n_groups)), as one one-hot CSR product. CSR adds each group's rows
+    in row order starting from 0, as `np.add.at` does, so the sums are
+    bit-identical to sequential addition; an empty group sums to 0."""
+    n = len(labels)
+    onehot = sparse.csr_matrix((np.ones(n), (labels, np.arange(n))),
+                               shape=(n_groups, n))
+    return onehot @ rows
 
 
 def cosine_score(
@@ -168,6 +177,8 @@ def _cohort_stats(vecs, cohort: Cohort, top_n, similarity=_cosine_matrix):
     scores against the cohort means, one score matrix per `_ROW_BLOCK`
     rows, so memory stays O(_ROW_BLOCK x cohort). Only the multiset of the
     top_n values is used, so ties need no rule."""
+    if top_n < 1:
+        raise SvkitError(f"top_n={top_n} must be >= 1")
     if top_n > len(cohort):
         raise TopNTooLarge(f"top_n={top_n} exceeds cohort size {len(cohort)}")
     mu = np.empty(len(vecs))

@@ -127,6 +127,18 @@ def lloyd_kmeans(emb_set, k, max_iter=300, seed=0, init_centers=None):
                            inertia=float(sq_dists().min(axis=1).sum()))
 
 
+def nearest_center_oracle(points, centers):
+    """Each point's nearest center (the first on a tie) and its squared
+    distance, from explicit differences, one point at a time."""
+    idx = np.empty(len(points), dtype=np.int64)
+    d2 = np.empty(len(points))
+    for i, x in enumerate(points):
+        dists = ((centers - x) ** 2).sum(axis=1)
+        idx[i] = np.argmin(dists)
+        d2[i] = dists[idx[i]]
+    return idx, d2
+
+
 def fd_gradient(fn, x, h=1e-6):
     """Central finite-difference gradient of scalar fn over a flat copy of
     x (any shape)."""

@@ -219,6 +219,26 @@ def test_criterion_4_and_5_clustering_recovery_and_sweep():
             f"{eers[200]*100:.2f}% at truth K")
 
 
+def test_criterion_4_and_5_on_a_harder_corpus():
+    # at concentration 6 the true-K recovery is imperfect (ARI about 0.75,
+    # EERs about 14% at K=67 and 10% at K=200), so neither the ARI floor
+    # nor the EER ordering is settled by a perfect clustering
+    data = length_normalize(synth_dataset(200, 20, 64, concentration=6.0,
+                                          seed=1))
+    km = minibatch_kmeans(data, 2000, batch_size=1000, seed=2)
+    _, center_labels = ahc_ward(km.centers, 200)
+    labeling = assign_pseudo_labels(data, km, center_labels)
+    ari = adjusted_rand_index(labeling.assignment, _truth(data))
+    eers = dict(sweep_cluster_count(data, km, [67, 200],
+                                    _eval_trials(data))[0])
+
+    _report("4 (harder corpus)", 0.70 < ari < 1.0,
+            f"ARI {ari:.3f} at K=200 in (0.70, 1)")
+    _report("5 (harder corpus)", eers[67] > eers[200],
+            f"under-clustering EER {eers[67]*100:.2f}% > "
+            f"{eers[200]*100:.2f}% at truth K")
+
+
 # ---------------------------------------------------------------------------
 # 6. quality-aware calibration benefit
 

@@ -179,6 +179,16 @@ def test_imposter_mean_qmf_top_n_too_large():
         imposter_mean_qmf(np.array([1.0, 0.0]), cohort, "cosine", 5)
 
 
+@pytest.mark.parametrize("top_n", [0, -1])
+def test_top_n_below_one_is_rejected(top_n):
+    emb = length_normalize(synth_dataset(4, 3, 8, 4.0, seed=0))
+    cohort = build_cohort(emb)
+    with pytest.raises(SvkitError, match=f"top_n={top_n} must be >= 1"):
+        calibration.utterance_qmfs(emb, cohort, QmfConfig(top_n=top_n))
+    with pytest.raises(SvkitError, match=f"top_n={top_n} must be >= 1"):
+        imposter_mean_qmf(emb.vectors[0], cohort, "cosine", top_n)
+
+
 def test_trial_qmfs_symmetry_and_values():
     emb = length_normalize(
         synth_dataset(10, 6, 8, 4.0, (2.5, 11.0), seed=4))

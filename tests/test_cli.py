@@ -359,11 +359,12 @@ def test_model_with_numbers_as_strings_is_data_error(tmp_path, capsys,
 def test_bad_top_n_is_usage_error_before_any_file_is_read(
         capsys, command, flag, inputs):
     # every input is missing, so reading one first would exit 2
-    argv = [command, flag, "abc", "--out", "/nonexistent/out"]
-    for name in inputs:
-        argv += [name, "/nonexistent"]
-    assert run(argv) == 1
-    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    for value in ("abc", "0", "-1"):
+        argv = [command, f"{flag}={value}", "--out", "/nonexistent/out"]
+        for name in inputs:
+            argv += [name, "/nonexistent"]
+        assert run(argv) == 1, value
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
 
 
 def test_every_subcommand_has_a_handler():

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import struct
 
@@ -22,6 +23,7 @@ from svkit import (
 )
 from svkit.clustering import (
     KMeansModel,
+    _nearest,
     greedy_label_match,
     identity_refresher,
     iterate,
@@ -41,6 +43,7 @@ from svkit.errors import (
     TruncatedFile,
     UnknownId,
 )
+from svkit.scoring import _group_sums
 
 
 def _truth(emb):
@@ -112,6 +115,52 @@ def test_lloyd_inertia_monotone():
         m = lloyd_kmeans(emb, 8, max_iter=iters, init_centers=init)
         inertias.append(m.inertia)
     assert all(b <= a + 1e-12 for a, b in zip(inertias, inertias[1:]))
+
+
+def test_nearest_matches_brute_force_oracle():
+    # rows and centers of very different norms, so the -||c||^2/2 term
+    # decides; 8229 rows cross two 4096-row block edges; the first 50 rows
+    # sit exactly on the centers (distance 0)
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(2 * 4096 + 37, 8))
+    points *= rng.uniform(0.1, 10.0, size=(len(points), 1))
+    centers = rng.normal(size=(50, 8))
+    centers *= rng.uniform(0.1, 10.0, size=(50, 1))
+    points[:50] = centers
+    idx, d2 = _nearest(points, centers)
+    ref_idx, ref_d2 = oracles.nearest_center_oracle(points, centers)
+    assert np.array_equal(idx, ref_idx)
+    assert np.all(d2 >= 0.0)
+    # ||x||^2 - 2 x.c + ||c||^2 cancels: the rounding error scales with
+    # the norms, not with the distance
+    scale = (points ** 2).sum(axis=1) + (centers ** 2).sum(axis=1)[idx]
+    assert np.all(np.abs(d2 - ref_d2) <= 1e-14 * scale)
+
+
+def test_group_sums_bit_identical_to_add_at():
+    # magnitudes 1e-8..1e8, so any other addition order rounds differently;
+    # groups 40..44 stay empty
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(5000, 7))
+    rows *= 10.0 ** rng.integers(-8, 9, size=(5000, 1))
+    labels = rng.integers(0, 40, size=5000)
+    ref = np.zeros((45, 7))
+    np.add.at(ref, labels, rows)
+    assert np.array_equal(_group_sums(labels, rows, 45), ref)
+
+
+def test_kmeans_frozen_output():
+    # four batches of 20 rows leave 16 of the 50 centers unhit; they are
+    # reseeded from the last batch at count 1, so the counts sum to
+    # 4 * 20 + 16. Only a row drawn twice fits its center as well as
+    # another row, so the reseed order does not hang on rounding noise.
+    emb = length_normalize(synth_dataset(20, 10, 16, 3.0, seed=8))
+    model = minibatch_kmeans(emb, 50, batch_size=20, n_batches=4, seed=9)
+    assert model.counts.sum() == 4 * 20 + 16
+    digest = hashlib.sha256(model.centers.astype("<f8").tobytes()
+                            + model.counts.astype("<i8").tobytes())
+    assert digest.hexdigest() == (
+        "f1b41c7cab730f05905d91c5a3a7b97a47b1f8faa4ba78e2c84a501b207b4b08")
 
 
 # ---------------------------------------------------------------------------
