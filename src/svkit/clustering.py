@@ -147,6 +147,29 @@ def minibatch_kmeans(emb_set: EmbeddingSet, k, batch_size=10000,
     return KMeansModel(centers, counts, float(_nearest(X, centers)[1].sum()))
 
 
+def _ward_linkage(centers):
+    """scipy's Ward linkage of the length-normalized centers; (0, 4) for a
+    single center."""
+    norms = np.linalg.norm(centers, axis=1)
+    if np.any(norms == 0):
+        raise SvkitError("zero-norm center cannot be normalized")
+    if len(centers) == 1:
+        return np.empty((0, 4))
+    return linkage(centers / norms[:, None], method="ward")
+
+
+def _cut(Z, num_clusters):
+    """Center labels in [0, num_clusters) of the maxclust cut of linkage Z
+    over len(Z) + 1 centers."""
+    k = len(Z) + 1
+    if not 1 <= num_clusters <= k:
+        raise SvkitError(f"num_clusters must be in [1, {k}]")
+    if k == 1:
+        return np.zeros(1, dtype=np.int64)
+    labels = fcluster(Z, t=num_clusters, criterion="maxclust") - 1
+    return labels.astype(np.int64)
+
+
 def ahc_ward(centers, num_clusters):
     """Ward AHC over length-normalized centers, cut to num_clusters flat
     clusters. Returns (linkage, center_labels), where linkage is scipy's
@@ -155,18 +178,37 @@ def ahc_ward(centers, num_clusters):
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] == 0:
         raise EmptyInput("no centers to cluster")
-    k = centers.shape[0]
-    if not 1 <= num_clusters <= k:
-        raise SvkitError(f"num_clusters must be in [1, {k}]")
-    norms = np.linalg.norm(centers, axis=1)
+    Z = _ward_linkage(centers)
+    return Z, _cut(Z, num_clusters)
+
+
+def _members(emb_set: EmbeddingSet, kmeans: KMeansModel):
+    """The parts of an assignment that no AHC cut changes: each
+    utterance's nearest k-means center and its length-normalized
+    embedding."""
+    if emb_set.dim != kmeans.centers.shape[1]:
+        raise DimMismatch(
+            f"embeddings are {emb_set.dim}-dim, centers "
+            f"{kmeans.centers.shape[1]}-dim"
+        )
+    nearest = _nearest(emb_set.vectors, kmeans.centers)[0]
+    norms = np.linalg.norm(emb_set.vectors, axis=1)
     if np.any(norms == 0):
-        raise SvkitError("zero-norm center cannot be normalized")
-    unit = centers / norms[:, None]
-    if k == 1:
-        return np.empty((0, 4)), np.zeros(1, dtype=np.int64)
-    Z = linkage(unit, method="ward")
-    labels = fcluster(Z, t=num_clusters, criterion="maxclust") - 1
-    return Z, labels.astype(np.int64)
+        raise SvkitError("zero-norm embedding cannot be normalized")
+    return nearest, emb_set.vectors / norms[:, None]
+
+
+def _labeling(ids, nearest, unit, center_labels) -> PseudoLabeling:
+    """Utterance labels through their nearest centers' AHC labels, and the
+    per-cluster means of the normalized embeddings."""
+    num_clusters = int(center_labels.max()) + 1
+    labels = center_labels[nearest]
+    assignment = {u: int(labels[i]) for i, u in enumerate(ids)}
+    prototypes = _group_sums(labels, unit, num_clusters)
+    sizes = np.bincount(labels, minlength=num_clusters)
+    nonzero = sizes > 0
+    prototypes[nonzero] /= sizes[nonzero, None]
+    return PseudoLabeling(assignment, prototypes)
 
 
 def assign_pseudo_labels(emb_set: EmbeddingSet, kmeans: KMeansModel,
@@ -174,30 +216,11 @@ def assign_pseudo_labels(emb_set: EmbeddingSet, kmeans: KMeansModel,
     """Utterance -> nearest k-means center -> that center's AHC cluster;
     prototypes are the per-cluster means of the normalized embeddings."""
     center_labels = np.asarray(center_labels, dtype=np.int64)
-    if emb_set.dim != kmeans.centers.shape[1]:
-        raise DimMismatch(
-            f"embeddings are {emb_set.dim}-dim, centers "
-            f"{kmeans.centers.shape[1]}-dim"
-        )
     if center_labels.shape != (kmeans.k,):
         raise SvkitError("center_labels length mismatch")
     if np.any(center_labels < 0):
         raise SvkitError("center_labels must be nonnegative")
-    num_clusters = int(center_labels.max()) + 1
-
-    nearest = _nearest(emb_set.vectors, kmeans.centers)[0]
-    labels = center_labels[nearest]
-    assignment = {u: int(labels[i]) for i, u in enumerate(emb_set.ids)}
-
-    norms = np.linalg.norm(emb_set.vectors, axis=1)
-    if np.any(norms == 0):
-        raise SvkitError("zero-norm embedding cannot be normalized")
-    unit = emb_set.vectors / norms[:, None]
-    prototypes = _group_sums(labels, unit, num_clusters)
-    sizes = np.bincount(labels, minlength=num_clusters)
-    nonzero = sizes > 0
-    prototypes[nonzero] /= sizes[nonzero, None]
-    return PseudoLabeling(assignment, prototypes)
+    return _labeling(emb_set.ids, *_members(emb_set, kmeans), center_labels)
 
 
 def prototype_scores(labeling: PseudoLabeling, trials):
@@ -215,14 +238,25 @@ def prototype_scores(labeling: PseudoLabeling, trials):
 def sweep_cluster_count(emb_set: EmbeddingSet, kmeans: KMeansModel,
                         k_values, eval_trials):
     """EER of prototype-agreement scoring for each AHC cut; returns
-    ([(K, eer)], best_K) with ties going to the smaller K."""
+    ([(K, eer)], best_K) with ties going to the smaller K.
+
+    The Ward linkage, the nearest centers and the normalized embeddings
+    are computed once; each cut only relabels and re-averages them.
+
+    best_K is biased upward: finer clusters give prototype agreement a
+    lower EER even past the true speaker count, so unless the clustering
+    is near perfect the sweep picks the largest K tried. On 200 speakers
+    x 20 utterances at concentration 6 the EERs at K = 67, 200 and 600
+    are 13.98%, 10.12% and 5.54%. Read the rows, not best_K alone.
+    """
     k_values = list(k_values)
     if not k_values:
         raise SvkitError("k_values must be nonempty")
+    Z = _ward_linkage(kmeans.centers)
+    nearest, unit = _members(emb_set, kmeans)
     rows = []
     for K in k_values:
-        _, center_labels = ahc_ward(kmeans.centers, K)
-        labeling = assign_pseudo_labels(emb_set, kmeans, center_labels)
+        labeling = _labeling(emb_set.ids, nearest, unit, _cut(Z, K))
         rows.append((K, _metrics.eer(prototype_scores(labeling, eval_trials))))
     best_k = min(rows, key=lambda r: (r[1], r[0]))[0]
     return rows, best_k

@@ -9,25 +9,28 @@ from .trainmath import (
     AamConfig,
     ContrastiveBatch,
     NegativeQueue,
+    _aam_losses,
+    _moco_losses,
     aam_softmax_loss,
     moco_loss,
 )
 
 
 def central_diff(fn, x, h=1e-6):
-    """Central finite-difference gradient of scalar fn at x (flattened)."""
+    """Central finite-difference gradient at x, all perturbations stacked.
+
+    fn maps a (B, *x.shape) stack of arguments to B losses. Row i of the
+    stacks is x + h e_i and x - h e_i, whose perturbed entry is x_i + h
+    (x_i - h) exactly and every other entry x_j; fn is called once on each
+    stack, and entry i of the gradient is (f(x + h e_i) - f(x - h e_i)) / 2h.
+    The stacks hold 2 x.size**2 values.
+    """
     x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros(x.size)
-    flat = x.ravel()
-    for i in range(x.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = fn(x)
-        flat[i] = orig - h
-        fm = fn(x)
-        flat[i] = orig
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad.reshape(x.shape)
+    step = h * np.eye(x.size)
+    stack = (x.size,) + x.shape
+    fp = fn((x.ravel() + step).reshape(stack))
+    fm = fn((x.ravel() - step).reshape(stack))
+    return ((fp - fm) / (2.0 * h)).reshape(x.shape)
 
 
 def _rel_err(analytic, numeric):
@@ -51,11 +54,9 @@ def check_aam(num_subcenters, instances=100, dim=8, num_classes=5, seed=0):
         t = int(rng.integers(num_classes))
         _, grad_u, grad_W = aam_softmax_loss(u, W, t, cfg)
         num_u = central_diff(
-            lambda v: aam_softmax_loss(v, W, t, cfg)[0], u.copy()
-        )
+            lambda U: _aam_losses(U, W[None], t, cfg)[0], u)
         num_W = central_diff(
-            lambda M: aam_softmax_loss(u, M, t, cfg)[0], W.copy()
-        )
+            lambda Ws: _aam_losses(u[None], Ws, t, cfg)[0], W)
         worst = max(worst, _rel_err(grad_u, num_u), _rel_err(grad_W, num_W))
     return worst
 
@@ -71,9 +72,7 @@ def check_moco(instances=100, dim=8, batch=4, queue_size=16, seed=0):
         cb = ContrastiveBatch(X, P, scale=10.0)
         _, grad = moco_loss(cb, Q)
         num = central_diff(
-            lambda V: moco_loss(ContrastiveBatch(V, P, scale=10.0), Q)[0],
-            X.copy(),
-        )
+            lambda Xs: _moco_losses(Xs, P, Q.embeddings, cb.scale)[0], X)
         worst = max(worst, _rel_err(grad, num))
     return worst
 

@@ -24,12 +24,11 @@ from .errors import (
 _UNIT_ATOL = 1e-3  # loose: finite-difference probes perturb off the sphere
 
 
-def _logsumexp(a, axis=None):
-    """log(sum(exp(a))) along `axis` (all entries when None), shifted by
-    the maximum so no exponential overflows. Inputs are finite."""
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+def _logsumexp(a):
+    """log(sum(exp(a))) over the last axis, shifted by the row maximum so
+    no exponential overflows. Inputs are finite."""
+    m = np.max(a, axis=-1, keepdims=True)
+    return (m + np.log(np.sum(np.exp(a - m), axis=-1, keepdims=True)))[..., 0]
 
 
 def _check_unit(arr, name):
@@ -53,6 +52,37 @@ class AamConfig:
             raise SvkitError("num_subcenters must be >= 1")
 
 
+def _target_angle(cos_t):
+    """Cosine and sine of the target angle, the cosine clamped off +-1 so
+    that the margin's derivative stays finite."""
+    c_t = np.clip(cos_t, -1.0 + 1e-12, 1.0 - 1e-12)
+    return c_t, np.sqrt(1.0 - c_t * c_t)
+
+
+def _aam_losses(U, W, target, config: AamConfig):
+    """AAM losses, one per row of a leading batch axis: U is (B, d), W is
+    (B, C, K, d), and either batch axis may be 1 and broadcast.
+
+    The class cosine is the max over the K subcenter cosines. Returns
+    (losses (B,), cosines (B, C, K), logits (B, C), logsumexp (B,)); the
+    analytic gradient reuses the last three. Every row of both stacks is
+    checked for unit norm.
+    """
+    _check_unit(U, "embedding")
+    _check_unit(W, "class_weights")
+    # einsum keeps per-row summation order independent of K and of B, so
+    # duplicated subcenters reproduce the K=1 loss bit-for-bit and a
+    # stacked call reproduces each single call
+    cos_all = np.einsum("bckd,bd->bck", W, U)
+    cos = cos_all.max(axis=2)
+    s, m = config.scale, config.margin
+    logits = s * cos
+    c_t, sin_t = _target_angle(cos[:, target])
+    logits[:, target] = s * (c_t * math.cos(m) - sin_t * math.sin(m))
+    lse = _logsumexp(logits)
+    return lse - logits[:, target], cos_all, logits, lse
+
+
 def aam_softmax_loss(embedding, class_weights, target_class,
                      config: AamConfig):
     """Additive-angular-margin softmax with subcenters.
@@ -74,27 +104,16 @@ def aam_softmax_loss(embedding, class_weights, target_class,
         raise DimMismatch("embedding dimension mismatch")
     if not 0 <= target_class < C:
         raise SvkitError("target_class out of range")
-    _check_unit(u, "embedding")
-    _check_unit(W, "class_weights")
-
-    # einsum keeps per-row summation order independent of K, so duplicated
-    # subcenters reproduce the K=1 loss bit-for-bit
-    cos_all = np.einsum("ckd,d->ck", W, u)
+    losses, cos_all, logits, lse = _aam_losses(u[None], W[None],
+                                               target_class, config)
+    loss = float(losses[0])
+    cos_all, logits, lse = cos_all[0], logits[0], lse[0]
 
     best = np.argmax(cos_all, axis=1)    # first index on ties
-    cos = cos_all[np.arange(C), best]    # (C,)
-
+    c_t, sin_t = _target_angle(cos_all[target_class, best[target_class]])
     s, m = config.scale, config.margin
-    logits = s * cos.copy()
-    c_t = min(max(cos[target_class], -1.0 + 1e-12), 1.0 - 1e-12)
-    sin_t = math.sqrt(1.0 - c_t * c_t)
-    logits[target_class] = s * (c_t * math.cos(m) - sin_t * math.sin(m))
 
-    lse = _logsumexp(logits)
-    loss = float(lse - logits[target_class])
-    p = np.exp(logits - lse)
-
-    dloss_dlogit = p.copy()
+    dloss_dlogit = np.exp(logits - lse)   # softmax
     dloss_dlogit[target_class] -= 1.0
     # d logit_j / d cos_j
     dlogit_dcos = np.full(C, s)
@@ -165,6 +184,22 @@ class ContrastiveBatch:
         _check_unit(self.positives, "positives")
 
 
+def _moco_losses(X, P, Q, scale):
+    """Contrastive losses, one per row of a leading batch axis: X is
+    (B, n, d) queries, P the (n, d) or (B, n, d) positives and Q the (N, d)
+    queue. Returns (losses (B,), logits (B, n, 1 + N), logsumexp (B, n));
+    the analytic gradient reuses the last two. Every query and positive
+    row is checked for unit norm.
+    """
+    _check_unit(X, "queries")
+    _check_unit(P, "positives")
+    pos_logit = scale * np.einsum("...ij,...ij->...i", X, P)   # (B, n)
+    neg_logits = scale * X @ Q.T                               # (B, n, N)
+    all_logits = np.concatenate([pos_logit[..., None], neg_logits], axis=-1)
+    lse = _logsumexp(all_logits)
+    return np.mean(lse - pos_logit, axis=-1), all_logits, lse
+
+
 def moco_loss(batch: ContrastiveBatch, queue: NegativeQueue):
     """Contrastive loss against the queue of negatives:
         -(1/n) sum_i log softmax_i(positive | positive + queue)
@@ -180,13 +215,9 @@ def moco_loss(batch: ContrastiveBatch, queue: NegativeQueue):
     n = X.shape[0]
     Q = queue.embeddings
 
-    pos_logit = s * np.einsum("ij,ij->i", X, P)       # (n,)
-    neg_logits = s * X @ Q.T                           # (n, N)
-    all_logits = np.hstack([pos_logit[:, None], neg_logits])
-    lse = _logsumexp(all_logits, axis=1)
-    loss = float(np.mean(lse - pos_logit))
-
-    probs = np.exp(all_logits - lse[:, None])          # softmax rows
+    losses, all_logits, lse = _moco_losses(X[None], P, Q, s)
+    loss = float(losses[0])
+    probs = np.exp(all_logits[0] - lse[0][:, None])    # softmax rows
     # dL/dx_i = (s/n) * (sum_k pi_k v_k - p_i)
     grad = (probs[:, :1] * P + probs[:, 1:] @ Q - P) * (s / n)
     return loss, grad

@@ -43,6 +43,7 @@ from svkit.errors import (
     TruncatedFile,
     UnknownId,
 )
+from svkit.metrics import eer
 from svkit.scoring import _group_sums
 
 
@@ -311,6 +312,26 @@ def test_sweep_true_k_wins():
     eers = dict(rows)
     assert best == 20
     assert eers[5] > eers[20]
+
+
+def test_sweep_matches_per_cut_ahc_and_assign():
+    # one linkage and one nearest-center search serve every cut; the rows
+    # must equal the per-cut ahc_ward + assign_pseudo_labels loop exactly
+    emb = length_normalize(synth_dataset(10, 8, 16, 6.0, seed=27))
+    km = minibatch_kmeans(emb, 40, batch_size=20, seed=28)
+    trials = _eval_trials(emb, 300, seed=29)
+    single = KMeansModel(km.centers[:1], [1])
+    for model, k_values in ((km, [10, 1, 5, 20, 40]), (single, [1])):
+        rows, best = sweep_cluster_count(emb, model, k_values, trials)
+        want = []
+        for K in k_values:
+            _, cl = ahc_ward(model.centers, K)
+            lab = assign_pseudo_labels(emb, model, cl)
+            want.append((K, eer(prototype_scores(lab, trials))))
+        assert rows == want
+        assert best == min(want, key=lambda r: (r[1], r[0]))[0]
+    with pytest.raises(SvkitError):
+        sweep_cluster_count(emb, km, [5, 41], trials)
 
 
 def test_greedy_label_match_permutation():

@@ -16,7 +16,14 @@ from svkit import (
     momentum_update,
     queue_push,
 )
-from svkit.trainmath import best_crop_pair, crop_overlap
+from svkit import gradcheck
+from svkit.gradcheck import central_diff, run_suite
+from svkit.trainmath import (
+    _aam_losses,
+    _moco_losses,
+    best_crop_pair,
+    crop_overlap,
+)
 from svkit.errors import (
     CropTooLong,
     DimMismatch,
@@ -205,6 +212,108 @@ def test_queue_random_trace_vs_deque_oracle():
         for row in batch:
             ref.append(row)
         assert np.array_equal(q.embeddings, np.array(ref))
+
+
+# ---------------------------------------------------------------------------
+# stacked finite differences
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_stacked_central_diff_equals_scalar_loop_aam(k):
+    rng = np.random.default_rng(30 + k)
+    cfg = AamConfig(0.2, 5.0, k)
+    for _ in range(10):
+        u = _unit(rng, (8,))
+        W = _unit(rng, (5, k, 8))
+        t = int(rng.integers(5))
+        assert np.array_equal(
+            central_diff(lambda U: _aam_losses(U, W[None], t, cfg)[0], u),
+            oracles.fd_gradient(
+                lambda v: aam_softmax_loss(v, W, t, cfg)[0], u))
+        assert np.array_equal(
+            central_diff(lambda Ws: _aam_losses(u[None], Ws, t, cfg)[0], W),
+            oracles.fd_gradient(
+                lambda M: aam_softmax_loss(u, M, t, cfg)[0], W))
+
+
+def test_stacked_central_diff_equals_scalar_loop_moco():
+    rng = np.random.default_rng(33)
+    for _ in range(10):
+        X = _unit(rng, (4, 8))
+        P = _unit(rng, (4, 8))
+        queue = NegativeQueue(16, _unit(rng, (16, 8)))
+        assert np.array_equal(
+            central_diff(
+                lambda Xs: _moco_losses(Xs, P, queue.embeddings, 10.0)[0], X),
+            oracles.fd_gradient(
+                lambda V: moco_loss(
+                    ContrastiveBatch(V, P, scale=10.0), queue)[0], X))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_aam_kernel_rows_equal_public_loss(k):
+    rng = np.random.default_rng(34 + k)
+    cfg = AamConfig(0.3, 30.0, k)
+    U = _unit(rng, (6, 8))
+    Ws = _unit(rng, (6, 5, k, 8))
+    for t in range(5):
+        one = _aam_losses(U[:1], Ws[:1], t, cfg)[0]
+        assert one.shape == (1,)
+        assert one[0] == aam_softmax_loss(U[0], Ws[0], t, cfg)[0]
+        stacked = _aam_losses(U, Ws, t, cfg)[0]
+        assert stacked.tolist() == [
+            aam_softmax_loss(U[b], Ws[b], t, cfg)[0] for b in range(6)]
+
+
+def test_moco_kernel_rows_equal_public_loss():
+    rng = np.random.default_rng(36)
+    Xs = _unit(rng, (6, 4, 8))
+    P = _unit(rng, (4, 8))
+    queue = NegativeQueue(16, _unit(rng, (16, 8)))
+    one = _moco_losses(Xs[:1], P, queue.embeddings, 10.0)[0]
+    assert one.shape == (1,)
+    assert one[0] == moco_loss(ContrastiveBatch(Xs[0], P, 10.0), queue)[0]
+    stacked = _moco_losses(Xs, P, queue.embeddings, 10.0)[0]
+    assert stacked.tolist() == [
+        moco_loss(ContrastiveBatch(X, P, 10.0), queue)[0] for X in Xs]
+
+
+def test_loss_kernels_check_every_stacked_row():
+    rng = np.random.default_rng(37)
+    cfg = AamConfig(0.2, 5.0, 1)
+    U = _unit(rng, (4, 8))
+    Ws = _unit(rng, (4, 5, 1, 8))
+    U[3] *= 1.01
+    Ws[2, 4, 0] *= 1.01
+    with pytest.raises(NonUnitInput, match="embedding"):
+        _aam_losses(U, Ws[:1], 0, cfg)
+    with pytest.raises(NonUnitInput, match="class_weights"):
+        _aam_losses(U[:1], Ws, 0, cfg)
+    Xs = _unit(rng, (4, 2, 8))
+    Xs[1, 1] *= 1.01
+    with pytest.raises(NonUnitInput, match="queries"):
+        _moco_losses(Xs, _unit(rng, (2, 8)), _unit(rng, (3, 8)), 10.0)
+
+
+def test_run_suite_frozen_errors():
+    # frozen from the scalar loop of one loss call per perturbation
+    assert run_suite(100, 0) == {
+        "aam_softmax_k1": 3.626418550190228e-10,
+        "aam_softmax_k2": 1.1764005708444485e-09,
+        "moco": 6.251596719763458e-10,
+    }
+
+
+def test_run_suite_flags_a_wrong_gradient(monkeypatch):
+    def skewed(*args):
+        loss, grad_u, grad_W = aam_softmax_loss(*args)
+        return loss, grad_u, grad_W * (1.0 + 1e-4)
+
+    assert max(run_suite(5, 0).values()) < 1e-6
+    monkeypatch.setattr(gradcheck, "aam_softmax_loss", skewed)
+    errs = run_suite(5, 0)
+    assert errs["aam_softmax_k1"] > 1e-6
+    assert errs["aam_softmax_k2"] > 1e-6
+    assert errs["moco"] < 1e-6
 
 
 # ---------------------------------------------------------------------------
