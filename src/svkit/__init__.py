@@ -34,7 +34,6 @@ from .calibration import (
     duration_qmf,
     fit_logreg,
     gen_calibration_trials,
-    imposter_mean_qmf,
     read_model,
     trial_qmfs,
     write_model,

@@ -2,7 +2,7 @@
 
 Calibration trials come in three duration classes (short-short, short-long,
 long-long) with short = [2 s, 6 s) and long = [6 s, inf). The quality-aware
-second stage uses the feature vector
+second stage uses the feature vector `QA_FEATURE_NAMES`,
     [fused score, min_dur_q, max_dur_q, min_imp_q, max_imp_q].
 Calibrated outputs are on log-likelihood-ratio scale (no sigmoid).
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .embeddings import (
     UttMeta,
     _csv_rows,
     _keyed_rows,
+    _metas,
     _reading,
 )
 from .errors import (
@@ -36,8 +37,8 @@ from .scoring import (
     _cohort_stats,
     _cosine_matrix,
     _intern,
-    _intern_sides,
     _rows,
+    _side_rows,
 )
 
 SHORT_MIN_S = 2.0
@@ -73,12 +74,7 @@ def gen_calibration_trials(
         return TrialList([], [])
 
     ids = emb_set.ids
-    metas = []
-    for utt_id in ids:
-        m = emb_set.meta.get(utt_id)
-        if m is None or m.speaker is None:
-            raise MissingMeta(utt_id)
-        metas.append(m)
+    metas = _metas(emb_set, ids, speaker=True)
     dur = np.array([m.duration_s for m in metas], dtype=np.float64)
     speaker = _intern([m.speaker for m in metas])[1]
     rank = _intern(ids)[1]  # lexicographic id rank
@@ -126,26 +122,6 @@ def duration_qmf(meta: UttMeta) -> float:
     return float(np.log1p(meta.speech_frames))
 
 
-def _imposter_means(vecs, cohort: Cohort, metric, top_n):
-    """Mean of each row's top_n cohort scores under the chosen metric
-    (top_n=None averages the whole cohort)."""
-    similarity = {"inner_product": lambda v, means: v @ means.T,
-                  "cosine": _cosine_matrix}.get(metric)
-    if similarity is None:
-        raise SvkitError(f"unknown imposter metric '{metric}'")
-    if top_n is None:
-        top_n = len(cohort)
-    return _cohort_stats(vecs, cohort, top_n, similarity)[0]
-
-
-def imposter_mean_qmf(vec, cohort: Cohort, metric="inner_product",
-                      top_n=None) -> float:
-    """Mean of the (unit) embedding's top_n cohort scores under the chosen
-    metric; top_n=None averages the whole cohort."""
-    vec = np.asarray(vec, dtype=np.float64)
-    return float(_imposter_means(vec[None, :], cohort, metric, top_n)[0])
-
-
 @dataclass(frozen=True)
 class QmfVector:
     min_dur_q: float
@@ -159,31 +135,35 @@ class QmfVector:
         )
 
 
+QA_FEATURE_NAMES = ("score",) + tuple(f.name for f in fields(QmfVector))
+
+
 @dataclass(frozen=True)
 class QmfConfig:
     metric: str = "inner_product"
     top_n: int | None = 100
 
 
-def _qmf_columns(emb_set: EmbeddingSet, ids, cohort: Cohort,
-                 config: QmfConfig):
-    """(dur_q, imp_q) arrays for `ids` of one set."""
-    dur = []
-    for utt_id in ids:
-        m = emb_set.meta.get(utt_id)
-        if m is None:
-            raise MissingMeta(utt_id)
-        dur.append(duration_qmf(m))
+def _qmf_rows(emb_set: EmbeddingSet, ids, cohort: Cohort,
+              config: QmfConfig):
+    """(len(ids), 2) rows [dur_q, imp_q] of `ids` in one set: the duration
+    QMF of each utterance's metadata and the mean of its top_n cohort
+    scores under the configured metric (top_n=None: the whole cohort)."""
+    dur = list(map(duration_qmf, _metas(emb_set, ids)))
+    similarity = {"inner_product": lambda v, means: v @ means.T,
+                  "cosine": _cosine_matrix}.get(config.metric)
+    if similarity is None:
+        raise SvkitError(f"unknown imposter metric '{config.metric}'")
     vecs = emb_set.vectors[_rows(emb_set._index, ids)]
-    imp = _imposter_means(vecs, cohort, config.metric, config.top_n)
-    return np.array(dur, dtype=np.float64), imp
+    imp = _cohort_stats(vecs, cohort, config.top_n, similarity)[0]
+    return np.column_stack([dur, imp])
 
 
 def utterance_qmfs(emb_set: EmbeddingSet, cohort: Cohort,
                    config: QmfConfig = QmfConfig()):
     """Per-utterance (dur_q, imp_q) pairs, cached by id."""
-    dur, imp = _qmf_columns(emb_set, emb_set.ids, cohort, config)
-    return dict(zip(emb_set.ids, zip(dur.tolist(), imp.tolist())))
+    rows = _qmf_rows(emb_set, emb_set.ids, cohort, config)
+    return dict(zip(emb_set.ids, map(tuple, rows.tolist())))
 
 
 def _minmax_pairs(side_e, side_t):
@@ -197,12 +177,19 @@ def trial_qmfs(trials: TrialList, enroll: EmbeddingSet, test: EmbeddingSet,
     """Symmetric per-trial QMF vectors: (min, max) over the two sides for
     each metric. Each side's values come from its own set, once per
     unique utterance."""
-    (e_ids, inv_e), (t_ids, inv_t) = _intern_sides(trials, enroll, test)
-    side_e = np.column_stack(_qmf_columns(enroll, e_ids, cohort, config))
-    side_t = (side_e if t_ids is e_ids else
-              np.column_stack(_qmf_columns(test, t_ids, cohort, config)))
-    q = _minmax_pairs(side_e[inv_e], side_t[inv_t])
-    return [QmfVector(*row) for row in q.tolist()]
+    e, t = _side_rows(trials, enroll, test,
+                      lambda s, ids: _qmf_rows(s, ids, cohort, config))
+    return [QmfVector(*row) for row in _minmax_pairs(e, t).tolist()]
+
+
+def trial_qmfs_from_cache(trials: TrialList, cache: dict):
+    """(n, 4) trial QMF features, as `trial_qmfs` builds them, from an
+    {utt_id: (dur_q, imp_q)} cache (`utterance_qmfs`, `read_qmf_cache`)."""
+    index = {u: i for i, u in enumerate(cache)}
+    values = np.array(list(cache.values()), dtype=np.float64).reshape(-1, 2)
+    e, t = (values[_rows(index, ids, "no QMF cache entry for")]
+            for ids in (trials.enroll_ids, trials.test_ids))
+    return _minmax_pairs(e, t)
 
 
 # ---------------------------------------------------------------------------

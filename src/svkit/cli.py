@@ -262,12 +262,8 @@ def _trial_qmf_vectors(trials, qmf_path):
     """(n, 4) trial QMF features from the QMF cache at `qmf_path`, or None."""
     if not qmf_path:
         return None
-    cache = calibration.read_qmf_cache(qmf_path)
-    index = {u: i for i, u in enumerate(cache)}
-    values = np.array(list(cache.values()), dtype=np.float64).reshape(-1, 2)
-    e, t = (values[scoring._rows(index, ids, "no QMF cache entry for")]
-            for ids in (trials.enroll_ids, trials.test_ids))
-    return calibration._minmax_pairs(e, t)
+    return calibration.trial_qmfs_from_cache(
+        trials, calibration.read_qmf_cache(qmf_path))
 
 
 def _cmd_fit_cal(args):
@@ -276,9 +272,7 @@ def _cmd_fit_cal(args):
     if np.any(trials.labels < 0):
         raise SvkitError("calibration trials need target/nontarget labels")
     qmfs = _trial_qmf_vectors(trials, args.qmf)
-    names = ("score",)
-    if qmfs is not None:
-        names = ("score", "min_dur_q", "max_dur_q", "min_imp_q", "max_imp_q")
+    names = ("score",) if qmfs is None else calibration.QA_FEATURE_NAMES
     X = calibration.build_features(scores, qmfs)
     model = calibration.fit_logreg(X, trials.labels, args.l2, args.max_iter,
                                    feature_names=names)

@@ -22,6 +22,7 @@ from .embeddings import (
     _read_header,
     _reading,
     _write_header,
+    length_normalize,
 )
 from .errors import (
     DimMismatch,
@@ -114,6 +115,8 @@ def minibatch_kmeans(emb_set: EmbeddingSet, k, batch_size=10000,
         raise SvkitError("k and batch_size must be >= 1")
     if n_batches is None:
         n_batches = -(-10 * n // batch_size)
+    if n_batches < 1:
+        raise SvkitError(f"n_batches={n_batches} must be >= 1")
 
     rng = np.random.default_rng(seed)
     centers = X[rng.choice(n, size=k, replace=False)].copy()
@@ -192,10 +195,7 @@ def _members(emb_set: EmbeddingSet, kmeans: KMeansModel):
             f"{kmeans.centers.shape[1]}-dim"
         )
     nearest = _nearest(emb_set.vectors, kmeans.centers)[0]
-    norms = np.linalg.norm(emb_set.vectors, axis=1)
-    if np.any(norms == 0):
-        raise SvkitError("zero-norm embedding cannot be normalized")
-    return nearest, emb_set.vectors / norms[:, None]
+    return nearest, length_normalize(emb_set).vectors
 
 
 def _labeling(ids, nearest, unit, center_labels) -> PseudoLabeling:
@@ -303,8 +303,7 @@ def make_prototype_pull_refresher(pull=0.2):
     def refresh(emb_set, labeling):
         protos = labeling.prototypes[_rows(labeling.assignment, emb_set.ids)]
         vecs = (1.0 - pull) * emb_set.vectors + pull * protos
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        return emb_set.with_vectors(vecs)
+        return length_normalize(emb_set.with_vectors(vecs))
 
     return refresh
 
@@ -321,6 +320,8 @@ def iterate(emb_set: EmbeddingSet, refresher, k_centers, num_clusters,
     k-means is re-run from scratch each cycle with a seed derived from the
     iteration index.
     """
+    if max_iters < 1:
+        raise SvkitError(f"max_iters={max_iters} must be >= 1")
     id_set = set(emb_set.ids)
     records = []
     prev_assignment = None

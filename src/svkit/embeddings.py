@@ -25,6 +25,8 @@ import numpy as np
 from .errors import (
     BadMagic,
     DuplicateId,
+    MissingLabel,
+    MissingMeta,
     SvkitError,
     TruncatedFile,
     ZeroVector,
@@ -111,6 +113,21 @@ class EmbeddingSet:
     def with_vectors(self, vectors):
         """New set with the same ids/meta but replaced vectors."""
         return EmbeddingSet(self.ids, vectors, self.meta)
+
+
+def _metas(emb_set: EmbeddingSet, ids, speaker=False):
+    """The UttMeta of each of `ids`. An id without a metadata row raises
+    MissingMeta; with `speaker`, one whose row has no speaker raises
+    MissingLabel."""
+    try:
+        metas = list(map(emb_set.meta.__getitem__, ids))
+    except KeyError as e:
+        raise MissingMeta(e.args[0]) from None
+    if speaker:
+        for utt_id, m in zip(ids, metas):
+            if m.speaker is None:
+                raise MissingLabel(utt_id)
+    return metas
 
 
 def length_normalize(emb_set: EmbeddingSet) -> EmbeddingSet:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import SvkitError
 from .trainmath import (
     AamConfig,
     ContrastiveBatch,
@@ -45,6 +46,8 @@ def _unit_rows(rng, shape):
 
 def check_aam(num_subcenters, instances=100, dim=8, num_classes=5, seed=0):
     """Max relative gradient error of the AAM loss over random instances."""
+    if instances < 1:  # zero instances would report an error of 0
+        raise SvkitError(f"instances={instances} must be >= 1")
     rng = np.random.default_rng(seed)
     cfg = AamConfig(margin=0.2, scale=5.0, num_subcenters=num_subcenters)
     worst = 0.0
@@ -63,6 +66,8 @@ def check_aam(num_subcenters, instances=100, dim=8, num_classes=5, seed=0):
 
 def check_moco(instances=100, dim=8, batch=4, queue_size=16, seed=0):
     """Max relative gradient error of the contrastive loss."""
+    if instances < 1:  # zero instances would report an error of 0
+        raise SvkitError(f"instances={instances} must be >= 1")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):

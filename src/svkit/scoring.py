@@ -7,11 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .embeddings import EmbeddingSet, _reading
+from .embeddings import EmbeddingSet, _metas, _reading
 from .errors import (
     DegenerateCohort,
     MisalignedTrials,
-    MissingLabel,
     SvkitError,
     TopNTooLarge,
     UnknownId,
@@ -96,16 +95,17 @@ class ScoreSet:
 
 def build_cohort(emb_set: EmbeddingSet) -> Cohort:
     """Mean of each speaker's (already length-normalized) embeddings, one
-    vector per speaker, speakers in lexicographic order."""
-    speakers = []
-    for utt_id in emb_set.ids:
-        m = emb_set.meta.get(utt_id)
-        if m is None or m.speaker is None:
-            raise MissingLabel(utt_id)
-        speakers.append(m.speaker)
-    table, spk = _intern(speakers)
-    sums = _group_sums(spk, emb_set.vectors, len(table))
-    return Cohort(tuple(table), sums / np.bincount(spk)[:, None])
+    vector per speaker, speakers in lexicographic order. A speaker whose
+    embeddings cancel to a zero mean raises DegenerateCohort."""
+    metas = _metas(emb_set, emb_set.ids, speaker=True)
+    table, spk = _intern([m.speaker for m in metas])
+    means = _group_sums(spk, emb_set.vectors, len(table))
+    means /= np.bincount(spk)[:, None]
+    zero = np.flatnonzero(~means.any(axis=1))
+    if zero.size:
+        raise DegenerateCohort(
+            f"cohort speaker '{table[zero[0]]}' has a zero mean embedding")
+    return Cohort(tuple(table), means)
 
 
 def _rows(index, ids, missing="unknown utterance id"):
@@ -172,11 +172,14 @@ def _topn_desc(scores, n):
     return -np.sort(-scores, axis=1)
 
 
-def _cohort_stats(vecs, cohort: Cohort, top_n, similarity=_cosine_matrix):
-    """Mean and population std of each row's top_n largest similarity
-    scores against the cohort means, one score matrix per `_ROW_BLOCK`
-    rows, so memory stays O(_ROW_BLOCK x cohort). Only the multiset of the
-    top_n values is used, so ties need no rule."""
+def _cohort_stats(vecs, cohort: Cohort, top_n, similarity=None):
+    """Mean and population std of each row's top_n (None: all) largest
+    similarity (None: cosine) scores against the cohort means, one score
+    matrix per `_ROW_BLOCK` rows, so memory stays O(_ROW_BLOCK x cohort).
+    Only the multiset of the top_n values is used, so ties need no rule."""
+    if top_n is None:
+        top_n = len(cohort)
+    similarity = similarity or _cosine_matrix
     if top_n < 1:
         raise SvkitError(f"top_n={top_n} must be >= 1")
     if top_n > len(cohort):
@@ -196,15 +199,18 @@ def _intern(ids):
     return table, _rows({u: i for i, u in enumerate(table)}, ids)
 
 
-def _intern_sides(trials, enroll, test):
-    """Sorted unique ids of each trial side and every trial's index into
-    them. When enroll is test both sides share one id list (the same
-    object), so per-utterance work runs once over their union."""
+def _side_rows(trials, enroll, test, per_utt):
+    """Per-trial enroll and test rows of `per_utt(emb_set, ids)` (one row
+    per id), run once per unique utterance of each side, or once over the
+    union of both sides when enroll is test, then gathered by trial."""
     if enroll is test:
         ids, inv = _intern(trials.enroll_ids + trials.test_ids)
+        rows = per_utt(enroll, ids)
         n = len(trials)
-        return (ids, inv[:n]), (ids, inv[n:])
-    return _intern(trials.enroll_ids), _intern(trials.test_ids)
+        return rows[inv[:n]], rows[inv[n:]]
+    e_ids, inv_e = _intern(trials.enroll_ids)
+    t_ids, inv_t = _intern(trials.test_ids)
+    return per_utt(enroll, e_ids)[inv_e], per_utt(test, t_ids)[inv_t]
 
 
 def snorm(
@@ -228,32 +234,22 @@ def snorm(
     `similarity` overrides the cohort scoring function (for property
     testing); it maps (vectors, cohort_means) to a score matrix.
     """
-    if top_n is None:
-        top_n = len(cohort)
-    if top_n < 2:
+    if (len(cohort) if top_n is None else top_n) < 2:
         raise SvkitError("top_n must be >= 2")
-    if similarity is None:
-        similarity = _cosine_matrix
 
     def side_stats(emb_set, ids):
         vecs = emb_set.vectors[_rows(emb_set._index, ids)]
-        return _cohort_stats(vecs, cohort, top_n, similarity)
-
-    (e_ids, inv_e), (t_ids, inv_t) = _intern_sides(scores.trials, enroll,
-                                                   test)
-    mu_e, sig_e = side_stats(enroll, e_ids)
-    mu_t, sig_t = (mu_e, sig_e) if t_ids is e_ids else side_stats(test, t_ids)
-    for ids, sigma, inv in ((e_ids, sig_e, inv_e), (t_ids, sig_t, inv_t)):
-        bad = inv[sigma[inv] < _SIGMA_FLOOR]
+        mu, sigma = _cohort_stats(vecs, cohort, top_n, similarity)
+        bad = np.flatnonzero(sigma < _SIGMA_FLOOR)
         if bad.size:
             raise DegenerateCohort(
-                f"constant cohort scores for '{ids[int(bad.min())]}'"
-            )
+                f"constant cohort scores for '{ids[bad[0]]}'")
+        return np.column_stack([mu, sigma])
 
+    e, t = _side_rows(scores.trials, enroll, test, side_stats)
     s = scores.scores
-    out = 0.5 * ((s - mu_e[inv_e]) / sig_e[inv_e]
-                 + (s - mu_t[inv_t]) / sig_t[inv_t])
-    return scores.with_scores(out)
+    return scores.with_scores(
+        0.5 * ((s - e[:, 0]) / e[:, 1] + (s - t[:, 0]) / t[:, 1]))
 
 
 def mean_fuse(score_sets) -> ScoreSet:

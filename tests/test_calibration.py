@@ -18,7 +18,6 @@ from svkit import (
     eer,
     fit_logreg,
     gen_calibration_trials,
-    imposter_mean_qmf,
     length_normalize,
     mean_fuse,
     read_model,
@@ -40,8 +39,11 @@ from svkit.errors import (
     ArityMismatch,
     DuplicateId,
     InsufficientData,
+    MissingLabel,
+    MissingMeta,
     SvkitError,
     TopNTooLarge,
+    UnknownId,
 )
 from svkit.scoring import Cohort, ScoreSet
 
@@ -157,26 +159,34 @@ def test_duration_qmf_values():
     assert duration_qmf(UttMeta(42, 1.0)) == duration_qmf(UttMeta(42, 2.0))
 
 
+def _imposter_mean(vec, cohort, metric, top_n):
+    """The imposter-mean QMF of one vector, through `utterance_qmfs` on a
+    one-utterance set."""
+    emb = EmbeddingSet(["u"], [vec], {"u": UttMeta(0, 0.0)})
+    config = QmfConfig(metric=metric, top_n=top_n)
+    return calibration.utterance_qmfs(emb, cohort, config)["u"][1]
+
+
 def test_imposter_mean_qmf_hand_example():
     cohort = Cohort(("s1", "s2"), np.array([[0.5, 0.0], [0.0, 0.5]]))
     emb = np.array([1.0, 0.0])
-    assert imposter_mean_qmf(emb, cohort, "inner_product", 1) == 0.5
-    assert imposter_mean_qmf(emb, cohort, "inner_product", None) == 0.25
+    assert _imposter_mean(emb, cohort, "inner_product", 1) == 0.5
+    assert _imposter_mean(emb, cohort, "inner_product", None) == 0.25
     one = Cohort(("s1",), np.array([[1.0, 0.0]]))
-    assert imposter_mean_qmf(emb, one, "cosine", None) == 1.0
+    assert _imposter_mean(emb, one, "cosine", None) == 1.0
 
 
 def test_imposter_mean_qmf_metrics_differ_on_nonunit_cohort():
     cohort = Cohort(("s1",), np.array([[0.5, 0.0]]))
     emb = np.array([1.0, 0.0])
-    assert imposter_mean_qmf(emb, cohort, "inner_product", None) == 0.5
-    assert imposter_mean_qmf(emb, cohort, "cosine", None) == 1.0
+    assert _imposter_mean(emb, cohort, "inner_product", None) == 0.5
+    assert _imposter_mean(emb, cohort, "cosine", None) == 1.0
 
 
 def test_imposter_mean_qmf_top_n_too_large():
     cohort = Cohort(("s1",), np.array([[1.0, 0.0]]))
     with pytest.raises(TopNTooLarge):
-        imposter_mean_qmf(np.array([1.0, 0.0]), cohort, "cosine", 5)
+        _imposter_mean(np.array([1.0, 0.0]), cohort, "cosine", 5)
 
 
 @pytest.mark.parametrize("top_n", [0, -1])
@@ -186,7 +196,7 @@ def test_top_n_below_one_is_rejected(top_n):
     with pytest.raises(SvkitError, match=f"top_n={top_n} must be >= 1"):
         calibration.utterance_qmfs(emb, cohort, QmfConfig(top_n=top_n))
     with pytest.raises(SvkitError, match=f"top_n={top_n} must be >= 1"):
-        imposter_mean_qmf(emb.vectors[0], cohort, "cosine", top_n)
+        _imposter_mean(emb.vectors[0], cohort, "cosine", top_n)
 
 
 def test_trial_qmfs_symmetry_and_values():
@@ -234,6 +244,78 @@ def test_trial_qmfs_sides_sharing_ids_use_their_own_vectors():
         assert q.min_imp_q < q.max_imp_q
         assert abs(q.min_imp_q - imp[0]) <= 1e-15
         assert abs(q.max_imp_q - imp[1]) <= 1e-15
+
+
+@pytest.mark.parametrize("metric", ["inner_product", "cosine"])
+def test_cache_features_equal_library_features(metric):
+    # the CLI path (per-utterance cache, then per-trial min/max) and the
+    # library path (per-trial QMFs straight from the sets) agree
+    emb = length_normalize(
+        synth_dataset(10, 6, 8, 4.0, (2.5, 11.0), seed=4))
+    cohort = build_cohort(emb)
+    rng = np.random.default_rng(12)
+    pairs = rng.integers(0, len(emb), size=(2, 300))
+    trials = TrialList([emb.ids[i] for i in pairs[0]],
+                       [emb.ids[i] for i in pairs[1]])
+    cfg = QmfConfig(metric=metric, top_n=5)
+    cached = calibration.trial_qmfs_from_cache(
+        trials, calibration.utterance_qmfs(emb, cohort, cfg))
+    library = np.array([q.as_array()
+                        for q in trial_qmfs(trials, emb, emb, cohort, cfg)])
+    assert cached.shape == library.shape == (300, 4)
+    assert np.array_equal(cached[:, :2], library[:, :2])
+    assert np.abs(cached[:, 2:] - library[:, 2:]).max() <= 1e-15
+    with pytest.raises(UnknownId, match="no QMF cache entry for 'ghost'"):
+        calibration.trial_qmfs_from_cache(TrialList(["ghost"], [emb.ids[0]]),
+                                          {emb.ids[0]: (1.0, 0.5)})
+
+
+def test_qa_feature_names_follow_the_qmf_vector():
+    assert calibration.QA_FEATURE_NAMES == (
+        "score", "min_dur_q", "max_dur_q", "min_imp_q", "max_imp_q")
+    q = QmfVector(1.0, 2.0, 3.0, 4.0)
+    assert np.array_equal(q.as_array(), [1.0, 2.0, 3.0, 4.0])
+
+
+def _set_lacking(what):
+    """Two speakers with two 3 s utterances each; utterance 'a0' lacks its
+    metadata row (what="row") or only its speaker (what="speaker")."""
+    ids = ["a0", "a1", "b0", "b1"]
+    meta = {u: UttMeta(300, 3.0, u[0]) for u in ids}
+    if what == "row":
+        del meta["a0"]
+    else:
+        meta["a0"] = UttMeta(300, 3.0, None)
+    return EmbeddingSet(ids, np.eye(4), meta)
+
+
+_COHORT = Cohort(("s1", "s2"), np.eye(4)[:2])
+_META_USERS = {
+    "build_cohort": build_cohort,
+    "gen_calibration_trials": lambda s: gen_calibration_trials(s, 2),
+    "utterance_qmfs": lambda s: calibration.utterance_qmfs(
+        s, _COHORT, QmfConfig(top_n=1)),
+    "trial_qmfs": lambda s: trial_qmfs(
+        TrialList(["a0", "b0"], ["b1", "a0"]), s, s, _COHORT,
+        QmfConfig(top_n=1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_META_USERS))
+def test_missing_metadata_row_raises_missing_meta(name):
+    with pytest.raises(MissingMeta, match="no metadata for utterance 'a0'"):
+        _META_USERS[name](_set_lacking("row"))
+
+
+@pytest.mark.parametrize("name", list(_META_USERS))
+def test_missing_speaker_raises_missing_label_only_where_needed(name):
+    s = _set_lacking("speaker")
+    if name in ("build_cohort", "gen_calibration_trials"):
+        with pytest.raises(MissingLabel,
+                           match="utterance 'a0' has no speaker label"):
+            _META_USERS[name](s)
+    else:
+        _META_USERS[name](s)  # QMFs need durations, not speakers
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,14 @@ import struct
 import numpy as np
 import pytest
 
-from svkit import EmbeddingSet, read_scores, read_trials, write_embeddings
+from svkit import (
+    EmbeddingSet,
+    UttMeta,
+    read_scores,
+    read_trials,
+    write_embeddings,
+    write_metadata,
+)
 from svkit.cli import build_parser, run
 from svkit.clustering import read_labels
 
@@ -394,3 +401,52 @@ def test_unknown_trial_id_is_data_error(tmp_path, capsys, caplog, command):
     assert code == 2
     assert payload is None
     assert "unknown utterance id 'ghost'" in caplog.text
+
+
+@pytest.mark.parametrize("argv", [
+    ["loss-check", "--instances", "0"],
+    ["loss-check", "--instances", "-3"],
+    ["iterate", "--k-centers", "20", "--clusters", "10", "--batch-size",
+     "20", "--max-iters", "0"],
+    ["kmeans", "--k", "20", "--batch-size", "20", "--n-batches", "0"],
+    ["kmeans", "--k", "20", "--batch-size", "20", "--n-batches", "-1"],
+])
+def test_counts_below_one_are_data_errors(tmp_path, capsys, caplog, argv):
+    # each would do nothing and still report success
+    if argv[0] != "loss-check":
+        emb, _ = _synth(tmp_path, capsys)
+        argv = argv + ["--emb", str(emb), "--out", str(tmp_path / "out")]
+    code, payload = _run(capsys, *argv)
+    assert code == 2
+    assert payload is None
+    assert "must be >= 1" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["snorm", "qmf"])
+def test_zero_mean_cohort_speaker_is_data_error(tmp_path, capsys, caplog,
+                                                command):
+    # the two utterances of speaker s2 cancel to a zero mean
+    v, w = np.array([0.6, 0.8]), np.array([1.0, 0.0])
+    ids = ["c0", "c1", "c2", "c3"]
+    meta = {u: UttMeta(300, 3.0, spk)
+            for u, spk in zip(ids, ["s1", "s2", "s2", "s3"])}
+    emb, meta_csv = tmp_path / "coh.svb", tmp_path / "coh.csv"
+    write_embeddings(EmbeddingSet(ids, [w, v, -v, -w], meta), emb)
+    write_metadata(meta, meta_csv)
+    trials, scores = tmp_path / "t.txt", tmp_path / "s.txt"
+    trials.write_text("c0 c1 1\n")
+    scores.write_text("c0 c1 0.6\n")
+    if command == "snorm":
+        argv = ["snorm", "--trials", trials, "--scores", scores,
+                "--enroll", emb, "--top-n", "3"]
+    else:
+        argv = ["qmf", "--emb", emb, "--meta", meta_csv,
+                "--qmf-metric", "cosine", "--qmf-top-n", "3"]
+    argv += ["--cohort-emb", emb, "--cohort-meta", meta_csv,
+             "--out", tmp_path / "out.txt"]
+    code, payload = _run(capsys, *map(str, argv))
+    assert code == 2
+    assert payload is None
+    assert "cohort speaker 's2' has a zero mean embedding" in caplog.text
+    assert not (tmp_path / "out.txt").exists()

@@ -23,6 +23,7 @@ from svkit import (
 )
 from svkit.clustering import (
     KMeansModel,
+    PseudoLabeling,
     _nearest,
     greedy_label_match,
     identity_refresher,
@@ -42,6 +43,7 @@ from svkit.errors import (
     SvkitError,
     TruncatedFile,
     UnknownId,
+    ZeroVector,
 )
 from svkit.metrics import eer
 from svkit.scoring import _group_sums
@@ -85,6 +87,14 @@ def test_kmeans_k_too_large():
     emb = length_normalize(synth_dataset(2, 2, 8, 5.0, seed=0))
     with pytest.raises(KTooLarge):
         minibatch_kmeans(emb, 5)
+
+
+@pytest.mark.parametrize("n_batches", [0, -2])
+def test_kmeans_rejects_fewer_than_one_batch(n_batches):
+    # no batch would return the random initial centers with zero counts
+    emb = length_normalize(synth_dataset(4, 2, 8, 5.0, seed=0))
+    with pytest.raises(SvkitError, match=f"n_batches={n_batches} must be"):
+        minibatch_kmeans(emb, 2, batch_size=4, n_batches=n_batches)
 
 
 def test_kmeans_two_blobs_vs_lloyd_oracle():
@@ -281,6 +291,21 @@ def test_assign_dim_mismatch():
         assign_pseudo_labels(emb, km, [0, 1, 2])
 
 
+def test_zero_norm_embedding_is_named():
+    km = KMeansModel(np.eye(2), [1, 1])
+    emb = EmbeddingSet(["a", "z"], [[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ZeroVector, match="embedding 'z' has zero norm"):
+        assign_pseudo_labels(emb, km, [0, 1])
+    with pytest.raises(ZeroVector, match="embedding 'z' has zero norm"):
+        sweep_cluster_count(emb, km, [1, 2], TrialList(["a"], ["z"]))
+    # halfway toward the opposite prototype cancels to zero
+    pulled = PseudoLabeling({"a": 0, "z": 1}, np.array([[-1.0, 0.0],
+                                                        [0.0, 1.0]]))
+    with pytest.raises(ZeroVector, match="embedding 'a' has zero norm"):
+        make_prototype_pull_refresher(0.5)(
+            EmbeddingSet(["a", "z"], np.eye(2)), pulled)
+
+
 def test_relabeling_permutes_prototypes():
     emb = length_normalize(synth_dataset(6, 5, 8, 8.0, seed=16))
     km = minibatch_kmeans(emb, 12, batch_size=10, seed=17)
@@ -358,6 +383,14 @@ def test_iterate_prototype_pull_ari_nondecreasing():
                    batch_size=30, max_iters=3, seed=27)
     aris = [adjusted_rand_index(r.labeling.assignment, truth) for r in recs]
     assert all(b >= a - 1e-12 for a, b in zip(aris, aris[1:]))
+
+
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_iterate_rejects_fewer_than_one_iteration(max_iters):
+    emb = length_normalize(synth_dataset(4, 4, 8, 8.0, seed=28))
+    with pytest.raises(SvkitError, match=f"max_iters={max_iters} must be"):
+        iterate(emb, identity_refresher, 8, 4, batch_size=8,
+                max_iters=max_iters)
 
 
 def test_iterate_id_set_changed():

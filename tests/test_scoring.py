@@ -70,6 +70,14 @@ def test_cohort_means_equal_per_speaker_means():
         assert np.array_equal(mean, s.vectors[rows].mean(axis=0))
 
 
+def test_cohort_rejects_a_zero_mean_speaker():
+    # the two utterances of s2 cancel, so no cosine against its mean exists
+    v, w = np.array([0.6, 0.8]), np.array([1.0, 0.0])
+    s = _labeled_set([w, v, -v, w], ["s1", "s2", "s2", "s3"])
+    with pytest.raises(DegenerateCohort, match="cohort speaker 's2'"):
+        build_cohort(s)
+
+
 def test_cohort_missing_label():
     s = EmbeddingSet(["a"], [[1.0]], {"a": UttMeta(1, 1.0, None)})
     with pytest.raises(MissingLabel):
@@ -223,6 +231,19 @@ def test_snorm_degenerate_cohort():
     raw = cosine_score(TrialList(["a"], ["b"]), emb)
     with pytest.raises(DegenerateCohort):
         snorm(raw, emb, emb, cohort, 2)
+
+
+def test_snorm_degenerate_cohort_names_first_id_of_the_side_table():
+    # every utterance has constant cohort scores; with shared sides the
+    # one id table is the sorted union of both sides
+    v = np.array([1.0, 0.0])
+    emb = EmbeddingSet(["b", "a"], [v, v])
+    cohort = build_cohort(_labeled_set([v, v, v], ["s1", "s2", "s3"]))
+    raw = cosine_score(TrialList(["b"], ["a"]), emb)
+    with pytest.raises(DegenerateCohort, match="for 'a'"):
+        snorm(raw, emb, emb, cohort, 2)
+    with pytest.raises(DegenerateCohort, match="for 'b'"):
+        snorm(raw, emb, EmbeddingSet(["a"], [v]), cohort, 2)
 
 
 def test_snorm_top_n_bounds():

@@ -303,6 +303,18 @@ def test_run_suite_frozen_errors():
     }
 
 
+@pytest.mark.parametrize("instances", [0, -3])
+def test_gradient_checks_reject_fewer_than_one_instance(instances):
+    # no instance would report an error of 0: a check that cannot fail
+    msg = f"instances={instances} must be >= 1"
+    with pytest.raises(SvkitError, match=msg):
+        gradcheck.check_aam(1, instances)
+    with pytest.raises(SvkitError, match=msg):
+        gradcheck.check_moco(instances)
+    with pytest.raises(SvkitError, match=msg):
+        run_suite(instances)
+
+
 def test_run_suite_flags_a_wrong_gradient(monkeypatch):
     def skewed(*args):
         loss, grad_u, grad_W = aam_softmax_loss(*args)
