@@ -314,9 +314,9 @@ def _cmd_metrics(args):
         line += f" ActDCF_{args.p_target:g} {a:.4f}"
     if args.det_out:
         with open(args.det_out, "w") as f:
-            f.write("p_fa,p_miss\n")
-            for fa, miss in metrics.det_points(scores):
-                f.write(f"{fa:.9g},{miss:.9g}\n")
+            f.write("p_fa,p_miss\n" + "".join(
+                f"{fa:.9g},{miss:.9g}\n"
+                for fa, miss in metrics.det_points(scores)))
     log.info(line)
     _emit(payload)
 

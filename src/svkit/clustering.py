@@ -107,6 +107,12 @@ def minibatch_kmeans(emb_set: EmbeddingSet, k, batch_size=10000,
     Default n_batches gives roughly 10 epochs of coverage. Centers that were
     never hit are reseeded to the farthest points of the last batch.
     """
+    return _kmeans(emb_set, k, batch_size, n_batches, seed)[0]
+
+
+def _kmeans(emb_set, k, batch_size, n_batches, seed):
+    """`minibatch_kmeans`, and each point's nearest final center from the
+    search that gives the inertia."""
     X = emb_set.vectors
     n = X.shape[0]
     if k > n:
@@ -122,11 +128,13 @@ def minibatch_kmeans(emb_set: EmbeddingSet, k, batch_size=10000,
     centers = X[rng.choice(n, size=k, replace=False)].copy()
     counts = np.zeros(k, dtype=np.int64)
 
-    last_batch = None
-    last_assign = None
     for _ in range(n_batches):
-        batch = X[rng.integers(0, n, size=min(batch_size, n))]
-        assign = _nearest(batch, centers)[0]
+        rows = rng.integers(0, n, size=min(batch_size, n))
+        batch = X[rows]
+        # a row drawn again has the same nearest center: search each
+        # distinct row once and scatter back in batch order
+        distinct, inverse = np.unique(rows, return_inverse=True)
+        assign = _nearest(X[distinct], centers)[0][inverse]
         m = np.bincount(assign, minlength=k)
         hit = np.flatnonzero(m)
         sums = _group_sums(assign, batch, k)[hit]
@@ -135,19 +143,19 @@ def minibatch_kmeans(emb_set: EmbeddingSet, k, batch_size=10000,
             prior[:, None] * centers[hit] + sums
         ) / (prior + m[hit])[:, None]
         counts += m
-        last_batch, last_assign = batch, assign
 
     empty = np.where(counts == 0)[0]
-    if empty.size and last_batch is not None:
+    if empty.size:
         # reseed dead centers with the worst-fit points of the last batch
-        diff = last_batch - centers[last_assign]
+        diff = batch - centers[assign]
         fit = np.einsum("ij,ij->i", diff, diff)
         order = np.argsort(-fit, kind="stable")
         for i, c in enumerate(empty[: order.size]):
-            centers[c] = last_batch[order[i]]
+            centers[c] = batch[order[i]]
             counts[c] = 1
 
-    return KMeansModel(centers, counts, float(_nearest(X, centers)[1].sum()))
+    nearest, d2 = _nearest(X, centers)
+    return KMeansModel(centers, counts, float(d2.sum())), nearest
 
 
 def _ward_linkage(centers):
@@ -329,9 +337,10 @@ def iterate(emb_set: EmbeddingSet, refresher, k_centers, num_clusters,
     current = emb_set
     for it in range(max_iters):
         it_seed = np.random.SeedSequence([seed, it]).generate_state(1)[0]
-        km = minibatch_kmeans(current, k_centers, batch_size, seed=it_seed)
+        km, nearest = _kmeans(current, k_centers, batch_size, None, it_seed)
         _, center_labels = ahc_ward(km.centers, num_clusters)
-        labeling = assign_pseudo_labels(current, km, center_labels)
+        labeling = _labeling(current.ids, nearest,
+                             length_normalize(current).vectors, center_labels)
 
         rec = IterationRecord(it, labeling)
         if prev_assignment is not None:

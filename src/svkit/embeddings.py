@@ -29,6 +29,7 @@ from .errors import (
     MissingMeta,
     SvkitError,
     TruncatedFile,
+    UnknownId,
     ZeroVector,
 )
 
@@ -108,7 +109,7 @@ class EmbeddingSet:
         try:
             return self._index[utt_id]
         except KeyError:
-            raise SvkitError(f"unknown utterance id '{utt_id}'") from None
+            raise UnknownId(f"unknown utterance id '{utt_id}'") from None
 
     def with_vectors(self, vectors):
         """New set with the same ids/meta but replaced vectors."""

@@ -15,6 +15,7 @@ from svkit import (
 )
 from svkit.cli import build_parser, run
 from svkit.clustering import read_labels
+from svkit.metrics import det_points
 
 
 def _run(capsys, *argv):
@@ -47,6 +48,26 @@ def test_metrics_perfect_separation(tmp_path, capsys):
     assert code == 0
     assert payload["eer_pct"] == 0.0
     assert payload["min_dcf"] == 0.0
+
+
+def test_det_out_matches_per_point_lines(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    trials = tmp_path / "t.txt"
+    scores = tmp_path / "s.txt"
+    labels = rng.integers(0, 2, size=300)
+    values = rng.normal(size=300) + labels
+    trials.write_text("".join(f"e{i} t{i} {lab}\n"
+                              for i, lab in enumerate(labels)))
+    scores.write_text("".join(f"e{i} t{i} {v:.17g}\n"
+                              for i, v in enumerate(values)))
+    det = tmp_path / "det.csv"
+    code, _ = _run(capsys, "metrics", "--trials", str(trials),
+                   "--scores", str(scores), "--det-out", str(det))
+    assert code == 0
+    ref = "p_fa,p_miss\n"
+    for fa, miss in det_points(read_scores(scores, read_trials(trials))):
+        ref += f"{fa:.9g},{miss:.9g}\n"
+    assert det.read_bytes() == ref.encode()
 
 
 def test_non_finite_score_is_data_error(tmp_path, capsys):

@@ -148,6 +148,22 @@ def test_nearest_matches_brute_force_oracle():
     assert np.all(np.abs(d2 - ref_d2) <= 1e-14 * scale)
 
 
+def test_nearest_of_distinct_rows_scatters_to_batch_result():
+    # 9000 draws of 6000 rows: 48% repeats, and both the batch (9000
+    # rows) and its distinct rows (4649) cross a 4096-row block edge, so
+    # a row is scored in a different block position
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(6000, 32))
+    centers = rng.normal(size=(40, 32))
+    rows = rng.integers(0, len(X), size=9000)
+    distinct, inverse = np.unique(rows, return_inverse=True)
+    assert 4096 < len(distinct) < 0.8 * len(rows)
+    idx, d2 = _nearest(X[rows], centers)
+    idx_u, d2_u = _nearest(X[distinct], centers)
+    assert np.array_equal(idx, idx_u[inverse])
+    assert np.array_equal(d2, d2_u[inverse])
+
+
 def test_group_sums_bit_identical_to_add_at():
     # magnitudes 1e-8..1e8, so any other addition order rounds differently;
     # groups 40..44 stay empty
@@ -172,6 +188,20 @@ def test_kmeans_frozen_output():
                             + model.counts.astype("<i8").tobytes())
     assert digest.hexdigest() == (
         "f1b41c7cab730f05905d91c5a3a7b97a47b1f8faa4ba78e2c84a501b207b4b08")
+
+
+def test_kmeans_frozen_output_full_batches():
+    # batches of all 200 rows drawn with replacement: about 37% of each
+    # batch repeats a row, so every batch searches about 126 distinct rows;
+    # one center is never hit and is reseeded at count 1
+    emb = length_normalize(synth_dataset(20, 10, 16, 3.0, seed=8))
+    model = minibatch_kmeans(emb, 50, batch_size=250, n_batches=5, seed=10)
+    assert model.counts.sum() == 5 * 200 + 1
+    digest = hashlib.sha256(model.centers.astype("<f8").tobytes()
+                            + model.counts.astype("<i8").tobytes()
+                            + np.float64(model.inertia).tobytes())
+    assert digest.hexdigest() == (
+        "545bc60217172e7556bd7558d6b72a4ec0a44d0af8599436407711a506a34075")
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +413,22 @@ def test_iterate_prototype_pull_ari_nondecreasing():
                    batch_size=30, max_iters=3, seed=27)
     aris = [adjusted_rand_index(r.labeling.assignment, truth) for r in recs]
     assert all(b >= a - 1e-12 for a, b in zip(aris, aris[1:]))
+
+
+def test_iterate_frozen_prototype_pull():
+    emb = length_normalize(synth_dataset(15, 10, 24, 4.0, seed=26))
+    trials = _eval_trials(emb, 400, seed=33)
+    recs = iterate(emb, make_prototype_pull_refresher(0.2), 45, 15,
+                   batch_size=150, eval_trials=trials, max_iters=2, seed=34)
+    assert [r.eer for r in recs] == [0.21311475409836064, 0.1840843720038351]
+    assert [r.agreement_with_prev for r in recs] == [None, 0.7866666666666666]
+    digest = hashlib.sha256()
+    for r in recs:
+        labels = [r.labeling.assignment[u] for u in emb.ids]
+        digest.update(np.array(labels, dtype="<i8").tobytes())
+        digest.update(r.labeling.prototypes.astype("<f8").tobytes())
+    assert digest.hexdigest() == (
+        "55592e2481c8ff08b57ad67daffeb4001a014a16fa384ce95c1e6859f74e7618")
 
 
 @pytest.mark.parametrize("max_iters", [0, -1])

@@ -20,6 +20,7 @@ from svkit.errors import (
     DuplicateId,
     SvkitError,
     TruncatedFile,
+    UnknownId,
     ZeroVector,
 )
 from svkit.metrics import adjusted_rand_index
@@ -67,6 +68,13 @@ def test_length_normalize_zero_vector():
 def test_duplicate_id_rejected():
     with pytest.raises(DuplicateId):
         EmbeddingSet(["a", "a"], [[1.0], [2.0]])
+
+
+@pytest.mark.parametrize("lookup", ["index", "vector"])
+def test_unknown_id_lookup_raises_unknown_id(lookup):
+    s = EmbeddingSet(["a"], [[1.0]])
+    with pytest.raises(UnknownId, match="^unknown utterance id 'b'$"):
+        getattr(s, lookup)("b")
 
 
 def test_meta_keys_subset():
