@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -36,6 +37,7 @@ from .scoring import (
     TrialList,
     _cohort_stats,
     _cosine_matrix,
+    _inner_product_matrix,
     _intern,
     _rows,
     _side_rows,
@@ -136,6 +138,7 @@ class QmfVector:
 
 
 QA_FEATURE_NAMES = ("score",) + tuple(f.name for f in fields(QmfVector))
+_QMF_FIELDS = operator.attrgetter(*QA_FEATURE_NAMES[1:])
 
 
 @dataclass(frozen=True)
@@ -150,12 +153,11 @@ def _qmf_rows(emb_set: EmbeddingSet, ids, cohort: Cohort,
     QMF of each utterance's metadata and the mean of its top_n cohort
     scores under the configured metric (top_n=None: the whole cohort)."""
     dur = list(map(duration_qmf, _metas(emb_set, ids)))
-    similarity = {"inner_product": lambda v, means: v @ means.T,
+    similarity = {"inner_product": _inner_product_matrix,
                   "cosine": _cosine_matrix}.get(config.metric)
     if similarity is None:
         raise SvkitError(f"unknown imposter metric '{config.metric}'")
-    vecs = emb_set.vectors[_rows(emb_set._index, ids)]
-    imp = _cohort_stats(vecs, cohort, config.top_n, similarity)[0]
+    imp = _cohort_stats(emb_set, ids, cohort, config.top_n, similarity)[0]
     return np.column_stack([dur, imp])
 
 
@@ -292,7 +294,7 @@ def build_features(scores: ScoreSet, qmfs=None):
     if len(qmfs) != len(scores):
         raise SvkitError("qmf list length mismatch")
     if not isinstance(qmfs, np.ndarray):
-        qmfs = [v.as_array() for v in qmfs]
+        qmfs = np.array(list(map(_QMF_FIELDS, qmfs)))
     return np.column_stack([scores.scores, qmfs])
 
 

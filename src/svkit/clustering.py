@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
 
 from . import metrics as _metrics
 from .embeddings import (
@@ -166,6 +165,8 @@ def _ward_linkage(centers):
         raise SvkitError("zero-norm center cannot be normalized")
     if len(centers) == 1:
         return np.empty((0, 4))
+    # imported here: only clustering pays for scipy.cluster's import
+    from scipy.cluster.hierarchy import linkage
     return linkage(centers / norms[:, None], method="ward")
 
 
@@ -177,6 +178,7 @@ def _cut(Z, num_clusters):
         raise SvkitError(f"num_clusters must be in [1, {k}]")
     if k == 1:
         return np.zeros(1, dtype=np.int64)
+    from scipy.cluster.hierarchy import fcluster
     labels = fcluster(Z, t=num_clusters, criterion="maxclust") - 1
     return labels.astype(np.int64)
 

@@ -14,6 +14,7 @@ from .errors import (
     SvkitError,
     TopNTooLarge,
     UnknownId,
+    ZeroVector,
 )
 
 TARGET = 1
@@ -152,15 +153,29 @@ def cosine_score(
         test.vectors, _rows(test._index, trials.test_ids)))
 
 
-def _cosine_matrix(vecs, cohort_means):
-    sims = vecs @ cohort_means.T
-    sims /= np.linalg.norm(vecs, axis=1)[:, None]
+def _inner_product_matrix(vecs, cohort_means, out=None):
+    """Inner product of each row of `vecs` with each cohort mean, written
+    into `out` when given."""
+    return np.matmul(vecs, cohort_means.T, out=out)
+
+
+def _cosine_matrix(vecs, cohort_means, out=None):
+    """Cosine of each row of `vecs` with each cohort mean, written into
+    `out` when given. A zero-norm row raises ZeroVector with the row's
+    position in `vecs` (`_cohort_stats` names its utterance)."""
+    norms = np.linalg.norm(vecs, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ZeroVector(int(zero[0]))
+    sims = _inner_product_matrix(vecs, cohort_means, out)
+    sims /= norms[:, None]
     sims /= np.linalg.norm(cohort_means, axis=1)[None, :]
     return sims
 
 
 def _topn_desc(scores, n):
-    """The n largest entries of each row of `scores`, in descending order.
+    """The n largest entries of each row of `scores`, in descending order,
+    as a view of `scores`, which is partitioned and sorted in place.
 
     A partition keeps the top n, so only n values per row are sorted. The
     ordered top-n values are the same whichever tied entry is kept, so any
@@ -168,15 +183,23 @@ def _topn_desc(scores, n):
     """
     m = scores.shape[1]
     if n < m:
-        scores = np.partition(scores, m - n, axis=1)[:, m - n:]
-    return -np.sort(-scores, axis=1)
+        scores.partition(m - n, axis=1)
+        scores = scores[:, m - n:]
+    np.negative(scores, out=scores)
+    scores.sort(axis=1)
+    return np.negative(scores, out=scores)
 
 
-def _cohort_stats(vecs, cohort: Cohort, top_n, similarity=None):
-    """Mean and population std of each row's top_n (None: all) largest
-    similarity (None: cosine) scores against the cohort means, one score
-    matrix per `_ROW_BLOCK` rows, so memory stays O(_ROW_BLOCK x cohort).
-    Only the multiset of the top_n values is used, so ties need no rule."""
+def _cohort_stats(emb_set, ids, cohort: Cohort, top_n, similarity=None):
+    """Mean and population std of the top_n (None: all) largest similarity
+    scores of each utterance of `ids` against the cohort means.
+
+    `similarity(vecs, means, out)` (default: `_cosine_matrix`) returns the
+    score matrix of a block of rows, preferably written into `out`; the
+    result is partitioned and sorted in place. Rows are gathered and scored
+    `_ROW_BLOCK` at a time into one reused buffer, so memory stays
+    O(_ROW_BLOCK x cohort) for any number of utterances. Only the multiset
+    of the top_n values is used, so ties need no rule."""
     if top_n is None:
         top_n = len(cohort)
     similarity = similarity or _cosine_matrix
@@ -184,11 +207,18 @@ def _cohort_stats(vecs, cohort: Cohort, top_n, similarity=None):
         raise SvkitError(f"top_n={top_n} must be >= 1")
     if top_n > len(cohort):
         raise TopNTooLarge(f"top_n={top_n} exceeds cohort size {len(cohort)}")
-    mu = np.empty(len(vecs))
-    sigma = np.empty(len(vecs))
-    for lo in range(0, len(vecs), _ROW_BLOCK):
+    rows = _rows(emb_set._index, ids)
+    mu = np.empty(len(rows))
+    sigma = np.empty(len(rows))
+    buf = np.empty((min(len(rows), _ROW_BLOCK), len(cohort)))
+    for lo in range(0, len(rows), _ROW_BLOCK):
         hi = lo + _ROW_BLOCK
-        top = _topn_desc(similarity(vecs[lo:hi], cohort.means), top_n)
+        block = emb_set.vectors[rows[lo:hi]]
+        try:
+            sims = similarity(block, cohort.means, buf[:len(block)])
+        except ZeroVector as e:
+            raise ZeroVector(ids[lo + e.utt_id]) from None
+        top = _topn_desc(sims, top_n)
         mu[lo:hi], sigma[lo:hi] = top.mean(axis=1), top.std(axis=1)
     return mu, sigma
 
@@ -232,14 +262,19 @@ def snorm(
     Statistics are computed once per unique utterance, in fixed row blocks,
     so memory stays O(block x cohort). top_n=None uses the whole cohort.
     `similarity` overrides the cohort scoring function (for property
-    testing); it maps (vectors, cohort_means) to a score matrix.
+    testing); it maps (vectors, cohort_means) to a score matrix, which is
+    then partitioned and sorted in place.
     """
     if (len(cohort) if top_n is None else top_n) < 2:
         raise SvkitError("top_n must be >= 2")
+    if similarity is not None:
+        scores_of = similarity
+
+        def similarity(vecs, means, out):
+            return scores_of(vecs, means)
 
     def side_stats(emb_set, ids):
-        vecs = emb_set.vectors[_rows(emb_set._index, ids)]
-        mu, sigma = _cohort_stats(vecs, cohort, top_n, similarity)
+        mu, sigma = _cohort_stats(emb_set, ids, cohort, top_n, similarity)
         bad = np.flatnonzero(sigma < _SIGMA_FLOOR)
         if bad.size:
             raise DegenerateCohort(

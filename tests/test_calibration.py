@@ -44,6 +44,7 @@ from svkit.errors import (
     SvkitError,
     TopNTooLarge,
     UnknownId,
+    ZeroVector,
 )
 from svkit.scoring import Cohort, ScoreSet
 
@@ -181,6 +182,22 @@ def test_imposter_mean_qmf_metrics_differ_on_nonunit_cohort():
     emb = np.array([1.0, 0.0])
     assert _imposter_mean(emb, cohort, "inner_product", None) == 0.5
     assert _imposter_mean(emb, cohort, "cosine", None) == 1.0
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_zero_norm_utterance_under_cosine_qmf_is_named(shared):
+    emb = synth_dataset(4, 3, 8, 4.0, seed=2)
+    cohort = build_cohort(length_normalize(emb))
+    vecs = emb.vectors.copy()
+    vecs[5] = 0.0
+    emb = emb.with_vectors(vecs)
+    cfg = QmfConfig("cosine", 2)
+    with pytest.raises(ZeroVector, match=f"embedding '{emb.ids[5]}'"):
+        calibration.utterance_qmfs(emb, cohort, cfg)
+    test = emb if shared else emb.with_vectors(emb.vectors)
+    trials = TrialList(emb.ids[:6], emb.ids[6:])
+    with pytest.raises(ZeroVector, match=f"embedding '{emb.ids[5]}'"):
+        trial_qmfs(trials, emb, test, cohort, cfg)
 
 
 def test_imposter_mean_qmf_top_n_too_large():
@@ -397,6 +414,9 @@ def test_apply_calibration_quality_aware_dot_products():
     for i in range(2):
         feats = np.concatenate([[s.scores[i]], qmfs[i].as_array()])
         assert abs(out.scores[i] - (w @ feats + 0.125)) < 1e-12
+    assert np.array_equal(
+        build_features(s, qmfs),
+        build_features(s, np.array([q.as_array() for q in qmfs])))
 
 
 def test_apply_calibration_arity_mismatch():

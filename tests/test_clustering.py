@@ -1,6 +1,9 @@
 import hashlib
+import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 import oracles
 from oracles import lloyd_kmeans
 
+import svkit
 from svkit import (
     EmbeddingSet,
     TrialList,
@@ -599,3 +603,15 @@ def test_prototype_pull_refresher_equals_per_utterance_update():
     want /= np.linalg.norm(want, axis=1, keepdims=True)
     assert got.ids == emb.ids
     assert np.array_equal(got.vectors, want)
+
+
+def test_importing_svkit_leaves_scipy_cluster_unloaded():
+    # scipy.cluster is imported by the first linkage or cut, so importing
+    # the library or the CLI does not pay for it
+    code = ("import sys, svkit, svkit.cli; print(sorted(m for m in "
+            "sys.modules if m.startswith('scipy.cluster')))")
+    src = os.path.dirname(os.path.dirname(svkit.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -26,8 +26,16 @@ from svkit.errors import (
     MissingLabel,
     SvkitError,
     UnknownId,
+    ZeroVector,
 )
-from svkit.scoring import _ROW_BLOCK, Cohort, ScoreSet
+from svkit.scoring import (
+    _ROW_BLOCK,
+    Cohort,
+    ScoreSet,
+    _cohort_stats,
+    _cosine_matrix,
+    _inner_product_matrix,
+)
 
 
 def _labeled_set(vectors, speakers):
@@ -244,6 +252,71 @@ def test_snorm_degenerate_cohort_names_first_id_of_the_side_table():
         snorm(raw, emb, emb, cohort, 2)
     with pytest.raises(DegenerateCohort, match="for 'b'"):
         snorm(raw, emb, EmbeddingSet(["a"], [v]), cohort, 2)
+
+
+def _stats_inputs(n, m, dim, seed):
+    rng = np.random.default_rng(seed)
+    ids = [f"u{i}" for i in range(n)]
+    emb = EmbeddingSet(ids, rng.standard_normal((n, dim)))
+    cohort = Cohort(tuple(f"s{i}" for i in range(m)),
+                    rng.standard_normal((m, dim)))
+    return emb, ids, cohort
+
+
+@pytest.mark.parametrize("top_n", [100, None])
+@pytest.mark.parametrize("metric", ["cosine", "inner_product"])
+def test_cohort_stats_equal_full_matrix_reference(metric, top_n):
+    # rows listed out of set order, crossing one row-block edge; a BLAS
+    # may pick its kernel by the row count, so the reference matrix is
+    # multiplied in the same row blocks
+    emb, ids, cohort = _stats_inputs(_ROW_BLOCK + 37, 300, 16, seed=21)
+    ids = ids[::-1]
+    vecs, means = emb.vectors[::-1], cohort.means
+    full = np.vstack([vecs[lo:lo + _ROW_BLOCK] @ means.T
+                      for lo in range(0, len(vecs), _ROW_BLOCK)])
+    if metric == "cosine":
+        full /= np.linalg.norm(vecs, axis=1)[:, None]
+        full /= np.linalg.norm(means, axis=1)[None, :]
+    m = len(cohort)
+    n = m if top_n is None else top_n
+    top = np.partition(full, m - n, axis=1)[:, m - n:]
+    top = -np.sort(-top, axis=1)
+    similarity = {"cosine": _cosine_matrix,
+                  "inner_product": _inner_product_matrix}[metric]
+    mu, sigma = _cohort_stats(emb, ids, cohort, top_n, similarity)
+    assert np.array_equal(mu, top.mean(axis=1))
+    assert np.array_equal(sigma, top.std(axis=1))
+
+
+def test_cohort_stats_memory_is_one_block():
+    # one reused (_ROW_BLOCK x cohort) score buffer; a fresh block per
+    # call of the similarity plus a partitioned copy would be two
+    emb, ids, cohort = _stats_inputs(2100, 3000, 32, seed=22)
+    block = _ROW_BLOCK * len(cohort) * 8
+    tracemalloc.start()
+    try:
+        _cohort_stats(emb, ids, cohort, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * block
+
+
+def test_zero_norm_utterance_under_cosine_is_named():
+    # the zero row sits in the second row block of the side table
+    emb, ids, cohort = _stats_inputs(_ROW_BLOCK + 5, 10, 4, seed=23)
+    vecs = emb.vectors.copy()
+    vecs[_ROW_BLOCK + 2] = 0.0
+    zero_id = ids[_ROW_BLOCK + 2]
+    emb = EmbeddingSet(ids, vecs)
+    raw = ScoreSet(TrialList(ids, ids[::-1]), np.zeros(len(ids)))
+    with pytest.raises(ZeroVector, match=f"embedding '{zero_id}'"):
+        snorm(raw, emb, emb, cohort, 5)
+    with pytest.raises(ZeroVector, match=f"embedding '{zero_id}'"):
+        _cohort_stats(emb, ids, cohort, 5)
+    # an inner product with a zero row is well defined
+    mu = _cohort_stats(emb, ids, cohort, 5, _inner_product_matrix)[0]
+    assert mu[_ROW_BLOCK + 2] == 0.0
 
 
 def test_snorm_top_n_bounds():
