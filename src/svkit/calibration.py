@@ -373,13 +373,14 @@ def write_qmf_cache(qmfs: dict, path):
             w.writerow([utt_id, repr(float(dur_q)), repr(float(imp_q))])
 
 
-def _qmf_row(row):
-    q = (float(row["dur_q"]), float(row["imp_q"]))
+def _qmf_row(fields):
+    q = (float(fields[0]), float(fields[1]))
     if not all(map(math.isfinite, q)):
         raise SvkitError("qmf values must be finite")
     return q
 
 
 def read_qmf_cache(path) -> dict:
-    rows = _csv_rows(path, lambda names: names == ["utt_id", "dur_q", "imp_q"])
+    rows = _csv_rows(path, lambda names: names == ["utt_id", "dur_q", "imp_q"],
+                     ("dur_q", "imp_q"))
     return _keyed_rows(path, rows, _qmf_row)

@@ -6,6 +6,7 @@ error."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import sys
@@ -313,10 +314,10 @@ def _cmd_metrics(args):
         payload["act_dcf"] = a
         line += f" ActDCF_{args.p_target:g} {a:.4f}"
     if args.det_out:
+        points = metrics.det_points(scores)
         with open(args.det_out, "w") as f:
-            f.write("p_fa,p_miss\n" + "".join(
-                f"{fa:.9g},{miss:.9g}\n"
-                for fa, miss in metrics.det_points(scores)))
+            f.write("p_fa,p_miss\n" + ("%.9g,%.9g\n" * len(points))
+                    % tuple(itertools.chain.from_iterable(points)))
     log.info(line)
     _emit(payload)
 

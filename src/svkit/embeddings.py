@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -38,6 +40,10 @@ FRAME_RATE = 100.0  # VAD / feature frames per second
 _MAGIC = b"SVEB"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, count
+_ID_LEN = struct.Struct("<H")
+# .svb records converted per frombuffer: a read holds one block of f32
+# bytes beyond its float64 vectors
+_RECORD_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -77,8 +83,9 @@ class EmbeddingSet:
             raise SvkitError("ids and vectors disagree in length")
         if vectors.shape[0] > 0 and vectors.shape[1] < 1:
             raise SvkitError("embedding dimension must be >= 1")
-        if not np.all(np.isfinite(vectors)):
-            raise SvkitError("embedding vectors must be finite")
+        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+        if bad.size:
+            raise SvkitError(f"embedding '{ids[bad[0]]}' is not finite")
         index = {u: i for i, u in enumerate(ids)}
         if not all(index):
             raise SvkitError("utterance id must be non-empty")
@@ -161,25 +168,38 @@ def _keyed_rows(path, rows, parse):
     SvkitError, both naming `path:lineno`."""
     out = {}
     for lineno, key, fields in rows:
-        where = f"{path}:{lineno}"
         if key in out:
-            raise DuplicateId(f"{where}: duplicate id '{key}'")
+            raise DuplicateId(f"{path}:{lineno}: duplicate id '{key}'")
         try:
             out[key] = parse(fields)
         except (ValueError, SvkitError) as e:
-            raise SvkitError(f"{where}: malformed row ({e})") from None
+            raise SvkitError(
+                f"{path}:{lineno}: malformed row ({e})") from None
     return out
 
 
-def _csv_rows(path, header_ok):
-    """(lineno, utt_id, row dict) per data row of the CSV file at `path`;
-    a header row that fails `header_ok` raises SvkitError."""
+def _csv_rows(path, header_ok, columns):
+    """(lineno, utt_id, fields) per data row of the CSV file at `path`, with
+    `fields` the row's values of `columns` in that order; a header row that
+    fails `header_ok` raises SvkitError. Rows follow `csv.DictReader`'s
+    rules: blank rows are skipped, a column the header or a short row lacks
+    reads "", a repeated header name means its last column, and extra
+    fields are ignored."""
     with _reading(path, newline="") as f:
-        reader = csv.DictReader(f, restval="")
-        if not header_ok(reader.fieldnames or []):
-            raise SvkitError(f"{path}: bad header {reader.fieldnames}")
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if not header_ok(header or []):
+            raise SvkitError(f"{path}: bad header {header}")
+        # index len(header) of a row cut to the header and padded is ""
+        width = len(header)
+        position = {name: i for i, name in enumerate(header)}
+        pick = operator.itemgetter(
+            position["utt_id"], *(position.get(c, width) for c in columns))
+        pad = [""] * (width + 1)
         for row in reader:
-            yield reader.line_num, row["utt_id"], row
+            if row:
+                utt_id, *fields = pick(row[:width] + pad)
+                yield reader.line_num, utt_id, fields
 
 
 def _write_header(f, magic, dim, count):
@@ -209,13 +229,12 @@ def _read_header(f, path, magic, extra, what):
 
 
 def write_embeddings(emb_set: EmbeddingSet, path):
+    raw_ids = [u.encode("utf-8") for u in emb_set.ids]
     with open(path, "wb") as f:
         _write_header(f, _MAGIC, emb_set.dim, len(emb_set))
-        for i, utt_id in enumerate(emb_set.ids):
-            raw = utt_id.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-            f.write(emb_set.vectors[i].astype("<f4").tobytes())
+        f.writelines(itertools.chain.from_iterable(zip(
+            map(_ID_LEN.pack, map(len, raw_ids)), raw_ids,
+            np.ascontiguousarray(emb_set.vectors, dtype="<f4"))))
 
 
 def read_embeddings(path) -> EmbeddingSet:
@@ -223,27 +242,33 @@ def read_embeddings(path) -> EmbeddingSet:
         # a record is at least a u16 length, a 1-byte id and dim f32s
         dim, count = _read_header(f, path, _MAGIC, 3, "records")
         ids = []
-        vecs = np.empty((count, dim), dtype=np.float64)
-        for r in range(count):
-            lenbuf = f.read(2)
-            if len(lenbuf) < 2:
-                raise TruncatedFile(f"{path}: record {r} truncated")
-            (id_len,) = struct.unpack("<H", lenbuf)
-            raw = f.read(id_len)
-            if len(raw) < id_len:
-                raise TruncatedFile(f"{path}: record {r} truncated")
-            payload = f.read(4 * dim)
-            if len(payload) < 4 * dim:
-                raise TruncatedFile(f"{path}: record {r} truncated")
-            try:
-                ids.append(raw.decode("utf-8"))
-            except UnicodeDecodeError:
-                raise SvkitError(
-                    f"{path}: record {r} id is not UTF-8") from None
-            vecs[r] = np.frombuffer(payload, dtype="<f4")
+        vecs = np.empty((count, dim))
+        for lo in range(0, count, _RECORD_BLOCK):
+            hi = min(lo + _RECORD_BLOCK, count)
+            block = []
+            for r in range(lo, hi):
+                lenbuf = f.read(2)
+                if len(lenbuf) < 2:
+                    raise TruncatedFile(f"{path}: record {r} truncated")
+                (id_len,) = _ID_LEN.unpack(lenbuf)
+                raw = f.read(id_len)
+                vector = f.read(4 * dim)
+                if len(raw) < id_len or len(vector) < 4 * dim:
+                    raise TruncatedFile(f"{path}: record {r} truncated")
+                try:
+                    ids.append(raw.decode("utf-8"))
+                except UnicodeDecodeError:
+                    raise SvkitError(
+                        f"{path}: record {r} id is not UTF-8") from None
+                block.append(vector)
+            vecs[lo:hi] = np.frombuffer(b"".join(block), "<f4").reshape(
+                hi - lo, dim)
         if f.read(1):
             raise SvkitError(f"{path}: trailing bytes after {count} records")
-    return EmbeddingSet(ids, vecs)
+    try:
+        return EmbeddingSet(ids, vecs)
+    except SvkitError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def write_metadata(meta, path):
@@ -265,10 +290,12 @@ def write_metadata(meta, path):
 def read_metadata(path):
     required = {"utt_id", "speech_frames", "duration_s"}
     return _keyed_rows(
-        path, _csv_rows(path, required.issubset),
-        lambda row: UttMeta(speech_frames=int(row["speech_frames"]),
-                            duration_s=float(row["duration_s"]),
-                            speaker=row.get("speaker") or None))
+        path,
+        _csv_rows(path, required.issubset,
+                  ("speech_frames", "duration_s", "speaker")),
+        lambda fields: UttMeta(speech_frames=int(fields[0]),
+                               duration_s=float(fields[1]),
+                               speaker=fields[2] or None))
 
 
 # ---------------------------------------------------------------------------

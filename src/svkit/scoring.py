@@ -304,28 +304,39 @@ def mean_fuse(score_sets) -> ScoreSet:
 # ---------------------------------------------------------------------------
 # trial / score files
 
+def _flat(*columns):
+    """The columns interleaved row by row into one flat list, for one `%`
+    format over the whole file."""
+    flat = [None] * sum(map(len, columns))
+    for i, column in enumerate(columns):
+        flat[i::len(columns)] = column
+    return flat
+
+
 def write_trials(trials: TrialList, path):
     """Text, one per line: `enroll_id test_id [1|0]` (label omitted when
     unknown)."""
+    labels = trials.labels.tolist()
+    line = {lab: f"%s %s {lab}\n" for lab in set(labels)}
+    line[UNKNOWN] = "%s %s\n"
     with open(path, "w") as f:
-        for e, t, lab in trials:
-            if lab == UNKNOWN:
-                f.write(f"{e} {t}\n")
-            else:
-                f.write(f"{e} {t} {int(lab)}\n")
+        f.write("".join(map(line.__getitem__, labels))
+                % tuple(_flat(trials.enroll_ids, trials.test_ids)))
+
+
+_LABELS = {"0": 0, "1": 1}
 
 
 def read_trials(path) -> TrialList:
     enroll, test, labels = [], [], []
     with _reading(path) as f:
-        for lineno, line in enumerate(f, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) == 2:
+        for lineno, parts in enumerate(map(str.split, f), 1):
+            if len(parts) == 3 and parts[2] in _LABELS:
+                lab = _LABELS[parts[2]]
+            elif len(parts) == 2:
                 lab = UNKNOWN
-            elif len(parts) == 3 and parts[2] in ("0", "1"):
-                lab = int(parts[2])
+            elif not parts:
+                continue
             else:
                 raise SvkitError(f"{path}:{lineno}: malformed trial line")
             enroll.append(parts[0])
@@ -336,33 +347,63 @@ def read_trials(path) -> TrialList:
 
 def write_scores(score_set: ScoreSet, path):
     """Text `enroll_id test_id score` at 9 significant digits."""
-    rows = zip(score_set.trials.enroll_ids, score_set.trials.test_ids,
-               score_set.scores.tolist())
+    trials = score_set.trials
     with open(path, "w") as f:
-        f.write("".join(f"{e} {t} {s:.9g}\n" for e, t, s in rows))
+        f.write(("%s %s %.9g\n" * len(trials)) % tuple(_flat(
+            trials.enroll_ids, trials.test_ids, score_set.scores.tolist())))
 
 
 def read_scores(path, trials: TrialList | None = None) -> ScoreSet:
     """Read a score file; if `trials` is given, scores must align with it
-    (labels are taken from the trial list)."""
-    enroll, test, vals = [], [], []
+    (labels are taken from the trial list). The first malformed line, or
+    else the first score that is not finite, raises SvkitError naming
+    `path:lineno`."""
+    enroll, test, texts, blank = [], [], [], []
+    bad_line = None
     with _reading(path) as f:
-        for lineno, line in enumerate(f, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise SvkitError(f"{path}:{lineno}: malformed score line")
-            try:
-                vals.append(float(parts[2]))
-            except ValueError:
-                raise SvkitError(
-                    f"{path}:{lineno}: malformed score line") from None
-            enroll.append(parts[0])
-            test.append(parts[1])
+        for lineno, parts in enumerate(map(str.split, f), 1):
+            if len(parts) == 3:
+                enroll.append(parts[0])
+                test.append(parts[1])
+                texts.append(parts[2])
+            elif parts:
+                bad_line = lineno
+                break
+            else:
+                blank.append(lineno)
+    try:
+        vals = np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:  # a score before `bad_line`, if any, is not a number
+        bad_line = _line_of(blank, next(
+            i for i, text in enumerate(texts) if not _is_float(text)))
+    if bad_line is not None:
+        raise SvkitError(f"{path}:{bad_line}: malformed score line")
     if trials is None:
         trials = TrialList(enroll, test)
-    else:
-        if enroll != trials.enroll_ids or test != trials.test_ids:
-            raise MisalignedTrials(f"{path} does not match the trial list")
+    elif enroll != trials.enroll_ids or test != trials.test_ids:
+        raise MisalignedTrials(f"{path} does not match the trial list")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        row = int(bad[0])
+        raise SvkitError(f"{path}:{_line_of(blank, row)}: score "
+                         f"'{texts[row]}' is not finite")
     return ScoreSet(trials, vals)
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _line_of(blank_lines, row):
+    """Line number of the `row`-th (from 0) non-blank line of a file whose
+    blank lines are `blank_lines` (ascending)."""
+    line = row + 1
+    for blank in blank_lines:
+        if blank > line:
+            break
+        line += 1
+    return line

@@ -237,6 +237,26 @@ def test_binary_id_not_utf8(tmp_path):
         read_embeddings(path)
 
 
+@pytest.mark.parametrize("offset, patch, cls, msg", [
+    (33, b"a", DuplicateId, "duplicate utterance id 'a'"),
+    (38, np.float32(np.nan).tobytes(), SvkitError,
+     "embedding 'b' is not finite"),
+    (34, np.float32(np.inf).tobytes(), SvkitError,
+     "embedding 'b' is not finite"),
+], ids=["duplicate id", "nan", "inf"])
+def test_binary_set_errors_name_the_file(tmp_path, offset, patch, cls, msg):
+    path = tmp_path / "e.svb"
+    write_embeddings(EmbeddingSet(["a", "b"], [[1.0, 2.0], [3.0, 4.0]]), path)
+    # record 1 starts at byte 31: u16 id length, id "b" at 33, f32s at 34, 38
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + len(patch)] = patch
+    path.write_bytes(bytes(raw))
+    with pytest.raises(cls) as err:
+        read_embeddings(path)
+    assert type(err.value) is cls
+    assert str(err.value) == f"{path}: {msg}"
+
+
 def _text_readers():
     from svkit.calibration import read_model, read_qmf_cache
     from svkit.clustering import read_labels

@@ -339,8 +339,20 @@ def test_score_set_rejects_non_finite(bad):
 def test_read_scores_rejects_non_finite(tmp_path, text):
     path = tmp_path / "scores.txt"
     path.write_text(f"a x 0.9\nb y {text}\n")
-    with pytest.raises(SvkitError):
+    with pytest.raises(SvkitError, match=re.escape(f"{path}:2:")):
         read_scores(path)
+
+
+@pytest.mark.parametrize("text", ["nan", "1e400", "-Infinity"])
+def test_read_scores_names_the_first_non_finite_line(tmp_path, text):
+    path = tmp_path / "scores.txt"
+    path.write_text(f"\na x 0.9\n\n  \nb y 1e300\nc z {text}\nd w nan\n")
+    trials = TrialList(["a", "b", "c", "d"], ["x", "y", "z", "w"])
+    msg = re.escape(f"{path}:6: score '{text}' is not finite")
+    with pytest.raises(SvkitError, match=msg):
+        read_scores(path)
+    with pytest.raises(SvkitError, match=msg):
+        read_scores(path, trials)
 
 
 def test_mean_fuse():
