@@ -6,6 +6,7 @@ error."""
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import logging
@@ -43,9 +44,11 @@ def _emit(payload):
 def _load_set(emb_path, meta_path=None, normalize=False):
     emb = embeddings.read_embeddings(emb_path)
     if meta_path:
-        emb = embeddings.EmbeddingSet(
-            emb.ids, emb.vectors, embeddings.read_metadata(meta_path)
-        )
+        meta = embeddings.read_metadata(meta_path)
+        try:
+            emb = embeddings.EmbeddingSet(emb.ids, emb.vectors, meta)
+        except SvkitError as e:
+            raise type(e)(f"{meta_path}: {e} (not in {emb_path})") from None
     if normalize:
         emb = embeddings.length_normalize(emb)
     return emb
@@ -204,6 +207,13 @@ def build_parser():
     p.add_argument("--lr-max", type=float, default=1e-3)
 
     return parser
+
+
+@functools.cache
+def _parser():
+    """The one parser of the process: parsing reads the tree and puts what
+    it parses into a new namespace, so `run` calls share no state."""
+    return build_parser()
 
 
 def _cmd_synth(args):
@@ -413,9 +423,8 @@ def _cmd_clr(args):
 def run(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -330,24 +330,26 @@ def synth_dataset(
     means = rng.standard_normal((num_speakers, dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
 
-    ids, vecs, meta = [], [], {}
+    # each speaker's rows are drawn, shifted and normalized in place in
+    # the output matrix, so memory is the output plus the means
+    vecs = np.empty((num_speakers * utts_per_speaker, dim))
+    ids, meta = [], {}
     for s in range(num_speakers):
         spk = f"spk{s:04d}"
-        noise = rng.standard_normal((utts_per_speaker, dim))
+        raw = vecs[s * utts_per_speaker:(s + 1) * utts_per_speaker]
+        rng.standard_normal(out=raw)
         if concentration > 0:
-            raw = means[s] + noise / concentration
-        else:
-            raw = noise
+            raw /= concentration
+            raw += means[s]
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         durations = rng.uniform(lo, hi, size=utts_per_speaker)
         for u in range(utts_per_speaker):
             utt_id = f"{spk}_utt{u:03d}"
             ids.append(utt_id)
-            vecs.append(raw[u])
             dur = float(durations[u])
             meta[utt_id] = UttMeta(
                 speech_frames=int(dur * FRAME_RATE),
                 duration_s=dur,
                 speaker=spk,
             )
-    return EmbeddingSet(ids, np.array(vecs), meta)
+    return EmbeddingSet(ids, vecs, meta)

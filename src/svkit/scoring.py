@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,9 @@ UNKNOWN = -1
 
 _SIGMA_FLOOR = 1e-12
 # rows of each utterance x cohort score block: bounds peak memory at
-# O(_ROW_BLOCK x cohort) whatever the number of utterances
-_ROW_BLOCK = 1024
+# O(_ROW_BLOCK x cohort) whatever the number of utterances, and keeps a
+# block's gathered rows in cache
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -159,17 +161,20 @@ def _inner_product_matrix(vecs, cohort_means, out=None):
     return np.matmul(vecs, cohort_means.T, out=out)
 
 
-def _cosine_matrix(vecs, cohort_means, out=None):
+def _cosine_matrix(vecs, cohort_means, out=None, mean_norms=None):
     """Cosine of each row of `vecs` with each cohort mean, written into
-    `out` when given. A zero-norm row raises ZeroVector with the row's
+    `out` when given; `mean_norms`, the cohort means' norms, is computed
+    when not given. A zero-norm row raises ZeroVector with the row's
     position in `vecs` (`_cohort_stats` names its utterance)."""
     norms = np.linalg.norm(vecs, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroVector(int(zero[0]))
+    if mean_norms is None:
+        mean_norms = np.linalg.norm(cohort_means, axis=1)
     sims = _inner_product_matrix(vecs, cohort_means, out)
     sims /= norms[:, None]
-    sims /= np.linalg.norm(cohort_means, axis=1)[None, :]
+    sims /= mean_norms[None, :]
     return sims
 
 
@@ -198,15 +203,19 @@ def _cohort_stats(emb_set, ids, cohort: Cohort, top_n, similarity=None):
     score matrix of a block of rows, preferably written into `out`; the
     result is partitioned and sorted in place. Rows are gathered and scored
     `_ROW_BLOCK` at a time into one reused buffer, so memory stays
-    O(_ROW_BLOCK x cohort) for any number of utterances. Only the multiset
+    O(_ROW_BLOCK x cohort) for any number of utterances; under the cosine
+    the cohort means' norms are computed once per call. Only the multiset
     of the top_n values is used, so ties need no rule."""
     if top_n is None:
         top_n = len(cohort)
-    similarity = similarity or _cosine_matrix
     if top_n < 1:
         raise SvkitError(f"top_n={top_n} must be >= 1")
     if top_n > len(cohort):
         raise TopNTooLarge(f"top_n={top_n} exceeds cohort size {len(cohort)}")
+    similarity = similarity or _cosine_matrix
+    if similarity is _cosine_matrix:
+        similarity = functools.partial(
+            _cosine_matrix, mean_norms=np.linalg.norm(cohort.means, axis=1))
     rows = _rows(emb_set._index, ids)
     mu = np.empty(len(rows))
     sigma = np.empty(len(rows))

@@ -13,9 +13,11 @@ from svkit import (
     write_embeddings,
     write_metadata,
 )
+from svkit import cli
 from svkit.cli import build_parser, run
 from svkit.clustering import read_labels
 from svkit.metrics import det_points
+from svkit.trainmath import clr_triangular2
 
 
 def _run(capsys, *argv):
@@ -118,6 +120,24 @@ def test_clr_command(capsys):
     code, payload = _run(capsys, "clr", "--t", "65000")
     assert code == 0
     assert payload["lr"] == 1e-3
+
+
+def test_runs_share_one_parser_but_no_parsed_state(capsys, monkeypatch):
+    code, first = _run(capsys, "clr", "--t", "5", "--cycle-len", "10",
+                       "--lr-min", "0.1", "--lr-max", "0.5")
+    assert code == 0
+
+    def no_new_parser():
+        raise AssertionError("parser built again")
+
+    monkeypatch.setattr(cli, "build_parser", no_new_parser)
+    code, other = _run(capsys, "loss-check", "--instances", "1",
+                       "--seed", "3")
+    assert code == 0 and other["command"] == "loss-check"
+    code, second = _run(capsys, "clr", "--t", "5")
+    assert code == 0
+    assert first["lr"] == clr_triangular2(5, 10, 0.1, 0.5)
+    assert second["lr"] == clr_triangular2(5, 130000, 1e-8, 1e-3)
 
 
 def test_loss_check(capsys):
@@ -300,6 +320,19 @@ def test_short_metadata_row_is_data_error(tmp_path, capsys, caplog):
                    str(tmp_path / "t.txt"))
     assert code == 2
     assert f"{meta}:3: " in caplog.text
+
+
+def test_metadata_for_unknown_id_names_both_files(tmp_path, capsys,
+                                                  caplog):
+    emb, meta = _synth(tmp_path, capsys)
+    meta.write_text(meta.read_text() + "zz,300,3.0,spk0000\n")
+    code, payload = _run(capsys, "gen-trials", "--emb", str(emb), "--meta",
+                         str(meta), "--per-class", "20", "--out",
+                         str(tmp_path / "t.txt"))
+    assert code == 2
+    assert payload is None
+    assert f"{meta}: metadata for unknown ids: ['zz'] (not in {emb})" \
+        in caplog.text
 
 
 @pytest.mark.parametrize("text", [

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,39 @@ def test_synth_deterministic():
     assert a.ids == b.ids
     assert np.array_equal(a.vectors, b.vectors)
     assert a.meta == b.meta
+
+
+@pytest.mark.parametrize("concentration", [4.0, 0.0])
+def test_synth_equals_per_speaker_reference(concentration):
+    # reference loop with one array per speaker, stacked at the end; the
+    # draw order is the means, then per speaker its noise rows and then
+    # its durations
+    num_speakers, utts, dim = 6, 3, 8
+    rng = np.random.default_rng(5)
+    means = rng.standard_normal((num_speakers, dim))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    rows, durations = [], []
+    for s in range(num_speakers):
+        noise = rng.standard_normal((utts, dim))
+        raw = means[s] + noise / concentration if concentration else noise
+        rows.extend(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+        durations.extend(rng.uniform(2.0, 12.0, size=utts))
+    got = synth_dataset(num_speakers, utts, dim, concentration, seed=5)
+    assert got.vectors.tobytes() == np.array(rows).tobytes()
+    assert [got.meta[u].duration_s for u in got.ids] == durations
+
+
+def test_synth_memory_is_its_output():
+    # rows are written into the output matrix; per-speaker arrays stacked
+    # into a copy would need a second matrix
+    n_spk, utts, dim = 6000, 2, 256
+    tracemalloc.start()
+    try:
+        synth_dataset(n_spk, utts, dim, 9.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * (n_spk * utts + n_spk) * dim * 8
 
 
 def test_synth_distinct_seeds_differ():

@@ -302,6 +302,24 @@ def test_cohort_stats_memory_is_one_block():
     assert peak <= 1.25 * block
 
 
+def test_cohort_mean_norms_once_per_call(monkeypatch):
+    # three row blocks; the cohort means' norms do not change between them
+    emb, ids, cohort = _stats_inputs(2 * _ROW_BLOCK + 5, 50, 8, seed=24)
+    norm = np.linalg.norm
+    calls = []
+
+    def counting_norm(x, *args, **kwargs):
+        calls.append(x is cohort.means)
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    for similarity in (None, _cosine_matrix):
+        calls.clear()
+        _cohort_stats(emb, ids, cohort, 10, similarity)
+        assert sum(calls) == 1
+        assert len(calls) == 4  # and one per block of rows
+
+
 def test_zero_norm_utterance_under_cosine_is_named():
     # the zero row sits in the second row block of the side table
     emb, ids, cohort = _stats_inputs(_ROW_BLOCK + 5, 10, 4, seed=23)
