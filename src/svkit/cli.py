@@ -351,14 +351,15 @@ def _cmd_ahc(args):
 
 
 def _read_center_labels(path, k):
+    """The labels of center_0 .. center_{k-1}; a file with any other
+    entries was written for another model."""
     raw = clustering.read_labels(path)
-    labels = np.empty(k, dtype=np.int64)
-    try:
-        for i in range(k):
-            labels[i] = raw[f"center_{i}"]
-    except KeyError:
-        raise SvkitError(f"{path}: missing center_{i} entry") from None
-    return labels
+    names = [f"center_{i}" for i in range(k)]
+    if raw.keys() != set(names):
+        raise SvkitError(
+            f"{path}: {len(raw)} center labels do not match the {k} "
+            f"centers center_0 .. center_{k - 1} of the k-means model")
+    return np.fromiter(map(raw.__getitem__, names), np.int64, k)
 
 
 def _cmd_assign(args):

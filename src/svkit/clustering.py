@@ -16,8 +16,10 @@ import numpy as np
 
 from . import metrics as _metrics
 from .embeddings import (
+    _ROW_BLOCK,
     EmbeddingSet,
     _keyed_rows,
+    _normalize_rows,
     _read_header,
     _reading,
     _write_header,
@@ -69,9 +71,17 @@ class PseudoLabeling:
         return self.prototypes.shape[0]
 
 
-def _nearest(points, centers):
+# points per block of the nearest-center search; narrower blocks make
+# the gemm narrow at hundreds of centers and cost time
+_SEARCH_BLOCK = 1024
+
+
+def _nearest(points, centers, rows=None):
     """Index of each point's nearest center and its squared distance to
-    it, 4096 points at a time.
+    it, `_SEARCH_BLOCK` points at a time, for points[rows] when `rows` is
+    given. Each block of rows is gathered in turn, so extra memory is
+    O(_SEARCH_BLOCK x (k + dim)), one score buffer and one block, for any
+    number of points.
 
     ||x||^2 is the same for every center of a row, so the nearest center is
     the argmax of x.c - ||c||^2 / 2: one gemm into a reused block buffer and
@@ -79,19 +89,20 @@ def _nearest(points, centers):
     ||x||^2 - 2 (x.c - ||c||^2 / 2) is formed only at that center, clipped
     at 0.
     """
-    n = points.shape[0]
+    n = points.shape[0] if rows is None else len(rows)
     half_sq = 0.5 * np.einsum("ij,ij->i", centers, centers)
-    buf = np.empty((min(n, 4096), centers.shape[0]))
+    buf = np.empty((min(n, _SEARCH_BLOCK), centers.shape[0]))
     idx = np.empty(n, dtype=np.int64)
     d2 = np.empty(n)
-    for lo in range(0, n, 4096):
-        block = points[lo:lo + 4096]
-        hi = lo + len(block)
-        score = np.matmul(block, centers.T, out=buf[:len(block)])
+    for lo in range(0, n, _SEARCH_BLOCK):
+        hi = min(lo + _SEARCH_BLOCK, n)
+        block = points[lo:hi] if rows is None else points[rows[lo:hi]]
+        score = np.matmul(block, centers.T, out=buf[:hi - lo])
         score -= half_sq
         idx[lo:hi] = np.argmax(score, axis=1)
-        best = score[np.arange(len(block)), idx[lo:hi]]
+        best = score[np.arange(hi - lo), idx[lo:hi]]
         d2[lo:hi] = np.einsum("ij,ij->i", block, block) - 2.0 * best
+        del block  # else two gathered blocks are alive at the next gather
     np.maximum(d2, 0.0, out=d2)
     return idx, d2
 
@@ -103,8 +114,11 @@ def minibatch_kmeans(emb_set: EmbeddingSet, k, batch_size=10000,
     Initialization picks k distinct points uniformly. Each batch is sampled
     uniformly with replacement from the whole set; batch points assigned to
     one center move it to the running mean of everything it has absorbed.
-    Default n_batches gives roughly 10 epochs of coverage. Centers that were
-    never hit are reseeded to the farthest points of the last batch.
+    Default n_batches is ceil(10 n / batch_size), 10 epochs of draws
+    when batch_size <= n; a batch holds at most n draws, so with
+    batch_size > n it is fewer (6000 points at batch_size 10000: 6
+    batches of 6000, 6 epochs). Centers that were never hit are reseeded
+    to the farthest points of the last batch.
     """
     return _kmeans(emb_set, k, batch_size, n_batches, seed)[0]
 
@@ -124,19 +138,20 @@ def _kmeans(emb_set, k, batch_size, n_batches, seed):
         raise SvkitError(f"n_batches={n_batches} must be >= 1")
 
     rng = np.random.default_rng(seed)
-    centers = X[rng.choice(n, size=k, replace=False)].copy()
+    centers = X[rng.choice(n, size=k, replace=False)]
     counts = np.zeros(k, dtype=np.int64)
 
+    # a batch is its drawn row indices: the search and the sums read X
+    # through them, so no batch x dim copy is made
     for _ in range(n_batches):
         rows = rng.integers(0, n, size=min(batch_size, n))
-        batch = X[rows]
         # a row drawn again has the same nearest center: search each
         # distinct row once and scatter back in batch order
         distinct, inverse = np.unique(rows, return_inverse=True)
-        assign = _nearest(X[distinct], centers)[0][inverse]
+        assign = _nearest(X, centers, distinct)[0][inverse]
         m = np.bincount(assign, minlength=k)
         hit = np.flatnonzero(m)
-        sums = _group_sums(assign, batch, k)[hit]
+        sums = _group_sums(assign, X, k, rows)[hit]
         prior = counts[hit]
         centers[hit] = (
             prior[:, None] * centers[hit] + sums
@@ -146,6 +161,7 @@ def _kmeans(emb_set, k, batch_size, n_batches, seed):
     empty = np.where(counts == 0)[0]
     if empty.size:
         # reseed dead centers with the worst-fit points of the last batch
+        batch = X[rows]
         diff = batch - centers[assign]
         fit = np.einsum("ij,ij->i", diff, diff)
         order = np.argsort(-fit, kind="stable")
@@ -213,7 +229,7 @@ def _labeling(ids, nearest, unit, center_labels) -> PseudoLabeling:
     per-cluster means of the normalized embeddings."""
     num_clusters = int(center_labels.max()) + 1
     labels = center_labels[nearest]
-    assignment = {u: int(labels[i]) for i, u in enumerate(ids)}
+    assignment = dict(zip(ids, labels.tolist()))
     prototypes = _group_sums(labels, unit, num_clusters)
     sizes = np.bincount(labels, minlength=num_clusters)
     nonzero = sizes > 0
@@ -311,9 +327,13 @@ def make_prototype_pull_refresher(pull=0.2):
     cluster prototype and re-normalizes (stand-in for network retraining)."""
 
     def refresh(emb_set, labeling):
-        protos = labeling.prototypes[_rows(labeling.assignment, emb_set.ids)]
-        vecs = (1.0 - pull) * emb_set.vectors + pull * protos
-        return length_normalize(emb_set.with_vectors(vecs))
+        rows = _rows(labeling.assignment, emb_set.ids)
+        pulled = pull * labeling.prototypes
+        vecs = (1.0 - pull) * emb_set.vectors
+        for lo in range(0, len(vecs), _ROW_BLOCK):
+            vecs[lo:lo + _ROW_BLOCK] += pulled[rows[lo:lo + _ROW_BLOCK]]
+        return emb_set.with_vectors(
+            _normalize_rows(vecs, emb_set.ids, out=vecs))
 
     return refresh
 

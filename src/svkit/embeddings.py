@@ -44,6 +44,11 @@ _ID_LEN = struct.Struct("<H")
 # .svb records converted per frombuffer: a read holds one block of f32
 # bytes beyond its float64 vectors
 _RECORD_BLOCK = 1024
+# rows per block of the loops that bound memory by rows: the row
+# normalizer here, the utterance x cohort score blocks and the trial row
+# dot products in scoring. A block's temporaries stay in cache, and peak
+# memory is O(_ROW_BLOCK x cohort) whatever the number of utterances.
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -138,14 +143,26 @@ def _metas(emb_set: EmbeddingSet, ids, speaker=False):
     return metas
 
 
+def _normalize_rows(vectors, ids, out=None):
+    """Each row of `vectors` divided by its Euclidean norm, written into
+    `out` (a new array when None; `vectors` itself to normalize in
+    place). The norms are taken `_ROW_BLOCK` rows at a time, so no
+    n x dim temporary is built. Raises ZeroVector naming the id of the
+    first zero-norm row."""
+    norms = np.empty(len(vectors))
+    for lo in range(0, len(vectors), _ROW_BLOCK):
+        norms[lo:lo + _ROW_BLOCK] = np.linalg.norm(
+            vectors[lo:lo + _ROW_BLOCK], axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ZeroVector(ids[int(zero[0])])
+    return np.divide(vectors, norms[:, None], out=out)
+
+
 def length_normalize(emb_set: EmbeddingSet) -> EmbeddingSet:
     """Scale every vector to unit Euclidean norm. Raises ZeroVector on a
     zero-norm input (corrupt data)."""
-    norms = np.linalg.norm(emb_set.vectors, axis=1)
-    zero = np.where(norms == 0.0)[0]
-    if zero.size:
-        raise ZeroVector(emb_set.ids[int(zero[0])])
-    return emb_set.with_vectors(emb_set.vectors / norms[:, None])
+    return emb_set.with_vectors(_normalize_rows(emb_set.vectors, emb_set.ids))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .embeddings import EmbeddingSet, _metas, _reading
+from .embeddings import _ROW_BLOCK, EmbeddingSet, _metas, _reading
 from .errors import (
     DegenerateCohort,
     MisalignedTrials,
@@ -23,10 +23,6 @@ NONTARGET = 0
 UNKNOWN = -1
 
 _SIGMA_FLOOR = 1e-12
-# rows of each utterance x cohort score block: bounds peak memory at
-# O(_ROW_BLOCK x cohort) whatever the number of utterances, and keeps a
-# block's gathered rows in cache
-_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -132,15 +128,22 @@ def _row_dots(a, a_rows, b, b_rows):
     return out
 
 
-def _group_sums(labels, rows, n_groups):
-    """(n_groups, dim) sums of the `rows` of each group (labels in
-    [0, n_groups)), as one one-hot CSR product. CSR adds each group's rows
-    in row order starting from 0, as `np.add.at` does, so the sums are
-    bit-identical to sequential addition; an empty group sums to 0."""
-    n = len(labels)
-    onehot = sparse.csr_matrix((np.ones(n), (labels, np.arange(n))),
-                               shape=(n_groups, n))
-    return onehot @ rows
+def _group_sums(labels, vectors, n_groups, rows=None):
+    """(n_groups, dim) sums of each group's rows (labels in
+    [0, n_groups)): the vectors[rows[i]] with labels[i] == g, or the
+    vectors[i] without `rows`, so a caller never gathers vectors[rows].
+    One one-hot CSR product, built directly from a stable sort of the
+    labels: each group lists its rows in their order in `labels`, and a
+    repeated row stays a separate entry. CSR adds them in that order
+    starting from 0, as `np.add.at` does, so the sums are bit-identical
+    to sequential addition; an empty group sums to 0."""
+    order = np.argsort(labels, kind="stable")
+    indptr = np.zeros(n_groups + 1, dtype=np.intp)
+    np.cumsum(np.bincount(labels, minlength=n_groups), out=indptr[1:])
+    onehot = sparse.csr_matrix(
+        (np.ones(len(labels)), order if rows is None else rows[order],
+         indptr), shape=(n_groups, len(vectors)))
+    return onehot @ vectors
 
 
 def cosine_score(

@@ -382,6 +382,30 @@ def test_non_finite_kmeans_center_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("entries", [
+    [f"center_{i}" for i in range(40)],        # labels of a k = 40 model
+    [f"center_{i}" for i in range(19)],        # one center missing
+    [f"center_{i}" for i in range(19)] + ["center_20"],
+])
+def test_center_labels_of_another_model_are_data_error(tmp_path, capsys,
+                                                       caplog, entries):
+    emb, _ = _synth(tmp_path, capsys)
+    km = tmp_path / "km.svkm"
+    _run(capsys, "kmeans", "--emb", str(emb), "--k", "20",
+         "--batch-size", "20", "--seed", "4", "--out", str(km))
+    centers = tmp_path / "centers.txt"
+    centers.write_text("".join(f"{name} 0\n" for name in entries))
+    labels = tmp_path / "labels.txt"
+    code, payload = _run(capsys, "assign", "--emb", str(emb),
+                         "--kmeans", str(km), "--center-labels", str(centers),
+                         "--out", str(labels))
+    assert code == 2
+    assert payload is None
+    assert not labels.exists()
+    assert (f"{centers}: {len(entries)} center labels do not match the 20 "
+            "centers") in caplog.text
+
+
 def test_zero_dimensional_kmeans_file_is_data_error(tmp_path, capsys,
                                                     caplog):
     emb, _ = _synth(tmp_path, capsys)

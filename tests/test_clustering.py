@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from svkit import (
     write_kmeans,
 )
 from svkit.clustering import (
+    _SEARCH_BLOCK,
     KMeansModel,
     PseudoLabeling,
     _nearest,
@@ -37,6 +39,7 @@ from svkit.clustering import (
     read_labels,
     write_labels,
 )
+from svkit.embeddings import _ROW_BLOCK
 from svkit.errors import (
     BadMagic,
     DimMismatch,
@@ -134,8 +137,8 @@ def test_lloyd_inertia_monotone():
 
 def test_nearest_matches_brute_force_oracle():
     # rows and centers of very different norms, so the -||c||^2/2 term
-    # decides; 8229 rows cross two 4096-row block edges; the first 50 rows
-    # sit exactly on the centers (distance 0)
+    # decides; 8229 rows cross several _SEARCH_BLOCK edges; the first 50
+    # rows sit exactly on the centers (distance 0)
     rng = np.random.default_rng(3)
     points = rng.normal(size=(2 * 4096 + 37, 8))
     points *= rng.uniform(0.1, 10.0, size=(len(points), 1))
@@ -154,8 +157,8 @@ def test_nearest_matches_brute_force_oracle():
 
 def test_nearest_of_distinct_rows_scatters_to_batch_result():
     # 9000 draws of 6000 rows: 48% repeats, and both the batch (9000
-    # rows) and its distinct rows (4649) cross a 4096-row block edge, so
-    # a row is scored in a different block position
+    # rows) and its distinct rows (4649) cross several _SEARCH_BLOCK
+    # edges, so a row is scored in a different block position
     rng = np.random.default_rng(14)
     X = rng.normal(size=(6000, 32))
     centers = rng.normal(size=(40, 32))
@@ -168,9 +171,23 @@ def test_nearest_of_distinct_rows_scatters_to_batch_result():
     assert np.array_equal(d2, d2_u[inverse])
 
 
+def test_nearest_of_row_indices_equals_gathered_rows():
+    # unsorted row indices with repeats, crossing two _SEARCH_BLOCK edges:
+    # the blocks gathered one at a time give the search of the gathered rows
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(3000, 16))
+    centers = rng.normal(size=(30, 16))
+    rows = rng.integers(0, len(X), size=2 * _SEARCH_BLOCK + 37)
+    idx, d2 = _nearest(X, centers, rows)
+    ref_idx, ref_d2 = _nearest(X[rows], centers)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(d2, ref_d2)
+
+
 def test_group_sums_bit_identical_to_add_at():
     # magnitudes 1e-8..1e8, so any other addition order rounds differently;
-    # groups 40..44 stay empty
+    # groups 40..44 stay empty. With row indices: 5000 unsorted draws of
+    # 3000 vectors, so a group repeats a vector and lists them out of order
     rng = np.random.default_rng(4)
     rows = rng.normal(size=(5000, 7))
     rows *= 10.0 ** rng.integers(-8, 9, size=(5000, 1))
@@ -178,6 +195,49 @@ def test_group_sums_bit_identical_to_add_at():
     ref = np.zeros((45, 7))
     np.add.at(ref, labels, rows)
     assert np.array_equal(_group_sums(labels, rows, 45), ref)
+
+    vectors = rows[:3000]
+    drawn = rng.integers(0, len(vectors), size=5000)
+    ref = np.zeros((45, 7))
+    np.add.at(ref, labels, vectors[drawn])
+    assert np.array_equal(_group_sums(labels, vectors, 45, drawn), ref)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kmeans_memory_is_one_search_block():
+    # a batch is read through its row indices and searched one block at a
+    # time: one _SEARCH_BLOCK x k score buffer and one gathered block of
+    # rows, not batch x dim copies; at these sizes (6 batches of 6000 draws)
+    # that was about 39 MB
+    emb = length_normalize(synth_dataset(300, 20, 256, 9.0, seed=1))
+    k, dim = 600, emb.dim
+    search_block = _SEARCH_BLOCK * (k + dim) * 8
+    centers = k * dim * 8
+    peak = _traced_peak(minibatch_kmeans, emb, k, batch_size=10000, seed=1)
+    assert peak <= 1.5 * (search_block + centers)
+
+
+def test_prototype_pull_memory_is_one_output():
+    # the pulled vectors are formed and normalized in place in the array
+    # the new set holds; beyond it, the set's n x dim boolean finiteness
+    # mask (1/8 of it) and the scaled prototypes, temporaries are
+    # _ROW_BLOCK-sized (was three n x dim arrays)
+    rng = np.random.default_rng(44)
+    emb = length_normalize(synth_dataset(300, 20, 256, 9.0, seed=1))
+    lab = PseudoLabeling({u: i % 300 for i, u in enumerate(emb.ids)},
+                         rng.normal(size=(300, emb.dim)))
+    refresh = make_prototype_pull_refresher(0.2)
+    peak = _traced_peak(refresh, emb, lab)
+    assert peak <= (1.25 * emb.vectors.nbytes + lab.prototypes.nbytes
+                    + 2 * _ROW_BLOCK * emb.dim * 8)
 
 
 def test_kmeans_frozen_output():
@@ -592,17 +652,21 @@ def test_prototype_scores_equal_cosine_of_prototypes():
 
 
 def test_prototype_pull_refresher_equals_per_utterance_update():
-    emb = length_normalize(synth_dataset(6, 6, 8, 6.0, seed=42))
-    km = minibatch_kmeans(emb, 12, batch_size=12, seed=43)
-    lab = assign_pseudo_labels(emb, km, ahc_ward(km.centers, 6)[1])
-    got = make_prototype_pull_refresher(0.3)(emb, lab)
-    want = emb.vectors.copy()
-    for i, u in enumerate(emb.ids):
-        proto = lab.prototypes[lab.assignment[u]]
-        want[i] = (1.0 - 0.3) * want[i] + 0.3 * proto
-    want /= np.linalg.norm(want, axis=1, keepdims=True)
-    assert got.ids == emb.ids
-    assert np.array_equal(got.vectors, want)
+    # 400 speakers x 6: 2400 utterances cross several _ROW_BLOCK edges
+    for speakers in (6, 400):
+        emb = length_normalize(synth_dataset(speakers, 6, 8, 6.0, seed=42))
+        km = minibatch_kmeans(emb, 2 * speakers, batch_size=12, seed=43)
+        lab = assign_pseudo_labels(emb, km,
+                                   ahc_ward(km.centers, speakers)[1])
+        got = make_prototype_pull_refresher(0.3)(emb, lab)
+        want = emb.vectors.copy()
+        for i, u in enumerate(emb.ids):
+            proto = lab.prototypes[lab.assignment[u]]
+            want[i] = (1.0 - 0.3) * want[i] + 0.3 * proto
+        want /= np.linalg.norm(want, axis=1, keepdims=True)
+        assert got.ids == emb.ids
+        assert np.array_equal(got.vectors, want)
+    assert len(emb) > 2 * _ROW_BLOCK
 
 
 def test_importing_svkit_leaves_scipy_cluster_unloaded():

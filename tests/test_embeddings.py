@@ -16,6 +16,7 @@ from svkit import (
     write_embeddings,
     write_metadata,
 )
+from svkit.embeddings import _ROW_BLOCK
 from svkit.errors import (
     BadMagic,
     DuplicateId,
@@ -64,6 +65,16 @@ def test_length_normalize_zero_vector():
     s = EmbeddingSet(["a", "b"], [[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ZeroVector):
         length_normalize(s)
+
+
+def test_length_normalize_names_zero_vector_past_first_block():
+    # rows are normalized in blocks; the id is found from the block offset
+    vecs = np.ones((2 * _ROW_BLOCK + 9, 3))
+    vecs[_ROW_BLOCK + 5] = 0.0
+    s = EmbeddingSet([f"u{i}" for i in range(len(vecs))], vecs.copy())
+    with pytest.raises(ZeroVector, match=f"'u{_ROW_BLOCK + 5}'"):
+        length_normalize(s)
+    assert np.array_equal(s.vectors, vecs)
 
 
 def test_duplicate_id_rejected():
