@@ -65,11 +65,27 @@ def duration_class(dur_a: float, dur_b: float) -> str | None:
     return "short-long"
 
 
+# candidate pairs (rows x columns) per mask block of
+# `gen_calibration_trials`: its masks take O(_PAIR_BLOCK) memory, not
+# O(n^2), and a block of up to 2^18 bools stays in cache
+_PAIR_BLOCK = 1 << 18
+
+
 def gen_calibration_trials(
     emb_set: EmbeddingSet, per_class: int, seed=0
 ) -> TrialList:
     """per_class trials for each duration class, half targets half
-    nontargets, no duplicate pairs, deterministic per seed."""
+    nontargets, no duplicate pairs, deterministic per seed.
+
+    The candidates of a (class, label) are its valid (row, column) pairs
+    of the two buckets in row-major order, as a nested loop over them
+    would list them, and per_class / 2 of their ranks are drawn without
+    replacement. No n x n mask is built: a first pass counts each row's
+    candidates a block of rows at a time, and a drawn rank is mapped to
+    its row through the cumulative counts and to its column through the
+    candidate lists of the rows drawn from, again a block at a time. So
+    memory is O(_PAIR_BLOCK + n) whatever the number of utterances, and
+    the trials equal those of drawing from the full candidate list."""
     if per_class < 0 or per_class % 2:
         raise SvkitError("per_class must be a nonnegative even number")
     if per_class == 0:
@@ -86,6 +102,7 @@ def gen_calibration_trials(
     }
 
     rng = np.random.default_rng(seed)
+    need = per_class // 2
     enroll, test, labels = [], [], []
     # Every unordered pair is a candidate in exactly one (class, label)
     # pass: the class fixes which side is in which bucket, a within-bucket
@@ -93,24 +110,46 @@ def gen_calibration_trials(
     # speakers. So no pair can be drawn twice and no used-pair set is kept.
     for cls in TRIAL_CLASSES:
         a_bucket, b_bucket = cls.split("-")
-        a, b = buckets[a_bucket][:, None], buckets[b_bucket][None, :]
-        valid = a != b
-        if a_bucket == b_bucket:
-            valid &= rank[a] < rank[b]  # unordered within one bucket
-        same = speaker[a] == speaker[b]
-        for want_target in (True, False):
-            need = per_class // 2
-            # row-major candidate order, as a nested loop over a then b
-            ai, bi = np.nonzero(valid & (same == want_target))
-            if len(ai) < need:
-                kind = "target" if want_target else "nontarget"
+        a, b = buckets[a_bucket], buckets[b_bucket]
+        spk_b, rank_b = speaker[b], rank[b]
+        step = max(1, _PAIR_BLOCK // max(len(b), 1))
+
+        def candidates(rows, target):
+            """Mask of the candidate columns of bucket rows a[rows]."""
+            same = (np.equal if target else np.not_equal)(
+                speaker[a[rows]][:, None], spk_b)
+            if a_bucket == b_bucket:  # unordered within one bucket
+                same &= rank[a[rows]][:, None] < rank_b
+            return same
+
+        for target in (True, False):
+            count = np.empty(len(a), dtype=np.int64)
+            for lo in range(0, len(a), step):
+                count[lo:lo + step] = np.count_nonzero(
+                    candidates(slice(lo, lo + step), target), axis=1)
+            ends = np.cumsum(count)
+            total = int(count.sum())
+            if total < need:
+                kind = "target" if target else "nontarget"
                 raise InsufficientData(
-                    cls, f"need {need} {kind} pairs, have {len(ai)}"
-                )
-            picked = np.sort(rng.choice(len(ai), size=need, replace=False))
-            enroll += [ids[k] for k in a[ai[picked], 0].tolist()]
-            test += [ids[k] for k in b[0, bi[picked]].tolist()]
-            labels += [1 if want_target else 0] * need
+                    cls, f"need {need} {kind} pairs, have {total}")
+            picked = np.sort(rng.choice(total, size=need, replace=False))
+            # rank -> (row, offset among the row's candidates) -> column,
+            # read off the candidate lists of the distinct rows drawn from
+            rows = np.searchsorted(ends, picked, side="right")
+            offset = picked - (ends - count)[rows]
+            cols = np.empty(need, dtype=np.intp)
+            drawn, inv = np.unique(rows, return_inverse=True)
+            for lo in range(0, len(drawn), step):
+                block = drawn[lo:lo + step]
+                at = (inv >= lo) & (inv < lo + step)
+                # the block rows' candidates, row after row
+                flat = np.flatnonzero(candidates(block, target))
+                start = np.cumsum(count[block]) - count[block]
+                cols[at] = flat[start[inv[at] - lo] + offset[at]] % len(b)
+            enroll += [ids[k] for k in a[rows].tolist()]
+            test += [ids[k] for k in b[cols].tolist()]
+            labels += [1 if target else 0] * need
     return TrialList(enroll, test, labels)
 
 
@@ -320,7 +359,7 @@ def write_model(model: CalibrationModel, path):
         "bias": float(model.bias),
         "converged": bool(model.converged),
     }
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
 
@@ -366,7 +405,7 @@ def _is_number(value):
 
 def write_qmf_cache(qmfs: dict, path):
     """CSV `utt_id,dur_q,imp_q`."""
-    with open(path, "w", newline="") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["utt_id", "dur_q", "imp_q"])
         for utt_id, (dur_q, imp_q) in qmfs.items():

@@ -325,9 +325,13 @@ def _cmd_metrics(args):
         line += f" ActDCF_{args.p_target:g} {a:.4f}"
     if args.det_out:
         points = metrics.det_points(scores)
-        with open(args.det_out, "w") as f:
-            f.write("p_fa,p_miss\n" + ("%.9g,%.9g\n" * len(points))
-                    % tuple(itertools.chain.from_iterable(points)))
+
+        def block(lo, hi):
+            return (("%.9g,%.9g\n" * (hi - lo))
+                    % tuple(itertools.chain.from_iterable(points[lo:hi])))
+
+        embeddings._write_blocks(args.det_out, len(points), block,
+                                 header="p_fa,p_miss\n")
     log.info(line)
     _emit(payload)
 
@@ -378,7 +382,7 @@ def _cmd_sweep(args):
     trials = scoring.read_trials(args.trials)
     k_values = [int(v) for v in args.k_values.split(",") if v]
     rows, best = clustering.sweep_cluster_count(emb, model, k_values, trials)
-    with open(args.out, "w") as f:
+    with open(args.out, "w", encoding="utf-8") as f:
         f.write("K,EER\n")
         for k_val, e in rows:
             f.write(f"{k_val},{e:.9g}\n")

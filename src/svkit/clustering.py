@@ -160,13 +160,17 @@ def _kmeans(emb_set, k, batch_size, n_batches, seed):
 
     empty = np.where(counts == 0)[0]
     if empty.size:
-        # reseed dead centers with the worst-fit points of the last batch
-        batch = X[rows]
-        diff = batch - centers[assign]
-        fit = np.einsum("ij,ij->i", diff, diff)
+        # reseed dead centers with the worst-fit points of the last batch;
+        # the fit is taken `_SEARCH_BLOCK` rows at a time and only the
+        # picked points are gathered, so no batch x dim array is built
+        fit = np.empty(len(rows))
+        for lo in range(0, len(rows), _SEARCH_BLOCK):
+            hi = lo + _SEARCH_BLOCK
+            diff = X[rows[lo:hi]] - centers[assign[lo:hi]]
+            fit[lo:hi] = np.einsum("ij,ij->i", diff, diff)
         order = np.argsort(-fit, kind="stable")
         for i, c in enumerate(empty[: order.size]):
-            centers[c] = batch[order[i]]
+            centers[c] = X[rows[order[i]]]
             counts[c] = 1
 
     nearest, d2 = _nearest(X, centers)
@@ -391,7 +395,7 @@ def iterate(emb_set: EmbeddingSet, refresher, k_centers, num_clusters,
 
 def write_labels(assignment: dict, path):
     """Text `utt_id cluster_index` per line."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for utt_id, c in assignment.items():
             f.write(f"{utt_id} {int(c)}\n")
 

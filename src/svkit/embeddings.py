@@ -41,8 +41,9 @@ _MAGIC = b"SVEB"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, count
 _ID_LEN = struct.Struct("<H")
-# .svb records converted per frombuffer: a read holds one block of f32
-# bytes beyond its float64 vectors
+# records per block of file I/O: .svb records cast per write and converted
+# per frombuffer, and text lines formatted per write, so a reader or
+# writer holds one block beyond its in-memory result or input
 _RECORD_BLOCK = 1024
 # rows per block of the loops that bound memory by rows: the row
 # normalizer here, the utterance x cohort score blocks and the trial row
@@ -173,10 +174,20 @@ def _reading(path, newline=None):
     """Open the text file at `path`; bytes that do not decode, or CSV the
     csv module cannot parse, raise SvkitError naming the path."""
     try:
-        with open(path, newline=newline) as f:
+        with open(path, encoding="utf-8", newline=newline) as f:
             yield f
     except (UnicodeDecodeError, csv.Error) as e:
         raise SvkitError(f"{path}: unreadable text ({e})") from None
+
+
+def _write_blocks(path, n, block, header=""):
+    """Write the UTF-8 text file at `path`: `header`, then the text
+    block(lo, hi) of lines lo .. hi-1 for each `_RECORD_BLOCK` of the n
+    lines, so only one block's text is held whatever n."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(header)
+        for lo in range(0, n, _RECORD_BLOCK):
+            f.write(block(lo, min(lo + _RECORD_BLOCK, n)))
 
 
 def _keyed_rows(path, rows, parse):
@@ -246,12 +257,16 @@ def _read_header(f, path, magic, extra, what):
 
 
 def write_embeddings(emb_set: EmbeddingSet, path):
-    raw_ids = [u.encode("utf-8") for u in emb_set.ids]
+    """Records cast and written `_RECORD_BLOCK` at a time, so a write holds
+    one block of f32 vectors and encoded ids whatever the set's size."""
     with open(path, "wb") as f:
         _write_header(f, _MAGIC, emb_set.dim, len(emb_set))
-        f.writelines(itertools.chain.from_iterable(zip(
-            map(_ID_LEN.pack, map(len, raw_ids)), raw_ids,
-            np.ascontiguousarray(emb_set.vectors, dtype="<f4"))))
+        for lo in range(0, len(emb_set), _RECORD_BLOCK):
+            hi = lo + _RECORD_BLOCK
+            raw_ids = [u.encode("utf-8") for u in emb_set.ids[lo:hi]]
+            f.writelines(itertools.chain.from_iterable(zip(
+                map(_ID_LEN.pack, map(len, raw_ids)), raw_ids,
+                np.ascontiguousarray(emb_set.vectors[lo:hi], dtype="<f4"))))
 
 
 def read_embeddings(path) -> EmbeddingSet:
@@ -291,7 +306,7 @@ def read_embeddings(path) -> EmbeddingSet:
 def write_metadata(meta, path):
     """CSV `utt_id,speech_frames,duration_s[,speaker]` with header row."""
     has_speaker = any(m.speaker is not None for m in meta.values())
-    with open(path, "w", newline="") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         header = ["utt_id", "speech_frames", "duration_s"]
         if has_speaker:

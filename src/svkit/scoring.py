@@ -8,7 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .embeddings import _ROW_BLOCK, EmbeddingSet, _metas, _reading
+from .embeddings import (
+    _ROW_BLOCK,
+    EmbeddingSet,
+    _metas,
+    _reading,
+    _write_blocks,
+)
 from .errors import (
     DegenerateCohort,
     MisalignedTrials,
@@ -318,7 +324,7 @@ def mean_fuse(score_sets) -> ScoreSet:
 
 def _flat(*columns):
     """The columns interleaved row by row into one flat list, for one `%`
-    format over the whole file."""
+    format over a block of lines."""
     flat = [None] * sum(map(len, columns))
     for i, column in enumerate(columns):
         flat[i::len(columns)] = column
@@ -327,42 +333,56 @@ def _flat(*columns):
 
 def write_trials(trials: TrialList, path):
     """Text, one per line: `enroll_id test_id [1|0]` (label omitted when
-    unknown)."""
-    labels = trials.labels.tolist()
-    line = {lab: f"%s %s {lab}\n" for lab in set(labels)}
+    unknown), written `_RECORD_BLOCK` lines at a time."""
+    labels = trials.labels
+    line = {lab: f"%s %s {lab}\n" for lab in np.unique(labels).tolist()}
     line[UNKNOWN] = "%s %s\n"
-    with open(path, "w") as f:
-        f.write("".join(map(line.__getitem__, labels))
-                % tuple(_flat(trials.enroll_ids, trials.test_ids)))
+    e, t = trials.enroll_ids, trials.test_ids
+
+    def block(lo, hi):
+        return ("".join(map(line.__getitem__, labels[lo:hi].tolist()))
+                % tuple(_flat(e[lo:hi], t[lo:hi])))
+
+    _write_blocks(path, len(labels), block)
 
 
 _LABELS = {"0": 0, "1": 1}
 
 
 def read_trials(path) -> TrialList:
+    """Read a trial file. A repeated id is kept as one `str` object, so the
+    lists hold one string per distinct id, not two per line."""
     enroll, test, labels = [], [], []
+    one = {}.setdefault
     with _reading(path) as f:
         for lineno, parts in enumerate(map(str.split, f), 1):
             if len(parts) == 3 and parts[2] in _LABELS:
-                lab = _LABELS[parts[2]]
+                e, t, lab = parts
+                lab = _LABELS[lab]
             elif len(parts) == 2:
+                e, t = parts
                 lab = UNKNOWN
             elif not parts:
                 continue
             else:
                 raise SvkitError(f"{path}:{lineno}: malformed trial line")
-            enroll.append(parts[0])
-            test.append(parts[1])
+            enroll.append(one(e, e))
+            test.append(one(t, t))
             labels.append(lab)
     return TrialList(enroll, test, labels)
 
 
 def write_scores(score_set: ScoreSet, path):
-    """Text `enroll_id test_id score` at 9 significant digits."""
-    trials = score_set.trials
-    with open(path, "w") as f:
-        f.write(("%s %s %.9g\n" * len(trials)) % tuple(_flat(
-            trials.enroll_ids, trials.test_ids, score_set.scores.tolist())))
+    """Text `enroll_id test_id score` at 9 significant digits, written
+    `_RECORD_BLOCK` lines at a time."""
+    e, t = score_set.trials.enroll_ids, score_set.trials.test_ids
+    s = score_set.scores
+
+    def block(lo, hi):
+        return (("%s %s %.9g\n" * (hi - lo))
+                % tuple(_flat(e[lo:hi], t[lo:hi], s[lo:hi].tolist())))
+
+    _write_blocks(path, len(s), block)
 
 
 def read_scores(path, trials: TrialList | None = None) -> ScoreSet:
@@ -371,13 +391,15 @@ def read_scores(path, trials: TrialList | None = None) -> ScoreSet:
     else the first score that is not finite, raises SvkitError naming
     `path:lineno`."""
     enroll, test, texts, blank = [], [], [], []
+    one = {}.setdefault  # one string per distinct id, as in `read_trials`
     bad_line = None
     with _reading(path) as f:
         for lineno, parts in enumerate(map(str.split, f), 1):
             if len(parts) == 3:
-                enroll.append(parts[0])
-                test.append(parts[1])
-                texts.append(parts[2])
+                e, t, text = parts
+                enroll.append(one(e, e))
+                test.append(one(t, t))
+                texts.append(text)
             elif parts:
                 bad_line = lineno
                 break

@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from svkit.errors import InsufficientData
+
 
 def _sweep_points(tar, non):
     tar = np.asarray(tar, dtype=np.float64)
@@ -137,6 +139,43 @@ def nearest_center_oracle(points, centers):
         idx[i] = np.argmin(dists)
         d2[i] = dists[idx[i]]
     return idx, d2
+
+
+def calibration_trials_oracle(emb_set, per_class, seed=0):
+    """Calibration trials from explicit candidate lists: for each duration
+    class, targets then nontargets, every pair of a nested loop over the
+    two buckets (ids in set order; within one bucket only pairs in
+    lexicographic id order), then per_class / 2 of them drawn by
+    `rng.choice` and kept in list order. A class short of pairs raises
+    InsufficientData."""
+    def bucket(u):
+        d = emb_set.meta[u].duration_s
+        return None if d < 2.0 else "short" if d < 6.0 else "long"
+
+    def speaker(u):
+        return emb_set.meta[u].speaker
+
+    rng = np.random.default_rng(seed)
+    need = per_class // 2
+    enroll, test, labels = [], [], []
+    for cls in ("short-short", "short-long", "long-long"):
+        a_bucket, b_bucket = cls.split("-")
+        a = [u for u in emb_set.ids if bucket(u) == a_bucket]
+        b = [u for u in emb_set.ids if bucket(u) == b_bucket]
+        for target in (True, False):
+            pairs = [(x, y) for x in a for y in b
+                     if (speaker(x) == speaker(y)) == target
+                     and (a_bucket != b_bucket or x < y)]
+            if len(pairs) < need:
+                kind = "target" if target else "nontarget"
+                raise InsufficientData(
+                    cls, f"need {need} {kind} pairs, have {len(pairs)}")
+            for i in np.sort(rng.choice(len(pairs), size=need,
+                                        replace=False)):
+                enroll.append(pairs[i][0])
+                test.append(pairs[i][1])
+                labels.append(int(target))
+    return enroll, test, labels
 
 
 def fd_gradient(fn, x, h=1e-6):

@@ -7,16 +7,21 @@ import pytest
 
 from svkit import (
     EmbeddingSet,
+    TrialList,
     UttMeta,
     read_scores,
     read_trials,
     write_embeddings,
     write_metadata,
+    write_scores,
+    write_trials,
 )
 from svkit import cli
 from svkit.cli import build_parser, run
 from svkit.clustering import read_labels
+from svkit.embeddings import _RECORD_BLOCK
 from svkit.metrics import det_points
+from svkit.scoring import ScoreSet
 from svkit.trainmath import clr_triangular2
 
 
@@ -70,6 +75,30 @@ def test_det_out_matches_per_point_lines(tmp_path, capsys):
     for fa, miss in det_points(read_scores(scores, read_trials(trials))):
         ref += f"{fa:.9g},{miss:.9g}\n"
     assert det.read_bytes() == ref.encode()
+
+
+@pytest.mark.parametrize("points", [4, _RECORD_BLOCK - 1, _RECORD_BLOCK,
+                                    _RECORD_BLOCK + 1, 2 * _RECORD_BLOCK + 3])
+def test_det_out_matches_one_shot_format_at_block_edges(tmp_path, capsys,
+                                                        points):
+    # n distinct scores give n + 2 points: one threshold below them all,
+    # one per score and one above them all
+    n = points - 2
+    rng = np.random.default_rng(points)
+    labels = np.arange(n) % 2
+    trials = TrialList([f"e{i}" for i in range(n)],
+                       [f"t{i}" for i in range(n)], labels)
+    write_trials(trials, tmp_path / "t.txt")
+    write_scores(ScoreSet(trials, rng.normal(size=n) + labels),
+                 tmp_path / "s.txt")
+    det = tmp_path / "det.csv"
+    code, _ = _run(capsys, "metrics", "--trials", str(tmp_path / "t.txt"),
+                   "--scores", str(tmp_path / "s.txt"), "--det-out", str(det))
+    assert code == 0
+    got = det_points(read_scores(tmp_path / "s.txt", trials))
+    assert len(got) == points
+    assert det.read_bytes() == ("p_fa,p_miss\n" + ("%.9g,%.9g\n" * points)
+                                % tuple(x for p in got for x in p)).encode()
 
 
 def test_non_finite_score_is_data_error(tmp_path, capsys):

@@ -225,6 +225,45 @@ def test_kmeans_memory_is_one_search_block():
     assert peak <= 1.5 * (search_block + centers)
 
 
+def test_kmeans_reseed_memory_is_one_search_block():
+    # one batch of 6000 draws leaves a few of the 600 centers unhit; their
+    # reseed fits the batch a block at a time and gathers only the picked
+    # points (the whole gathered batch, its centers and their difference
+    # took 39.5 MB)
+    emb = length_normalize(synth_dataset(300, 20, 256, 9.0, seed=1))
+    k, dim = 600, emb.dim
+    model = minibatch_kmeans(emb, k, batch_size=10000, n_batches=1, seed=1)
+    assert model.counts.sum() > len(emb)  # reseeded centers count 1 each
+    peak = _traced_peak(minibatch_kmeans, emb, k, batch_size=10000,
+                        n_batches=1, seed=1)
+    assert peak <= 1.5 * (_SEARCH_BLOCK * (k + dim) * 8 + k * dim * 8)
+
+
+def test_kmeans_reseed_equals_whole_batch_fit():
+    # one batch of 2500 draws, three search blocks, leaves hundreds of the
+    # 1500 centers unhit; the reference takes the fit of the whole gathered
+    # batch at once
+    emb = length_normalize(synth_dataset(50, 50, 16, 3.0, seed=4))
+    X, n, k = emb.vectors, len(emb), 1500
+    rng = np.random.default_rng(5)
+    centers = X[rng.choice(n, size=k, replace=False)]
+    rows = rng.integers(0, n, size=n)
+    distinct, inverse = np.unique(rows, return_inverse=True)
+    assign = _nearest(X, centers, distinct)[0][inverse]
+    m = np.bincount(assign, minlength=k)
+    hit = np.flatnonzero(m)
+    centers[hit] = _group_sums(assign, X, k, rows)[hit] / m[hit, None]
+    batch = X[rows]
+    diff = batch - centers[assign]
+    order = np.argsort(-np.einsum("ij,ij->i", diff, diff), kind="stable")
+    empty = np.flatnonzero(m == 0)
+    assert len(rows) > 2 * _SEARCH_BLOCK and len(empty) > 100
+    centers[empty] = batch[order[:len(empty)]]
+    model = minibatch_kmeans(emb, k, batch_size=n, n_batches=1, seed=5)
+    assert np.array_equal(model.centers, centers)
+    assert np.array_equal(model.counts, np.maximum(m, 1))
+
+
 def test_prototype_pull_memory_is_one_output():
     # the pulled vectors are formed and normalized in place in the array
     # the new set holds; beyond it, the set's n x dim boolean finiteness

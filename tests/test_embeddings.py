@@ -16,7 +16,7 @@ from svkit import (
     write_embeddings,
     write_metadata,
 )
-from svkit.embeddings import _ROW_BLOCK
+from svkit.embeddings import _RECORD_BLOCK, _ROW_BLOCK
 from svkit.errors import (
     BadMagic,
     DuplicateId,
@@ -216,6 +216,25 @@ def test_synth_memory_is_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * (n_spk * utts + n_spk) * dim * 8
+
+
+def test_write_embeddings_memory_is_one_record_block(tmp_path):
+    # vectors are cast to f32 and ids encoded one block of records at a
+    # time; a cast of the whole set took n x dim x 4 B (12.3 MB here)
+    rng = np.random.default_rng(6)
+    n, dim = 12000, 256
+    emb = EmbeddingSet([f"utt{i:05d}" for i in range(n)],
+                       rng.standard_normal((n, dim)))
+    tracemalloc.start()
+    try:
+        write_embeddings(emb, tmp_path / "e.svb")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * _RECORD_BLOCK * dim * 4
+    back = read_embeddings(tmp_path / "e.svb")
+    assert back.ids == emb.ids
+    assert np.array_equal(back.vectors, emb.vectors.astype("<f4"))
 
 
 def test_synth_distinct_seeds_differ():

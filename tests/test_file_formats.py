@@ -7,9 +7,14 @@ iterator does not treat as line breaks, undecodable bytes, near-miss
 labels and numbers, and CSV rows that are short, long, quoted or empty.
 Each writer case pins the exact bytes written."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import svkit
 from svkit import (
     EmbeddingSet,
     TrialList,
@@ -24,6 +29,7 @@ from svkit import (
 )
 from svkit.calibration import read_qmf_cache
 from svkit.clustering import read_labels
+from svkit.embeddings import _RECORD_BLOCK
 from svkit.errors import DuplicateId, MisalignedTrials, SvkitError
 from svkit.scoring import ScoreSet
 
@@ -335,3 +341,88 @@ def test_written_scores_read_back_bit_exact_at_nine_digits(tmp_path):
     write_scores(ScoreSet(trials, values), path)
     back = read_scores(path, trials).scores
     assert np.array_equal(back, [float(f"{v:.9g}") for v in values])
+
+
+# ---------------------------------------------------------------------------
+# block writes, one string per id, UTF-8 under any locale
+
+B = _RECORD_BLOCK
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+def test_writers_match_one_shot_format_at_block_edges(tmp_path, n):
+    # labels 1, 0 and unknown mixed in every block, scores across the
+    # %.9g range
+    rng = np.random.default_rng(n)
+    enroll = [f"e{i % 97}" for i in range(n)]
+    test = [f"t{i % 89}" for i in range(n)]
+    labels = rng.integers(-1, 2, size=n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    trials = TrialList(enroll, test, labels)
+    tail = {1: " 1", 0: " 0", -1: ""}
+
+    path = tmp_path / "t.txt"
+    write_trials(trials, path)
+    assert path.read_bytes() == "".join(
+        f"{e} {t}{tail[lab]}\n"
+        for e, t, lab in zip(enroll, test, labels.tolist())).encode()
+    path = tmp_path / "s.txt"
+    write_scores(ScoreSet(trials, values), path)
+    assert path.read_bytes() == (("%s %s %.9g\n" * n) % tuple(
+        x for row in zip(enroll, test, values.tolist()) for x in row)
+    ).encode()
+
+
+def test_readers_keep_one_string_per_distinct_id(tmp_path):
+    rng = np.random.default_rng(3)
+    ids = [f"spk{i:04d}_utt000" for i in range(40)]
+    e, t = rng.integers(0, 40, (2, 500))
+    trials = TrialList([ids[i] for i in e], [ids[i] for i in t],
+                       rng.integers(0, 2, 500))
+    write_trials(trials, tmp_path / "t.txt")
+    write_scores(ScoreSet(trials, rng.standard_normal(500)),
+                 tmp_path / "s.txt")
+    for got in (read_trials(tmp_path / "t.txt"),
+                read_scores(tmp_path / "s.txt").trials):
+        assert got.enroll_ids == trials.enroll_ids
+        assert got.test_ids == trials.test_ids
+        both = got.enroll_ids + got.test_ids
+        assert len({id(u) for u in both}) == len(set(both))
+
+
+_ROUND_TRIP = r"""
+import os, sys
+from svkit import (TrialList, UttMeta, read_metadata, read_scores,
+                   read_trials, write_metadata, write_scores, write_trials)
+from svkit.calibration import read_qmf_cache, write_qmf_cache
+from svkit.clustering import read_labels, write_labels
+from svkit.scoring import ScoreSet
+
+u, v = "caf\u00e9", "\u8a71\u8005"
+path = lambda name: os.path.join(sys.argv[1], name)
+trials = TrialList([u], [v], [1])
+write_trials(trials, path("t.txt"))
+back = read_trials(path("t.txt"))
+assert (back.enroll_ids, back.test_ids) == ([u], [v])
+write_scores(ScoreSet(trials, [0.5]), path("s.txt"))
+assert read_scores(path("s.txt"), trials).scores.tolist() == [0.5]
+write_metadata({u: UttMeta(300, 3.5, v)}, path("m.csv"))
+assert read_metadata(path("m.csv")) == {u: UttMeta(300, 3.5, v)}
+write_qmf_cache({u: (1.0, 2.0)}, path("q.csv"))
+assert read_qmf_cache(path("q.csv")) == {u: (1.0, 2.0)}
+write_labels({u: 3}, path("l.txt"))
+assert read_labels(path("l.txt")) == {u: 3}
+with open(path("t.txt"), "rb") as f:
+    sys.stdout.buffer.write(f.read())
+"""
+
+
+def test_text_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # the C locale without UTF-8 coercion makes ASCII the default encoding
+    src = os.path.dirname(os.path.dirname(svkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    out = subprocess.run([sys.executable, "-c", _ROUND_TRIP, str(tmp_path)],
+                         capture_output=True, env=env)
+    assert out.returncode == 0, out.stderr.decode()
+    assert out.stdout.decode("utf-8") == "caf\u00e9 \u8a71\u8005 1\n"

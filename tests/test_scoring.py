@@ -20,6 +20,7 @@ from svkit import (
     write_scores,
     write_trials,
 )
+from svkit.embeddings import _RECORD_BLOCK
 from svkit.errors import (
     DegenerateCohort,
     MisalignedTrials,
@@ -406,6 +407,37 @@ def test_trial_and_score_files(tmp_path):
     assert line == "a x 0.123456789"
     sback = read_scores(spath, back)
     assert np.abs(sback.scores - scores.scores).max() < 1e-8
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_trials_memory_is_one_string_per_distinct_id(tmp_path):
+    # 50k lines over 100 ids: the reader's and the trial list's id lists
+    # and the label list are eight-byte pointers; two new strings per line
+    # would add about 100k x 60 B = 6 MB
+    n = 50_000
+    _, _, _, trials = _random_trials(100, n, 4, seed=12)
+    path = tmp_path / "trials.txt"
+    write_trials(trials, path)
+    assert _traced_peak(read_trials, path) <= 8 * 8 * n
+
+
+def test_write_scores_memory_does_not_grow_with_lines(tmp_path):
+    # one block of lines is formatted per write, so a 4x longer file
+    # needs no more memory; the whole file at once took about 110 B a line
+    peaks = []
+    for n in (4 * _RECORD_BLOCK, 16 * _RECORD_BLOCK):
+        _, _, _, trials = _random_trials(100, n, 4, seed=13)
+        scores = ScoreSet(trials, np.linspace(-3.0, 3.0, n))
+        peaks.append(_traced_peak(write_scores, scores, tmp_path / "s.txt"))
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 @pytest.mark.parametrize("line", ["a", "a b 1 x", "a b 2", "a b -1"])
