@@ -287,6 +287,8 @@ def fit_logreg(features, labels, l2=1e-6, max_iter=100,
         raise SvkitError("need at least one trial of each label")
     if l2 < 0:
         raise SvkitError("l2 must be >= 0")
+    if max_iter < 0:
+        raise SvkitError(f"max_iter={max_iter} must be >= 0")
 
     n, f = X.shape
     w = np.zeros(f)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import logging
 import sys
@@ -35,10 +34,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _emit(payload):
-    print(json.dumps(payload))
 
 
 def _load_set(emb_path, meta_path=None, normalize=False):
@@ -223,8 +218,8 @@ def _cmd_synth(args):
     )
     embeddings.write_embeddings(emb, args.out)
     embeddings.write_metadata(emb.meta, args.meta_out)
-    _emit({"command": "synth", "utterances": len(emb),
-           "speakers": args.speakers, "out": args.out})
+    return {"utterances": len(emb),
+            "speakers": args.speakers, "out": args.out}
 
 
 def _cmd_score(args):
@@ -233,7 +228,7 @@ def _cmd_score(args):
     test = _load_set(args.test, normalize=True) if args.test else enroll
     out = scoring.cosine_score(trials, enroll, test)
     scoring.write_scores(out, args.out)
-    _emit({"command": "score", "trials": len(out), "out": args.out})
+    return {"trials": len(out), "out": args.out}
 
 
 def _cmd_snorm(args):
@@ -245,8 +240,7 @@ def _cmd_snorm(args):
         _load_set(args.cohort_emb, args.cohort_meta, normalize=True))
     out = scoring.snorm(raw, enroll, test, cohort, args.top_n)
     scoring.write_scores(out, args.out)
-    _emit({"command": "snorm", "trials": len(out),
-           "cohort_size": len(cohort), "out": args.out})
+    return {"trials": len(out), "cohort_size": len(cohort), "out": args.out}
 
 
 def _cmd_gen_trials(args):
@@ -254,8 +248,8 @@ def _cmd_gen_trials(args):
     trials = calibration.gen_calibration_trials(emb, args.per_class,
                                                 args.seed)
     scoring.write_trials(trials, args.out)
-    _emit({"command": "gen-trials", "trials": len(trials),
-           "targets": int((trials.labels == 1).sum()), "out": args.out})
+    return {"trials": len(trials),
+            "targets": int((trials.labels == 1).sum()), "out": args.out}
 
 
 def _cmd_qmf(args):
@@ -266,7 +260,7 @@ def _cmd_qmf(args):
                                    top_n=args.qmf_top_n)
     cache = calibration.utterance_qmfs(emb, cohort, config)
     calibration.write_qmf_cache(cache, args.out)
-    _emit({"command": "qmf", "utterances": len(cache), "out": args.out})
+    return {"utterances": len(cache), "out": args.out}
 
 
 def _trial_qmf_vectors(trials, qmf_path):
@@ -288,8 +282,8 @@ def _cmd_fit_cal(args):
     model = calibration.fit_logreg(X, trials.labels, args.l2, args.max_iter,
                                    feature_names=names)
     calibration.write_model(model, args.out)
-    _emit({"command": "fit-cal", "features": model.arity,
-           "converged": model.converged, "out": args.out})
+    return {"features": model.arity,
+            "converged": model.converged, "out": args.out}
 
 
 def _cmd_apply_cal(args):
@@ -299,7 +293,7 @@ def _cmd_apply_cal(args):
     model = calibration.read_model(args.model)
     out = calibration.apply_calibration(model, scores, qmfs)
     scoring.write_scores(out, args.out)
-    _emit({"command": "apply-cal", "trials": len(out), "out": args.out})
+    return {"trials": len(out), "out": args.out}
 
 
 def _cmd_fuse(args):
@@ -307,7 +301,7 @@ def _cmd_fuse(args):
     sets = [scoring.read_scores(p, trials) for p in args.scores]
     out = scoring.mean_fuse(sets)
     scoring.write_scores(out, args.out)
-    _emit({"command": "fuse", "systems": len(sets), "out": args.out})
+    return {"systems": len(sets), "out": args.out}
 
 
 def _cmd_metrics(args):
@@ -316,24 +310,23 @@ def _cmd_metrics(args):
     params = metrics.DcfParams(p_target=args.p_target)
     e = metrics.eer(scores)
     m = metrics.min_dcf(scores, params)
-    payload = {"command": "metrics", "eer_pct": e * 100.0,
-               "min_dcf": m, "p_target": args.p_target}
+    payload = {"eer_pct": e * 100.0, "min_dcf": m, "p_target": args.p_target}
     line = f"EER(%) {e * 100.0:.4f} MinDCF_{args.p_target:g} {m:.4f}"
     if args.actual:
         a = metrics.actual_dcf(scores, params)
         payload["act_dcf"] = a
         line += f" ActDCF_{args.p_target:g} {a:.4f}"
     if args.det_out:
-        points = metrics.det_points(scores)
+        p_fa, p_miss = metrics.det_points(scores)
 
         def block(lo, hi):
-            return (("%.9g,%.9g\n" * (hi - lo))
-                    % tuple(itertools.chain.from_iterable(points[lo:hi])))
+            return (("%.9g,%.9g\n" * (hi - lo)) % tuple(scoring._flat(
+                p_fa[lo:hi].tolist(), p_miss[lo:hi].tolist())))
 
-        embeddings._write_blocks(args.det_out, len(points), block,
+        embeddings._write_blocks(args.det_out, len(p_fa), block,
                                  header="p_fa,p_miss\n")
     log.info(line)
-    _emit(payload)
+    return payload
 
 
 def _cmd_kmeans(args):
@@ -341,8 +334,7 @@ def _cmd_kmeans(args):
     model = clustering.minibatch_kmeans(emb, args.k, args.batch_size,
                                         args.n_batches, args.seed)
     clustering.write_kmeans(model, args.out)
-    _emit({"command": "kmeans", "k": model.k, "inertia": model.inertia,
-           "out": args.out})
+    return {"k": model.k, "inertia": model.inertia, "out": args.out}
 
 
 def _cmd_ahc(args):
@@ -350,8 +342,7 @@ def _cmd_ahc(args):
     _, labels = clustering.ahc_ward(model.centers, args.clusters)
     clustering.write_labels(
         {f"center_{i}": int(c) for i, c in enumerate(labels)}, args.out)
-    _emit({"command": "ahc", "centers": model.k,
-           "clusters": args.clusters, "out": args.out})
+    return {"centers": model.k, "clusters": args.clusters, "out": args.out}
 
 
 def _read_center_labels(path, k):
@@ -372,8 +363,8 @@ def _cmd_assign(args):
     labels = _read_center_labels(args.center_labels, model.k)
     labeling = clustering.assign_pseudo_labels(emb, model, labels)
     clustering.write_labels(labeling.assignment, args.out)
-    _emit({"command": "assign", "utterances": len(labeling.assignment),
-           "clusters": labeling.num_clusters, "out": args.out})
+    return {"utterances": len(labeling.assignment),
+            "clusters": labeling.num_clusters, "out": args.out}
 
 
 def _cmd_sweep(args):
@@ -386,9 +377,9 @@ def _cmd_sweep(args):
         f.write("K,EER\n")
         for k_val, e in rows:
             f.write(f"{k_val},{e:.9g}\n")
-    _emit({"command": "sweep", "best_k": best,
-           "table": [{"K": k_val, "eer": e} for k_val, e in rows],
-           "out": args.out})
+    return {"best_k": best,
+            "table": [{"K": k_val, "eer": e} for k_val, e in rows],
+            "out": args.out}
 
 
 def _cmd_iterate(args):
@@ -403,26 +394,23 @@ def _cmd_iterate(args):
         eval_trials=trials, max_iters=args.max_iters, seed=args.seed,
     )
     clustering.write_labels(records[-1].labeling.assignment, args.out)
-    _emit({
-        "command": "iterate",
-        "iterations": len(records),
-        "eer": [r.eer for r in records],
-        "agreement": [r.agreement_with_prev for r in records],
-        "out": args.out,
-    })
+    return {"iterations": len(records),
+            "eer": [r.eer for r in records],
+            "agreement": [r.agreement_with_prev for r in records],
+            "out": args.out}
 
 
 def _cmd_loss_check(args):
     results = gradcheck.run_suite(args.instances, args.seed)
     for name, err in results.items():
         log.info("%s max relative gradient error: %.3e", name, err)
-    _emit({"command": "loss-check", **results})
+    return results
 
 
 def _cmd_clr(args):
     lr = trainmath.clr_triangular2(args.t, args.cycle_len, args.lr_min,
                                    args.lr_max)
-    _emit({"command": "clr", "t": args.t, "lr": lr})
+    return {"t": args.t, "lr": lr}
 
 
 def run(argv=None) -> int:
@@ -436,7 +424,9 @@ def run(argv=None) -> int:
     except SystemExit as e:  # --help and friends
         return 0 if e.code in (0, None) else 1
     try:
-        args.handler(args)
+        payload = args.handler(args)
+        print(json.dumps({"command": args.command, **payload},
+                         allow_nan=False))
         return 0
     except (SvkitError, OSError, ValueError) as e:
         log.error("%s", e)

@@ -329,6 +329,8 @@ def identity_refresher(emb_set, labeling):
 def make_prototype_pull_refresher(pull=0.2):
     """Refresher that moves each embedding `pull` of the way toward its
     cluster prototype and re-normalizes (stand-in for network retraining)."""
+    if not 0.0 <= pull <= 1.0:
+        raise SvkitError(f"pull={pull} must be in [0, 1]")
 
     def refresh(emb_set, labeling):
         rows = _rows(labeling.assignment, emb_set.ids)

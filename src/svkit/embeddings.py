@@ -352,11 +352,11 @@ def synth_dataset(
         raise SvkitError("num_speakers must be >= 1")
     if utts_per_speaker < 1:
         raise SvkitError("utts_per_speaker must be >= 1")
-    if concentration < 0:
+    if not concentration >= 0:
         raise SvkitError("concentration must be >= 0")
     lo, hi = duration_range_s
-    if lo > hi:
-        raise SvkitError("duration range lo must be <= hi")
+    if not -math.inf < lo <= hi < math.inf:
+        raise SvkitError("duration range must be finite, lo <= hi")
 
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((num_speakers, dim))

@@ -40,11 +40,12 @@ def _split_scores(score_set):
     return tar, non
 
 
-def _operating_points(tar, non):
+def _operating_points(score_set):
     """P_miss, P_fa at thresholds: one below min(score), then every distinct
     score, then one above max(score). Miss = target < thr, FA = non >= thr."""
-    tar = np.sort(tar)
-    non = np.sort(non)
+    tar, non = _split_scores(score_set)
+    tar.sort()
+    non.sort()
     distinct = np.unique(np.concatenate([tar, non]))
     thresholds = np.concatenate(
         [[distinct[0] - 1.0], distinct, [distinct[-1] + 1.0]]
@@ -56,8 +57,7 @@ def _operating_points(tar, non):
 
 def eer(score_set) -> float:
     """Equal error rate in [0, 1]."""
-    tar, non = _split_scores(score_set)
-    p_miss, p_fa = _operating_points(tar, non)
+    p_miss, p_fa = _operating_points(score_set)
     diff = p_miss - p_fa
     # diff runs from -1 (accept all) to +1 (reject all)
     i = int(np.argmax(diff >= 0.0))
@@ -76,8 +76,7 @@ def _norm_factor(params):
 
 def min_dcf(score_set, params: DcfParams) -> float:
     """Minimum normalized detection cost over all thresholds."""
-    tar, non = _split_scores(score_set)
-    p_miss, p_fa = _operating_points(tar, non)
+    p_miss, p_fa = _operating_points(score_set)
     cost = (params.c_miss * params.p_target * p_miss
             + params.c_fa * (1.0 - params.p_target) * p_fa)
     return float(cost.min() / _norm_factor(params))
@@ -103,10 +102,9 @@ def actual_dcf(score_set, params: DcfParams) -> float:
 
 
 def det_points(score_set):
-    """(P_fa, P_miss) pairs for a DET curve CSV."""
-    tar, non = _split_scores(score_set)
-    p_miss, p_fa = _operating_points(tar, non)
-    return list(zip(p_fa.tolist(), p_miss.tolist()))
+    """(P_fa, P_miss) of a DET curve, as two float64 arrays."""
+    p_miss, p_fa = _operating_points(score_set)
+    return p_fa, p_miss
 
 
 def adjusted_rand_index(labels_a: dict, labels_b: dict) -> float:

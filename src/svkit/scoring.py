@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,59 +387,36 @@ def write_scores(score_set: ScoreSet, path):
     _write_blocks(path, len(s), block)
 
 
-def read_scores(path, trials: TrialList | None = None) -> ScoreSet:
-    """Read a score file; if `trials` is given, scores must align with it
-    (labels are taken from the trial list). The first malformed line, or
-    else the first score that is not finite, raises SvkitError naming
-    `path:lineno`."""
-    enroll, test, texts, blank = [], [], [], []
-    one = {}.setdefault  # one string per distinct id, as in `read_trials`
-    bad_line = None
+def read_scores(path, trials: TrialList) -> ScoreSet:
+    """Read a score file that must align with `trials` (labels are taken
+    from the trial list), in one pass that checks each line's ids against
+    its trial and keeps only the scores. The first malformed line raises
+    SvkitError naming `path:lineno`; else a file whose lines do not match
+    the trial list raises MisalignedTrials; else the first score that is
+    not finite raises SvkitError naming its line."""
+    enroll, test = trials.enroll_ids, trials.test_ids
+    n = len(enroll)
+    vals = array("d")
+    append, isfinite = vals.append, math.isfinite
+    aligned, not_finite = True, None
     with _reading(path) as f:
         for lineno, parts in enumerate(map(str.split, f), 1):
-            if len(parts) == 3:
+            if not parts:
+                continue
+            try:
                 e, t, text = parts
-                enroll.append(one(e, e))
-                test.append(one(t, t))
-                texts.append(text)
-            elif parts:
-                bad_line = lineno
-                break
-            else:
-                blank.append(lineno)
-    try:
-        vals = np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:  # a score before `bad_line`, if any, is not a number
-        bad_line = _line_of(blank, next(
-            i for i, text in enumerate(texts) if not _is_float(text)))
-    if bad_line is not None:
-        raise SvkitError(f"{path}:{bad_line}: malformed score line")
-    if trials is None:
-        trials = TrialList(enroll, test)
-    elif enroll != trials.enroll_ids or test != trials.test_ids:
+                v = float(text)
+            except ValueError:
+                raise SvkitError(
+                    f"{path}:{lineno}: malformed score line") from None
+            if aligned:
+                i = len(vals)
+                aligned = i < n and e == enroll[i] and t == test[i]
+            if not_finite is None and not isfinite(v):
+                not_finite = f"{path}:{lineno}: score '{text}' is not finite"
+            append(v)
+    if not aligned or len(vals) != n:
         raise MisalignedTrials(f"{path} does not match the trial list")
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        row = int(bad[0])
-        raise SvkitError(f"{path}:{_line_of(blank, row)}: score "
-                         f"'{texts[row]}' is not finite")
+    if not_finite is not None:
+        raise SvkitError(not_finite)
     return ScoreSet(trials, vals)
-
-
-def _is_float(text):
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _line_of(blank_lines, row):
-    """Line number of the `row`-th (from 0) non-blank line of a file whose
-    blank lines are `blank_lines` (ascending)."""
-    line = row + 1
-    for blank in blank_lines:
-        if blank > line:
-            break
-        line += 1
-    return line

@@ -242,8 +242,8 @@ def clr_triangular2(t, cycle_len, lr_min=1e-8, lr_max=1e-3):
         raise SvkitError("iteration index must be >= 0")
     if cycle_len < 2:
         raise SvkitError("cycle_len must be >= 2")
-    if lr_min > lr_max:
-        raise SvkitError("lr_min must be <= lr_max")
+    if not 0.0 <= lr_min <= lr_max < math.inf:
+        raise SvkitError("rates must be finite, 0 <= lr_min <= lr_max")
     cycle = t // cycle_len
     pos = t - cycle * cycle_len
     peak = lr_min + (lr_max - lr_min) / (2.0 ** cycle)

@@ -72,7 +72,8 @@ def test_det_out_matches_per_point_lines(tmp_path, capsys):
                    "--scores", str(scores), "--det-out", str(det))
     assert code == 0
     ref = "p_fa,p_miss\n"
-    for fa, miss in det_points(read_scores(scores, read_trials(trials))):
+    p_fa, p_miss = det_points(read_scores(scores, read_trials(trials)))
+    for fa, miss in zip(p_fa.tolist(), p_miss.tolist()):
         ref += f"{fa:.9g},{miss:.9g}\n"
     assert det.read_bytes() == ref.encode()
 
@@ -95,8 +96,9 @@ def test_det_out_matches_one_shot_format_at_block_edges(tmp_path, capsys,
     code, _ = _run(capsys, "metrics", "--trials", str(tmp_path / "t.txt"),
                    "--scores", str(tmp_path / "s.txt"), "--det-out", str(det))
     assert code == 0
-    got = det_points(read_scores(tmp_path / "s.txt", trials))
-    assert len(got) == points
+    p_fa, p_miss = det_points(read_scores(tmp_path / "s.txt", trials))
+    assert len(p_fa) == len(p_miss) == points
+    got = zip(p_fa.tolist(), p_miss.tolist())
     assert det.read_bytes() == ("p_fa,p_miss\n" + ("%.9g,%.9g\n" * points)
                                 % tuple(x for p in got for x in p)).encode()
 
@@ -557,3 +559,40 @@ def test_zero_mean_cohort_speaker_is_data_error(tmp_path, capsys, caplog,
     assert payload is None
     assert "cohort speaker 's2' has a zero mean embedding" in caplog.text
     assert not (tmp_path / "out.txt").exists()
+
+
+def test_clr_with_a_nan_rate_is_data_error(capsys):
+    # its rate would be NaN, which no JSON result line can hold
+    assert run(["clr", "--t", "5", "--lr-max", "nan"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+_SYNTH = ["synth", "--speakers", "4", "--utts-per-speaker", "2",
+          "--meta-out", "meta.csv"]
+_PULL = ["iterate", "--k-centers", "20", "--clusters", "10",
+         "--batch-size", "20", "--refresher", "prototype-pull"]
+
+
+@pytest.mark.parametrize("argv", [
+    _SYNTH + ["--dur-hi", "inf"],
+    _SYNTH + ["--dur-lo", "nan"],
+    _SYNTH + ["--concentration", "nan"],
+    _PULL + ["--pull-factor", "5"],
+    _PULL + ["--pull-factor", "-1"],
+    ["fit-cal", "--max-iter", "-1"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_values_outside_an_options_domain_are_data_errors(
+        tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "iterate":
+        emb, _ = _synth(tmp_path, capsys)
+        argv = argv + ["--emb", str(emb)]
+    elif argv[0] == "fit-cal":
+        (tmp_path / "t.txt").write_text("a x 1\nb y 0\n")
+        (tmp_path / "s.txt").write_text("a x 0.9\nb y 0.1\n")
+        argv = argv + ["--trials", "t.txt", "--scores", "s.txt"]
+    assert run(argv + ["--out", "out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()

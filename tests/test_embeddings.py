@@ -324,10 +324,11 @@ def test_binary_set_errors_name_the_file(tmp_path, offset, patch, cls, msg):
 def _text_readers():
     from svkit.calibration import read_model, read_qmf_cache
     from svkit.clustering import read_labels
-    from svkit.scoring import read_scores, read_trials
+    from svkit.scoring import TrialList, read_scores, read_trials
     return {
         "trials": (read_trials, b"a b 1\n"),
-        "scores": (read_scores, b"a b 0.5\n"),
+        "scores": (lambda p: read_scores(p, TrialList(["a"], ["b"])),
+                   b"a b 0.5\n"),
         "labels": (read_labels, b"a 1\n"),
         "metadata": (read_metadata,
                      b"utt_id,speech_frames,duration_s\na,300,3.5\n"),

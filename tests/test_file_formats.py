@@ -136,10 +136,22 @@ SCORE_CASES = {
 }
 
 
+def _well_formed_trials(raw):
+    """The trial list of the three-field lines of a score file (universal
+    newlines, fields split by `str.split`), so that each case reads
+    aligned up to its first malformed line."""
+    text = raw.decode("utf-8", "replace")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    parts = [p for p in map(str.split, lines) if len(p) == 3]
+    return TrialList([p[0] for p in parts], [p[1] for p in parts])
+
+
 @pytest.mark.parametrize("case", list(SCORE_CASES))
 def test_read_scores_parity(tmp_path, case):
     raw, expected = SCORE_CASES[case]
-    _check(read_scores, tmp_path, raw, expected, _score_result)
+    trials = _well_formed_trials(raw)
+    _check(lambda p: read_scores(p, trials), tmp_path, raw, expected,
+           _score_result)
 
 
 @pytest.mark.parametrize("raw, expected", [
@@ -152,6 +164,15 @@ def test_read_scores_parity(tmp_path, case):
     (b"a b 0.5\n", _bad("{path} does not match the trial list",
                         MisalignedTrials)),
     (b"a b 0.5\nc e x\n", _bad("{path}:2: malformed score line")),
+    (b"a e 0.5\nc d\n", _bad("{path}:2: malformed score line")),
+    (b"a b 0.5\nc d nan\ne f\n", _bad("{path}:3: malformed score line")),
+    (b"a b nan\n", _bad("{path} does not match the trial list",
+                        MisalignedTrials)),
+    (b"a b 0.5\nc d 1\ne f inf\n", _bad(
+        "{path} does not match the trial list", MisalignedTrials)),
+    (b"a b inf\nc e 1\n", _bad("{path} does not match the trial list",
+                               MisalignedTrials)),
+    (b"a b 0.5\nc d -inf\n", _bad("{path}:2: score '-inf' is not finite")),
 ])
 def test_read_scores_against_a_trial_list_parity(tmp_path, raw, expected):
     trials = TrialList(["a", "c"], ["b", "d"], [1, 0])
@@ -382,12 +403,13 @@ def test_readers_keep_one_string_per_distinct_id(tmp_path):
     write_trials(trials, tmp_path / "t.txt")
     write_scores(ScoreSet(trials, rng.standard_normal(500)),
                  tmp_path / "s.txt")
-    for got in (read_trials(tmp_path / "t.txt"),
-                read_scores(tmp_path / "s.txt").trials):
-        assert got.enroll_ids == trials.enroll_ids
-        assert got.test_ids == trials.test_ids
-        both = got.enroll_ids + got.test_ids
-        assert len({id(u) for u in both}) == len(set(both))
+    got = read_trials(tmp_path / "t.txt")
+    assert got.enroll_ids == trials.enroll_ids
+    assert got.test_ids == trials.test_ids
+    both = got.enroll_ids + got.test_ids
+    assert len({id(u) for u in both}) == len(set(both))
+    # a score file keeps no ids of its own: it is read against the list
+    assert read_scores(tmp_path / "s.txt", trials).trials is trials
 
 
 _ROUND_TRIP = r"""

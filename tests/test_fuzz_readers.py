@@ -45,7 +45,8 @@ def _writers():
             read_kmeans),
         "trials": (lambda p: write_trials(_TRIALS, p), read_trials),
         "scores": (lambda p: write_scores(
-            ScoreSet(_TRIALS, [0.5, -1.25, 3e-3]), p), read_scores),
+            ScoreSet(_TRIALS, [0.5, -1.25, 3e-3]), p),
+            lambda p: read_scores(p, _TRIALS)),
         "labels": (lambda p: write_labels({"a": 0, "bb": 12}, p),
                    read_labels),
         "metadata": (lambda p: write_metadata(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,11 +113,26 @@ def test_bayes_threshold_value():
 def test_det_points_monotone():
     rng = np.random.default_rng(4)
     s = _scoreset(rng.normal(1, 1, 30), rng.normal(-1, 1, 30))
-    pts = det_points(s)
-    fas = [p[0] for p in pts]
-    misses = [p[1] for p in pts]
-    assert fas == sorted(fas, reverse=True)
-    assert misses == sorted(misses)
+    fas, misses = det_points(s)
+    assert fas.dtype == misses.dtype == np.float64
+    assert fas.shape == misses.shape == (62,)
+    assert fas.tolist() == sorted(fas.tolist(), reverse=True)
+    assert misses.tolist() == sorted(misses.tolist())
+
+
+def test_det_points_memory_is_a_few_arrays():
+    # 50k trials with distinct scores: the curve is two float64 arrays of
+    # n + 2 points and their temporaries, not one Python tuple per point
+    n = 50_000
+    rng = np.random.default_rng(5)
+    s = _scoreset(rng.normal(1, 1, n // 2), rng.normal(-1, 1, n // 2))
+    tracemalloc.start()
+    try:
+        det_points(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * n
 
 
 def test_ari_identical_and_permuted():

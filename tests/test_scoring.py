@@ -359,7 +359,7 @@ def test_read_scores_rejects_non_finite(tmp_path, text):
     path = tmp_path / "scores.txt"
     path.write_text(f"a x 0.9\nb y {text}\n")
     with pytest.raises(SvkitError, match=re.escape(f"{path}:2:")):
-        read_scores(path)
+        read_scores(path, TrialList(["a", "b"], ["x", "y"]))
 
 
 @pytest.mark.parametrize("text", ["nan", "1e400", "-Infinity"])
@@ -368,8 +368,6 @@ def test_read_scores_names_the_first_non_finite_line(tmp_path, text):
     path.write_text(f"\na x 0.9\n\n  \nb y 1e300\nc z {text}\nd w nan\n")
     trials = TrialList(["a", "b", "c", "d"], ["x", "y", "z", "w"])
     msg = re.escape(f"{path}:6: score '{text}' is not finite")
-    with pytest.raises(SvkitError, match=msg):
-        read_scores(path)
     with pytest.raises(SvkitError, match=msg):
         read_scores(path, trials)
 
@@ -429,6 +427,16 @@ def test_read_trials_memory_is_one_string_per_distinct_id(tmp_path):
     assert _traced_peak(read_trials, path) <= 8 * 8 * n
 
 
+def test_read_scores_memory_is_the_scores(tmp_path):
+    # 50k lines over 100 ids: read against its trial list, a score file
+    # keeps one float per line, not its ids or its score texts
+    n = 50_000
+    _, _, _, trials = _random_trials(100, n, 4, seed=14)
+    path = tmp_path / "scores.txt"
+    write_scores(ScoreSet(trials, np.linspace(-3.0, 3.0, n)), path)
+    assert _traced_peak(read_scores, path, trials) <= 16 * n
+
+
 def test_write_scores_memory_does_not_grow_with_lines(tmp_path):
     # one block of lines is formatted per write, so a 4x longer file
     # needs no more memory; the whole file at once took about 110 B a line
@@ -455,7 +463,7 @@ def test_read_scores_malformed_line_names_path_and_line(tmp_path, line):
     path.write_text(f"a b 0.5\n\n{line}\n")
     msg = re.escape(f"{path}:3: malformed score line")
     with pytest.raises(SvkitError, match=msg):
-        read_scores(path)
+        read_scores(path, TrialList(["a", "a"], ["b", "b"]))
 
 
 def test_read_trials_mixed_labeled_and_unlabeled_lines(tmp_path):
