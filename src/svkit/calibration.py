@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .embeddings import (
+    _PAIR_BLOCK,
     EmbeddingSet,
     UttMeta,
     _csv_rows,
@@ -63,12 +64,6 @@ def duration_class(dur_a: float, dur_b: float) -> str | None:
     if a == b:
         return f"{a}-{a}"
     return "short-long"
-
-
-# candidate pairs (rows x columns) per mask block of
-# `gen_calibration_trials`: its masks take O(_PAIR_BLOCK) memory, not
-# O(n^2), and a block of up to 2^18 bools stays in cache
-_PAIR_BLOCK = 1 << 18
 
 
 def gen_calibration_trials(
@@ -285,8 +280,8 @@ def fit_logreg(features, labels, l2=1e-6, max_iter=100,
         raise SvkitError("labels length mismatch")
     if not (np.any(y == 1) and np.any(y == 0)):
         raise SvkitError("need at least one trial of each label")
-    if l2 < 0:
-        raise SvkitError("l2 must be >= 0")
+    if not 0 <= l2 < math.inf:
+        raise SvkitError(f"l2={l2} must be finite and >= 0")
     if max_iter < 0:
         raise SvkitError(f"max_iter={max_iter} must be >= 0")
 

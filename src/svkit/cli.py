@@ -61,6 +61,15 @@ def _top_n(text):
     return n
 
 
+def _k_values(text):
+    """`--k-values` value: comma-separated integers >= 1."""
+    values = [int(v) for v in text.split(",") if v]
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: must be comma-separated integers >= 1")
+    return values
+
+
 def _add_qmf_args(p):
     p.add_argument("--qmf-metric", default="inner_product",
                    choices=["inner_product", "cosine"])
@@ -174,7 +183,7 @@ def build_parser():
     p.add_argument("--emb", required=True)
     p.add_argument("--kmeans", required=True)
     p.add_argument("--trials", required=True)
-    p.add_argument("--k-values", required=True,
+    p.add_argument("--k-values", type=_k_values, required=True,
                    help="comma-separated cluster counts")
     p.add_argument("--out", required=True, help="CSV `K,EER`")
 
@@ -371,8 +380,8 @@ def _cmd_sweep(args):
     emb = _load_set(args.emb, normalize=True)
     model = clustering.read_kmeans(args.kmeans)
     trials = scoring.read_trials(args.trials)
-    k_values = [int(v) for v in args.k_values.split(",") if v]
-    rows, best = clustering.sweep_cluster_count(emb, model, k_values, trials)
+    rows, best = clustering.sweep_cluster_count(emb, model, args.k_values,
+                                                trials)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("K,EER\n")
         for k_val, e in rows:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import metrics as _metrics
 from .embeddings import (
+    _PAIR_BLOCK,
     _ROW_BLOCK,
     EmbeddingSet,
     _keyed_rows,
@@ -23,7 +24,6 @@ from .embeddings import (
     _read_header,
     _reading,
     _write_header,
-    length_normalize,
 )
 from .errors import (
     DimMismatch,
@@ -177,9 +177,44 @@ def _kmeans(emb_set, k, batch_size, n_batches, seed):
     return KMeansModel(centers, counts, float(d2.sum())), nearest
 
 
+# squared distances below this are recomputed from the difference vector:
+# 2 - 2 u.v carries an absolute error of about 1e-15, so it would give
+# exact duplicates a distance of about 1e-8 instead of 0, while at
+# d^2 >= 1e-6 the error in d stays below about 5e-13
+_CLOSE_SQ = 1e-6
+
+
+def _unit_distances(unit):
+    """The condensed Euclidean distances of the unit-length rows, in
+    scipy's pdist order: d^2 = 2 - 2 u.v from one gemm per block of rows
+    of at most `_PAIR_BLOCK` distances, pairs closer than `_CLOSE_SQ`
+    recomputed from their difference vectors."""
+    k = len(unit)
+    y = np.empty(k * (k - 1) // 2)
+    step = max(1, _PAIR_BLOCK // k)
+    pos = 0
+    for lo in range(0, k - 1, step):
+        hi = min(lo + step, k - 1)
+        # rows lo .. hi-1 against columns lo .. k-1: a row's pairs are the
+        # columns right of the block's diagonal
+        d2 = np.matmul(unit[lo:hi], unit[lo:].T)
+        d2 *= -2.0
+        d2 += 2.0
+        r, c = np.nonzero(np.triu(d2 < _CLOSE_SQ, 1))
+        diff = unit[lo + r] - unit[lo + c]
+        d2[r, c] = np.einsum("ij,ij->i", diff, diff)
+        for row in range(hi - lo):
+            n = k - lo - row - 1
+            y[pos:pos + n] = d2[row, row + 1:]
+            pos += n
+    np.maximum(y, 0.0, out=y)
+    return np.sqrt(y, out=y)
+
+
 def _ward_linkage(centers):
     """scipy's Ward linkage of the length-normalized centers; (0, 4) for a
-    single center."""
+    single center. The distances come from `_unit_distances`; scipy only
+    runs the merges."""
     norms = np.linalg.norm(centers, axis=1)
     if np.any(norms == 0):
         raise SvkitError("zero-norm center cannot be normalized")
@@ -187,7 +222,7 @@ def _ward_linkage(centers):
         return np.empty((0, 4))
     # imported here: only clustering pays for scipy.cluster's import
     from scipy.cluster.hierarchy import linkage
-    return linkage(centers / norms[:, None], method="ward")
+    return linkage(_unit_distances(centers / norms[:, None]), method="ward")
 
 
 def _cut(Z, num_clusters):
@@ -225,7 +260,7 @@ def _members(emb_set: EmbeddingSet, kmeans: KMeansModel):
             f"{kmeans.centers.shape[1]}-dim"
         )
     nearest = _nearest(emb_set.vectors, kmeans.centers)[0]
-    return nearest, length_normalize(emb_set).vectors
+    return nearest, _normalize_rows(emb_set.vectors, emb_set.ids)
 
 
 def _labeling(ids, nearest, unit, center_labels) -> PseudoLabeling:
@@ -368,7 +403,8 @@ def iterate(emb_set: EmbeddingSet, refresher, k_centers, num_clusters,
         km, nearest = _kmeans(current, k_centers, batch_size, None, it_seed)
         _, center_labels = ahc_ward(km.centers, num_clusters)
         labeling = _labeling(current.ids, nearest,
-                             length_normalize(current).vectors, center_labels)
+                             _normalize_rows(current.vectors, current.ids),
+                             center_labels)
 
         rec = IterationRecord(it, labeling)
         if prev_assignment is not None:

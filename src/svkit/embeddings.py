@@ -50,6 +50,11 @@ _RECORD_BLOCK = 1024
 # dot products in scoring. A block's temporaries stay in cache, and peak
 # memory is O(_ROW_BLOCK x cohort) whatever the number of utterances.
 _ROW_BLOCK = 256
+# pairs per block of the loops over all pairs of a set: the candidate
+# masks of calibration-trial generation and the Ward linkage's distance
+# blocks. A block of up to 2^18 values stays in cache (2 MB of float64),
+# and memory is O(_PAIR_BLOCK) beyond the loop's own result.
+_PAIR_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)

@@ -453,6 +453,14 @@ def test_fit_logreg_validation():
         fit_logreg(np.array([[1.0], [2.0]]), np.array([1, 1]))
 
 
+@pytest.mark.parametrize("l2", [-1e-6, float("nan"), float("inf")])
+def test_fit_logreg_rejects_non_finite_or_negative_l2(l2):
+    # a NaN or infinite l2 used to reach the Newton loop, warn from numpy
+    # and fail only on the non-finite weights, naming neither l2 nor value
+    with pytest.raises(SvkitError, match=rf"l2={l2} must be finite"):
+        fit_logreg(np.array([[1.0], [2.0]]), np.array([0, 1]), l2=l2)
+
+
 def test_apply_calibration_trivial():
     trials = TrialList(["a"], ["b"])
     s = ScoreSet(trials, [0.75])

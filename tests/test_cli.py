@@ -483,6 +483,31 @@ def test_bad_top_n_is_usage_error_before_any_file_is_read(
         assert f"argument {flag}: invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["a", ",", "0", "5,-1"])
+def test_bad_k_values_is_usage_error_before_any_file_is_read(capsys, value):
+    # every input is missing, so reading one first would exit 2
+    argv = ["sweep", f"--k-values={value}", "--emb", "/nonexistent",
+            "--kmeans", "/nonexistent", "--trials", "/nonexistent",
+            "--out", "/nonexistent/out"]
+    assert run(argv) == 1
+    assert "argument --k-values: invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("l2", ["nan", "inf", "-1"])
+def test_bad_l2_is_data_error_naming_it(tmp_path, capsys, caplog, l2):
+    # RuntimeWarnings fail the suite (pyproject), so this also checks that
+    # the Newton loop never runs on the bad value
+    trials, scores = tmp_path / "t.txt", tmp_path / "s.txt"
+    trials.write_text("a x 1\nb y 0\nc z 1\nd w 0\n")
+    scores.write_text("a x 0.9\nb y 0.1\nc z 0.4\nd w 0.6\n")
+    code, payload = _run(capsys, "fit-cal", "--trials", str(trials),
+                         "--scores", str(scores), f"--l2={l2}",
+                         "--out", str(tmp_path / "m.json"))
+    assert code == 2
+    assert payload is None
+    assert f"l2={float(l2)} must be finite and >= 0" in caplog.text
+
+
 def test_every_subcommand_has_a_handler():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))

@@ -26,11 +26,13 @@ from svkit import (
     synth_dataset,
     write_kmeans,
 )
+from svkit import clustering
 from svkit.clustering import (
     _SEARCH_BLOCK,
     KMeansModel,
     PseudoLabeling,
     _nearest,
+    _ward_linkage,
     greedy_label_match,
     identity_refresher,
     iterate,
@@ -375,6 +377,88 @@ def test_ahc_validation():
         ahc_ward(np.empty((0, 3)), 1)
     with pytest.raises(SvkitError):
         ahc_ward(np.eye(3), 4)
+
+
+def _unit(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _assert_same_linkage(got, want, atol=1e-12):
+    """Same merges, node ids and sizes; heights within atol; the same
+    maxclust labels at every tested cut."""
+    from scipy.cluster.hierarchy import fcluster
+    assert got.shape == want.shape
+    assert np.array_equal(got[:, [0, 1, 3]], want[:, [0, 1, 3]])
+    assert np.abs(got[:, 2] - want[:, 2]).max() <= atol
+    k = len(want) + 1
+    for t in sorted({1, 2, max(1, k // 10), max(1, k // 2), k}):
+        assert np.array_equal(fcluster(got, t, "maxclust"),
+                              fcluster(want, t, "maxclust")), t
+
+
+@pytest.mark.parametrize("k", [2, 3, 600, 2000])
+def test_ward_linkage_matches_scipy_on_observations(k):
+    from scipy.cluster.hierarchy import linkage
+    centers = np.random.default_rng(k).standard_normal((k, 256))
+    _assert_same_linkage(_ward_linkage(centers),
+                         linkage(_unit(centers), "ward"))
+
+
+def _duplicate_corpus(gap):
+    """700 centers: 350 random directions and a copy of each, exact
+    (gap 0) or `gap` away, shuffled; returns the centers and the row of
+    each copy's partner."""
+    rng = np.random.default_rng(12)
+    base = _unit(rng.standard_normal((350, 256)))
+    step = gap / 16.0 * rng.choice([-1.0, 1.0], base.shape)  # norm `gap`
+    order = rng.permutation(700)
+    centers = np.concatenate([base, base + step])[order]
+    slot = np.argsort(order)
+    partner = np.empty(700, dtype=np.int64)
+    partner[slot[:350]], partner[slot[350:]] = slot[350:], slot[:350]
+    return centers, partner
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-5])
+def test_ward_linkage_matches_scipy_on_duplicates(gap):
+    # 2 - 2 u.v alone gives exact duplicates distances near 1e-8, not 0,
+    # which changed scipy's node ids and the maxclust labels here; close
+    # pairs are therefore recomputed from their difference vectors
+    from scipy.cluster.hierarchy import linkage
+    centers, partner = _duplicate_corpus(gap)
+    Z = _ward_linkage(centers)
+    _assert_same_linkage(Z, linkage(_unit(centers), "ward"))
+    first = Z[:350, :2].astype(np.int64)
+    assert np.array_equal(partner[first[:, 0]], first[:, 1])
+    if gap == 0.0:
+        assert np.all(Z[:350, 2] == 0.0)
+    else:
+        assert np.all(Z[:350, 2] > 0.0)
+        assert np.all(Z[350:, 2] > 1e-3)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 701])
+def test_ward_linkage_distance_blocks(monkeypatch, rows):
+    # blocks of 1 row, 7 rows and more rows than the k = 700 centers give
+    # the same merges, with close pairs in every block; a BLAS picks its
+    # kernel by shape, so a distance's last bit may depend on the block
+    # shape, and heights are compared to within 1e-14
+    centers, _ = _duplicate_corpus(1e-5)
+    k = len(centers)
+    want = _ward_linkage(centers)
+    monkeypatch.setattr(clustering, "_PAIR_BLOCK", rows * k)
+    _assert_same_linkage(_ward_linkage(centers), want, atol=1e-14)
+
+
+def test_ward_linkage_memory_is_the_condensed_distances():
+    # the condensed distances and the unit centers are what scipy's own
+    # observation path holds (20.1 MB at k = 2000); the distance blocks add
+    # at most a quarter of that
+    k, dim = 2000, 256
+    centers = np.random.default_rng(14).standard_normal((k, dim))
+    _ward_linkage(centers[:10])  # scipy.cluster imported before tracing
+    peak = _traced_peak(_ward_linkage, centers)
+    assert peak <= 1.25 * 8 * (k * (k - 1) // 2 + k * dim)
 
 
 # ---------------------------------------------------------------------------
