@@ -37,8 +37,6 @@ from .scoring import (
     ScoreSet,
     TrialList,
     _cohort_stats,
-    _cosine_matrix,
-    _inner_product_matrix,
     _intern,
     _rows,
     _side_rows,
@@ -187,11 +185,9 @@ def _qmf_rows(emb_set: EmbeddingSet, ids, cohort: Cohort,
     QMF of each utterance's metadata and the mean of its top_n cohort
     scores under the configured metric (top_n=None: the whole cohort)."""
     dur = list(map(duration_qmf, _metas(emb_set, ids)))
-    similarity = {"inner_product": _inner_product_matrix,
-                  "cosine": _cosine_matrix}.get(config.metric)
-    if similarity is None:
+    if config.metric not in ("inner_product", "cosine"):
         raise SvkitError(f"unknown imposter metric '{config.metric}'")
-    imp = _cohort_stats(emb_set, ids, cohort, config.top_n, similarity)[0]
+    imp = _cohort_stats(emb_set, ids, cohort, config.top_n, config.metric)[0]
     return np.column_stack([dur, imp])
 
 

@@ -392,12 +392,12 @@ def _cmd_sweep(args):
 
 
 def _cmd_iterate(args):
+    # the pull factor is checked whichever refresher runs
+    pull = clustering.make_prototype_pull_refresher(args.pull_factor)
+    refresher = (pull if args.refresher == "prototype-pull"
+                 else clustering.identity_refresher)
     emb = _load_set(args.emb, normalize=True)
     trials = scoring.read_trials(args.trials) if args.trials else None
-    if args.refresher == "identity":
-        refresher = clustering.identity_refresher
-    else:
-        refresher = clustering.make_prototype_pull_refresher(args.pull_factor)
     records = clustering.iterate(
         emb, refresher, args.k_centers, args.clusters, args.batch_size,
         eval_trials=trials, max_iters=args.max_iters, seed=args.seed,

@@ -89,7 +89,8 @@ class EmbeddingSet:
         vectors = np.asarray(vectors, dtype=np.float64)
         ids = list(ids)
         if vectors.ndim != 2:
-            vectors = vectors.reshape(len(ids), -1)
+            raise SvkitError(f"vectors must be an (n, dim) matrix, "
+                             f"not of shape {vectors.shape}")
         if len(ids) != vectors.shape[0]:
             raise SvkitError("ids and vectors disagree in length")
         if vectors.shape[0] > 0 and vectors.shape[1] < 1:
@@ -360,8 +361,10 @@ def synth_dataset(
     if not concentration >= 0:
         raise SvkitError("concentration must be >= 0")
     lo, hi = duration_range_s
-    if not -math.inf < lo <= hi < math.inf:
-        raise SvkitError("duration range must be finite, lo <= hi")
+    if not (0 <= lo <= hi and math.isfinite(hi * FRAME_RATE)):
+        raise SvkitError(f"duration range [{lo}, {hi}] s must have "
+                         f"0 <= lo <= hi and a finite hi * {FRAME_RATE:g} "
+                         "frames")
 
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((num_speakers, dim))

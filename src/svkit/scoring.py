@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -44,10 +43,6 @@ class Cohort:
     def __len__(self):
         return len(self.speaker_ids)
 
-    @property
-    def dim(self):
-        return self.means.shape[1]
-
 
 class TrialList:
     """Ordered (enroll_id, test_id, label) triples."""
@@ -61,9 +56,14 @@ class TrialList:
         if labels is None:
             labels = np.full(n, UNKNOWN, dtype=np.int8)
         else:
-            labels = np.asarray(labels, dtype=np.int8)
+            labels = np.asarray(labels)
             if labels.shape != (n,):
                 raise SvkitError("labels length mismatch")
+            bad = ~np.isin(labels, (UNKNOWN, NONTARGET, TARGET))
+            if bad.any():
+                raise SvkitError(f"label {labels[bad][0].item()!r} is not -1 "
+                                 "(unknown), 0 or 1")
+            labels = labels.astype(np.int8)
         self.labels = labels
         self.labels.setflags(write=False)
 
@@ -166,29 +166,6 @@ def cosine_score(
         test.vectors, _rows(test._index, trials.test_ids)))
 
 
-def _inner_product_matrix(vecs, cohort_means, out=None):
-    """Inner product of each row of `vecs` with each cohort mean, written
-    into `out` when given."""
-    return np.matmul(vecs, cohort_means.T, out=out)
-
-
-def _cosine_matrix(vecs, cohort_means, out=None, mean_norms=None):
-    """Cosine of each row of `vecs` with each cohort mean, written into
-    `out` when given; `mean_norms`, the cohort means' norms, is computed
-    when not given. A zero-norm row raises ZeroVector with the row's
-    position in `vecs` (`_cohort_stats` names its utterance)."""
-    norms = np.linalg.norm(vecs, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ZeroVector(int(zero[0]))
-    if mean_norms is None:
-        mean_norms = np.linalg.norm(cohort_means, axis=1)
-    sims = _inner_product_matrix(vecs, cohort_means, out)
-    sims /= norms[:, None]
-    sims /= mean_norms[None, :]
-    return sims
-
-
 def _topn_desc(scores, n):
     """The n largest entries of each row of `scores`, in descending order,
     as a view of `scores`, which is partitioned and sorted in place.
@@ -206,16 +183,18 @@ def _topn_desc(scores, n):
     return np.negative(scores, out=scores)
 
 
-def _cohort_stats(emb_set, ids, cohort: Cohort, top_n, similarity=None):
-    """Mean and population std of the top_n (None: all) largest similarity
-    scores of each utterance of `ids` against the cohort means.
+def _cohort_stats(emb_set, ids, cohort: Cohort, top_n, metric):
+    """Mean and population std of the top_n (None: all) largest scores of
+    each utterance of `ids` against the cohort means, under the imposter
+    `metric`, "cosine" or "inner_product" (or the callable of `snorm`'s
+    `similarity` test seam).
 
-    `similarity(vecs, means, out)` (default: `_cosine_matrix`) returns the
-    score matrix of a block of rows, preferably written into `out`; the
-    result is partitioned and sorted in place. Rows are gathered and scored
-    `_ROW_BLOCK` at a time into one reused buffer, so memory stays
-    O(_ROW_BLOCK x cohort) for any number of utterances; under the cosine
-    the cohort means' norms are computed once per call. Only the multiset
+    Rows are gathered `_ROW_BLOCK` at a time, their product with the means
+    is written into one reused buffer and, under the cosine, divided there
+    by the rows' norms and by the means' norms, which are computed once per
+    call; the top_n are partitioned and sorted in place. So memory stays
+    O(_ROW_BLOCK x cohort) for any number of utterances. Under the cosine a
+    zero-norm row raises ZeroVector naming its utterance. Only the multiset
     of the top_n values is used, so ties need no rule."""
     if top_n is None:
         top_n = len(cohort)
@@ -223,10 +202,9 @@ def _cohort_stats(emb_set, ids, cohort: Cohort, top_n, similarity=None):
         raise SvkitError(f"top_n={top_n} must be >= 1")
     if top_n > len(cohort):
         raise TopNTooLarge(f"top_n={top_n} exceeds cohort size {len(cohort)}")
-    similarity = similarity or _cosine_matrix
-    if similarity is _cosine_matrix:
-        similarity = functools.partial(
-            _cosine_matrix, mean_norms=np.linalg.norm(cohort.means, axis=1))
+    cosine = metric == "cosine"
+    if cosine:
+        mean_norms = np.linalg.norm(cohort.means, axis=1)
     rows = _rows(emb_set._index, ids)
     mu = np.empty(len(rows))
     sigma = np.empty(len(rows))
@@ -234,10 +212,17 @@ def _cohort_stats(emb_set, ids, cohort: Cohort, top_n, similarity=None):
     for lo in range(0, len(rows), _ROW_BLOCK):
         hi = lo + _ROW_BLOCK
         block = emb_set.vectors[rows[lo:hi]]
-        try:
-            sims = similarity(block, cohort.means, buf[:len(block)])
-        except ZeroVector as e:
-            raise ZeroVector(ids[lo + e.utt_id]) from None
+        if callable(metric):
+            sims = metric(block, cohort.means)
+        else:
+            sims = np.matmul(block, cohort.means.T, out=buf[:len(block)])
+        if cosine:
+            norms = np.linalg.norm(block, axis=1)
+            zero = np.flatnonzero(norms == 0.0)
+            if zero.size:
+                raise ZeroVector(ids[lo + int(zero[0])])
+            sims /= norms[:, None]
+            sims /= mean_norms[None, :]
         top = _topn_desc(sims, top_n)
         mu[lo:hi], sigma[lo:hi] = top.mean(axis=1), top.std(axis=1)
     return mu, sigma
@@ -287,14 +272,10 @@ def snorm(
     """
     if (len(cohort) if top_n is None else top_n) < 2:
         raise SvkitError("top_n must be >= 2")
-    if similarity is not None:
-        scores_of = similarity
-
-        def similarity(vecs, means, out):
-            return scores_of(vecs, means)
 
     def side_stats(emb_set, ids):
-        mu, sigma = _cohort_stats(emb_set, ids, cohort, top_n, similarity)
+        mu, sigma = _cohort_stats(emb_set, ids, cohort, top_n,
+                                  similarity or "cosine")
         bad = np.flatnonzero(sigma < _SIGMA_FLOOR)
         if bad.size:
             raise DegenerateCohort(
@@ -353,8 +334,9 @@ _LABELS = {"0": 0, "1": 1}
 
 def read_trials(path) -> TrialList:
     """Read a trial file. A repeated id is kept as one `str` object, so the
-    lists hold one string per distinct id, not two per line."""
-    enroll, test, labels = [], [], []
+    lists hold one string per distinct id, not two per line; the labels
+    take one byte a line."""
+    enroll, test, labels = [], [], array("b")
     one = {}.setdefault
     with _reading(path) as f:
         for lineno, parts in enumerate(map(str.split, f), 1):

@@ -144,13 +144,15 @@ def test_criterion_3_snorm_oracle_and_properties():
     # affine invariance: scoring function s -> alpha*s + beta (alpha > 0)
     rng = np.random.default_rng(301)
     aff_worst = 0.0
-    from svkit.scoring import _cosine_matrix
     for _ in range(10):  # 10 transforms x 100 trials = 1000 cases
         alpha = float(rng.uniform(0.5, 2.0))
         beta = float(rng.uniform(-1.0, 1.0))
 
         def sim(vecs, means, al=alpha, be=beta):
-            return al * _cosine_matrix(vecs, means) + be
+            cos = vecs @ means.T
+            cos /= np.linalg.norm(vecs, axis=1)[:, None]
+            cos /= np.linalg.norm(means, axis=1)[None, :]
+            return al * cos + be
 
         raw2 = raw.with_scores(alpha * raw.scores + beta)
         got2 = snorm(raw2, enroll, test, cohort, top_n=10, similarity=sim)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from svkit import (
     UttMeta,
     read_scores,
     read_trials,
+    synth_dataset,
     write_embeddings,
     write_metadata,
     write_scores,
@@ -18,7 +20,7 @@ from svkit import (
 )
 from svkit import cli
 from svkit.cli import build_parser, run
-from svkit.clustering import read_labels
+from svkit.clustering import minibatch_kmeans, read_labels, write_kmeans
 from svkit.embeddings import _RECORD_BLOCK
 from svkit.metrics import det_points
 from svkit.scoring import ScoreSet
@@ -594,8 +596,9 @@ def test_clr_with_a_nan_rate_is_data_error(capsys):
 
 _SYNTH = ["synth", "--speakers", "4", "--utts-per-speaker", "2",
           "--meta-out", "meta.csv"]
-_PULL = ["iterate", "--k-centers", "20", "--clusters", "10",
-         "--batch-size", "20", "--refresher", "prototype-pull"]
+_ITERATE = ["iterate", "--k-centers", "20", "--clusters", "10",
+            "--batch-size", "20"]
+_PULL = _ITERATE + ["--refresher", "prototype-pull"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -604,6 +607,9 @@ _PULL = ["iterate", "--k-centers", "20", "--clusters", "10",
     _SYNTH + ["--concentration", "nan"],
     _PULL + ["--pull-factor", "5"],
     _PULL + ["--pull-factor", "-1"],
+    _ITERATE + ["--pull-factor", "nan"],
+    _ITERATE + ["--pull-factor=-1"],
+    _ITERATE + ["--pull-factor", "1e308"],
     ["fit-cal", "--max-iter", "-1"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_values_outside_an_options_domain_are_data_errors(
@@ -621,3 +627,111 @@ def test_values_outside_an_options_domain_are_data_errors(
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lo, hi", [("0", "1e308"), ("-5", "-1")])
+def test_synth_duration_range_outside_its_domain_is_named(
+        tmp_path, capsys, caplog, monkeypatch, lo, hi):
+    # the first overflowed int(duration * frame rate), the second was
+    # reported as a negative speech-frame count
+    monkeypatch.chdir(tmp_path)
+    assert run(_SYNTH + [f"--dur-lo={lo}", f"--dur-hi={hi}",
+                         "--out", "out"]) == 2
+    assert capsys.readouterr().out == ""
+    assert f"duration range [{float(lo)}, {float(hi)}] s" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """A small labeled set, its metadata, a labeled trial list with
+    scores and a k-means model: valid inputs for every subcommand that
+    has a numeric option."""
+    root = tmp_path_factory.mktemp("sweep")
+    data = synth_dataset(6, 5, 8, 8.0, seed=3)
+    write_embeddings(data, root / "emb.svb")
+    write_metadata(data.meta, root / "meta.csv")
+    ids = data.ids
+    trials = TrialList(ids[:-1], ids[1:],
+                       [int(a[:7] == b[:7]) for a, b in zip(ids, ids[1:])])
+    write_trials(trials, root / "t.txt")
+    rng = np.random.default_rng(4)
+    write_scores(ScoreSet(trials, rng.normal(size=len(trials))
+                          + trials.labels), root / "s.txt")
+    write_kmeans(minibatch_kmeans(data, 6, 30, 2, seed=5), root / "km.svkm")
+    return root
+
+
+# every subcommand with an int or float option, each option at a valid
+# value; files are read from the sweep inputs and written as `out`
+_SWEEP_BASE = {
+    "synth": ["--speakers", "3", "--utts-per-speaker", "2", "--dim", "4",
+              "--concentration", "4", "--dur-lo", "2", "--dur-hi", "12",
+              "--seed", "0", "--meta-out", "out.csv"],
+    "gen-trials": ["--emb", "emb.svb", "--meta", "meta.csv",
+                   "--per-class", "2", "--seed", "0"],
+    "fit-cal": ["--trials", "t.txt", "--scores", "s.txt", "--l2", "1e-6",
+                "--max-iter", "100"],
+    "metrics": ["--trials", "t.txt", "--scores", "s.txt",
+                "--p-target", "0.01"],
+    "kmeans": ["--emb", "emb.svb", "--k", "6", "--batch-size", "30",
+               "--n-batches", "2", "--seed", "0"],
+    "ahc": ["--kmeans", "km.svkm", "--clusters", "3"],
+    "iterate": ["--emb", "emb.svb", "--k-centers", "6", "--clusters", "3",
+                "--batch-size", "30", "--max-iters", "2",
+                "--pull-factor", "0.2", "--seed", "0"],
+    "loss-check": ["--instances", "1", "--seed", "0"],
+    "clr": ["--t", "5", "--cycle-len", "10", "--lr-min", "1e-8",
+            "--lr-max", "1e-3"],
+}
+
+# the domains the README states; any other value must not exit 0
+_SWEEP_DOMAINS = {
+    ("synth", "--dur-lo"): lambda v: 0 <= v <= 12,
+    ("synth", "--dur-hi"): lambda v: 2 <= v and math.isfinite(v * 100),
+    ("synth", "--concentration"): lambda v: v >= 0,
+    ("fit-cal", "--l2"): lambda v: 0 <= v < math.inf,
+    ("fit-cal", "--max-iter"): lambda v: v >= 0,
+    ("metrics", "--p-target"): lambda v: 0 < v < 1,
+    ("kmeans", "--n-batches"): lambda v: v >= 1,
+    ("iterate", "--max-iters"): lambda v: v >= 1,
+    ("iterate", "--pull-factor"): lambda v: 0 <= v <= 1,
+    ("loss-check", "--instances"): lambda v: v >= 1,
+    ("clr", "--lr-min"): lambda v: 0 <= v <= 1e-3,
+    ("clr", "--lr-max"): lambda v: 1e-8 <= v < math.inf,
+}
+
+
+def test_generated_sweep_of_every_numeric_option(sweep_inputs, capsys,
+                                                  monkeypatch):
+    # each int and float option of every subcommand at nan, inf, -inf,
+    # -1, 0 and 1e308, the other options valid: never a traceback, an
+    # exit code of 0, 1 or 2, and no success outside a stated domain
+    monkeypatch.chdir(sweep_inputs)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = [(name, action.option_strings[0])
+               for name, parser in sub.choices.items()
+               for action in parser._actions if action.type in (int, float)]
+    assert len(options) == 29
+    assert {name for name, _ in options} == _SWEEP_BASE.keys()
+    bad = []
+    for name, flag in options:
+        base = _SWEEP_BASE[name]
+        at = base.index(flag)
+        in_domain = _SWEEP_DOMAINS.get((name, flag), lambda v: True)
+        for value in ("nan", "inf", "-inf", "-1", "0", "1e308"):
+            argv = [name, *base[:at], f"{flag}={value}", *base[at + 2:]]
+            if name not in ("metrics", "loss-check", "clr"):
+                argv += ["--out", "out"]
+            try:
+                code = run(argv)
+            except Exception as e:  # a traceback from the console script
+                bad.append(f"{' '.join(argv)}: raised {e!r}")
+                continue
+            err = capsys.readouterr().err
+            if "Traceback" in err or code not in (0, 1, 2):
+                bad.append(f"{' '.join(argv)}: exit {code}")
+            elif code == 0 and not in_domain(float(value)):
+                bad.append(f"{' '.join(argv)}: exit 0 outside its domain")
+    assert not bad, "\n".join(bad)

@@ -269,6 +269,35 @@ def test_synth_durations_in_range():
         assert m.speech_frames <= m.duration_s * 100
 
 
+@pytest.mark.parametrize("bounds", [
+    (0.0, 1e308),            # hi * 100 frames overflows
+    (-5.0, -1.0),            # negative durations
+    (-1.0, 4.0),
+    (float("nan"), 4.0),
+    (2.0, float("inf")),
+    (5.0, 3.0),
+])
+def test_synth_duration_range_outside_its_domain_is_named(bounds):
+    with pytest.raises(SvkitError, match=r"duration range \["):
+        synth_dataset(2, 2, 4, 4.0, bounds, seed=0)
+
+
+def test_synth_zero_length_duration_range_is_valid():
+    s = synth_dataset(2, 2, 4, 4.0, (0.0, 0.0), seed=0)
+    assert {(m.speech_frames, m.duration_s) for m in s.meta.values()} == {
+        (0, 0.0)}
+
+
+@pytest.mark.parametrize("ids, vectors", [
+    (["a", "b"], np.zeros((2, 2, 2))),
+    (["a"], [1.0, 2.0]),
+    ([], []),
+])
+def test_vectors_that_are_not_a_matrix_are_rejected(ids, vectors):
+    with pytest.raises(SvkitError, match=r"\(n, dim\) matrix"):
+        EmbeddingSet(ids, vectors)
+
+
 @pytest.mark.parametrize("row, bad", [
     ("b,ten,2.5", "ten"),
     ("b,200", "''"),

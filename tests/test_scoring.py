@@ -34,8 +34,6 @@ from svkit.scoring import (
     Cohort,
     ScoreSet,
     _cohort_stats,
-    _cosine_matrix,
-    _inner_product_matrix,
 )
 
 
@@ -282,9 +280,7 @@ def test_cohort_stats_equal_full_matrix_reference(metric, top_n):
     n = m if top_n is None else top_n
     top = np.partition(full, m - n, axis=1)[:, m - n:]
     top = -np.sort(-top, axis=1)
-    similarity = {"cosine": _cosine_matrix,
-                  "inner_product": _inner_product_matrix}[metric]
-    mu, sigma = _cohort_stats(emb, ids, cohort, top_n, similarity)
+    mu, sigma = _cohort_stats(emb, ids, cohort, top_n, metric)
     assert np.array_equal(mu, top.mean(axis=1))
     assert np.array_equal(sigma, top.std(axis=1))
 
@@ -296,7 +292,7 @@ def test_cohort_stats_memory_is_one_block():
     block = _ROW_BLOCK * len(cohort) * 8
     tracemalloc.start()
     try:
-        _cohort_stats(emb, ids, cohort, 100)
+        _cohort_stats(emb, ids, cohort, 100, "cosine")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -314,11 +310,9 @@ def test_cohort_mean_norms_once_per_call(monkeypatch):
         return norm(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
-    for similarity in (None, _cosine_matrix):
-        calls.clear()
-        _cohort_stats(emb, ids, cohort, 10, similarity)
-        assert sum(calls) == 1
-        assert len(calls) == 4  # and one per block of rows
+    _cohort_stats(emb, ids, cohort, 10, "cosine")
+    assert sum(calls) == 1
+    assert len(calls) == 4  # and one per block of rows
 
 
 def test_zero_norm_utterance_under_cosine_is_named():
@@ -332,9 +326,9 @@ def test_zero_norm_utterance_under_cosine_is_named():
     with pytest.raises(ZeroVector, match=f"embedding '{zero_id}'"):
         snorm(raw, emb, emb, cohort, 5)
     with pytest.raises(ZeroVector, match=f"embedding '{zero_id}'"):
-        _cohort_stats(emb, ids, cohort, 5)
+        _cohort_stats(emb, ids, cohort, 5, "cosine")
     # an inner product with a zero row is well defined
-    mu = _cohort_stats(emb, ids, cohort, 5, _inner_product_matrix)[0]
+    mu = _cohort_stats(emb, ids, cohort, 5, "inner_product")[0]
     assert mu[_ROW_BLOCK + 2] == 0.0
 
 
@@ -390,6 +384,25 @@ def test_mean_fuse_misaligned():
         mean_fuse([s1, s2])
 
 
+@pytest.mark.parametrize("labels, bad", [
+    ([1, 0, 2], "2"),
+    ([0.5, 1, 0], "0.5"),
+    ([1.9, 0, 1], "1.9"),
+    ([300, 0, 1], "300"),
+    ([-2, 0, 1], "-2"),
+    ([float("nan"), 0, 1], "nan"),
+])
+def test_labels_other_than_minus_one_zero_one_are_rejected(labels, bad):
+    with pytest.raises(SvkitError, match=f"^label {bad} is not -1"):
+        TrialList(["a", "b", "c"], ["x", "y", "z"], labels)
+
+
+def test_float_labels_equal_to_a_label_are_kept():
+    trials = TrialList(["a", "b", "c"], ["x", "y", "z"], [1.0, 0.0, -1.0])
+    assert trials.labels.dtype == np.int8
+    assert trials.labels.tolist() == [1, 0, -1]
+
+
 def test_trial_and_score_files(tmp_path):
     trials = TrialList(["a", "b", "c"], ["x", "y", "z"], [1, 0, -1])
     tpath = tmp_path / "trials.txt"
@@ -418,8 +431,8 @@ def _traced_peak(fn, *args):
 
 def test_read_trials_memory_is_one_string_per_distinct_id(tmp_path):
     # 50k lines over 100 ids: the reader's and the trial list's id lists
-    # and the label list are eight-byte pointers; two new strings per line
-    # would add about 100k x 60 B = 6 MB
+    # are eight-byte pointers and the labels one byte a line; two new
+    # strings per line would add about 100k x 60 B = 6 MB
     n = 50_000
     _, _, _, trials = _random_trials(100, n, 4, seed=12)
     path = tmp_path / "trials.txt"
