@@ -31,6 +31,7 @@ from .errors import (
     InsufficientData,
     MissingMeta,
     SvkitError,
+    check_seed,
 )
 from .scoring import (
     Cohort,
@@ -81,6 +82,7 @@ def gen_calibration_trials(
     the trials equal those of drawing from the full candidate list."""
     if per_class < 0 or per_class % 2:
         raise SvkitError("per_class must be a nonnegative even number")
+    rng = np.random.default_rng(check_seed(seed))
     if per_class == 0:
         return TrialList([], [])
 
@@ -94,7 +96,6 @@ def gen_calibration_trials(
         "long": np.flatnonzero(dur >= LONG_MIN_S),
     }
 
-    rng = np.random.default_rng(seed)
     need = per_class // 2
     enroll, test, labels = [], [], []
     # Every unordered pair is a candidate in exactly one (class, label)
@@ -185,8 +186,6 @@ def _qmf_rows(emb_set: EmbeddingSet, ids, cohort: Cohort,
     QMF of each utterance's metadata and the mean of its top_n cohort
     scores under the configured metric (top_n=None: the whole cohort)."""
     dur = list(map(duration_qmf, _metas(emb_set, ids)))
-    if config.metric not in ("inner_product", "cosine"):
-        raise SvkitError(f"unknown imposter metric '{config.metric}'")
     imp = _cohort_stats(emb_set, ids, cohort, config.top_n, config.metric)[0]
     return np.column_stack([dur, imp])
 
@@ -274,6 +273,10 @@ def fit_logreg(features, labels, l2=1e-6, max_iter=100,
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != (X.shape[0],):
         raise SvkitError("labels length mismatch")
+    bad = np.flatnonzero((y != 0) & (y != 1))
+    if bad.size:
+        raise SvkitError(
+            f"label {y[bad[0]]:.17g} at row {bad[0]} must be 0 or 1")
     if not (np.any(y == 1) and np.any(y == 0)):
         raise SvkitError("need at least one trial of each label")
     if not 0 <= l2 < math.inf:

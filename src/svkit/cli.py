@@ -253,6 +253,8 @@ def _cmd_snorm(args):
 
 
 def _cmd_gen_trials(args):
+    if args.per_class == 0:  # the library returns no trials for 0
+        raise SvkitError("--per-class 0 would write no trials")
     emb = _load_set(args.emb, args.meta)
     trials = calibration.gen_calibration_trials(emb, args.per_class,
                                                 args.seed)
@@ -283,8 +285,6 @@ def _trial_qmf_vectors(trials, qmf_path):
 def _cmd_fit_cal(args):
     trials = scoring.read_trials(args.trials)
     scores = scoring.read_scores(args.scores, trials)
-    if np.any(trials.labels < 0):
-        raise SvkitError("calibration trials need target/nontarget labels")
     qmfs = _trial_qmf_vectors(trials, args.qmf)
     names = ("score",) if qmfs is None else calibration.QA_FEATURE_NAMES
     X = calibration.build_features(scores, qmfs)

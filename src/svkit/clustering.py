@@ -32,6 +32,7 @@ from .errors import (
     KTooLarge,
     SvkitError,
     TruncatedFile,
+    check_seed,
 )
 from .scoring import ScoreSet, _group_sums, _row_dots, _rows
 
@@ -137,7 +138,7 @@ def _kmeans(emb_set, k, batch_size, n_batches, seed):
     if n_batches < 1:
         raise SvkitError(f"n_batches={n_batches} must be >= 1")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     centers = X[rng.choice(n, size=k, replace=False)]
     counts = np.zeros(k, dtype=np.int64)
 
@@ -393,6 +394,7 @@ def iterate(emb_set: EmbeddingSet, refresher, k_centers, num_clusters,
     """
     if max_iters < 1:
         raise SvkitError(f"max_iters={max_iters} must be >= 1")
+    check_seed(seed)
     id_set = set(emb_set.ids)
     records = []
     prev_assignment = None

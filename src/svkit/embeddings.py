@@ -33,6 +33,7 @@ from .errors import (
     TruncatedFile,
     UnknownId,
     ZeroVector,
+    check_seed,
 )
 
 FRAME_RATE = 100.0  # VAD / feature frames per second
@@ -358,15 +359,17 @@ def synth_dataset(
         raise SvkitError("num_speakers must be >= 1")
     if utts_per_speaker < 1:
         raise SvkitError("utts_per_speaker must be >= 1")
+    if dim < 1:
+        raise SvkitError(f"dim={dim} must be >= 1")
     if not concentration >= 0:
-        raise SvkitError("concentration must be >= 0")
+        raise SvkitError(f"concentration={concentration} must be >= 0")
     lo, hi = duration_range_s
     if not (0 <= lo <= hi and math.isfinite(hi * FRAME_RATE)):
         raise SvkitError(f"duration range [{lo}, {hi}] s must have "
                          f"0 <= lo <= hi and a finite hi * {FRAME_RATE:g} "
                          "frames")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     means = rng.standard_normal((num_speakers, dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
 

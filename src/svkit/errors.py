@@ -1,8 +1,11 @@
-"""Exception types raised by the toolkit.
+"""Exception types raised by the toolkit, and the seed check that every
+seeded function shares.
 
 Everything derives from SvkitError so callers (and the CLI) can catch
 data-level failures in one place.
 """
+
+import operator
 
 
 class SvkitError(Exception):
@@ -118,3 +121,10 @@ class LengthMismatch(SvkitError):
 
 class CropTooLong(SvkitError):
     pass
+
+
+def check_seed(seed):
+    """`seed`, if it is a non-negative integer (numpy integers too)."""
+    if not (hasattr(seed, "__index__") and operator.index(seed) >= 0):
+        raise SvkitError(f"seed={seed} must be a non-negative integer")
+    return seed

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SvkitError
+from .errors import SvkitError, check_seed
 from .trainmath import (
     AamConfig,
     ContrastiveBatch,
@@ -48,7 +48,7 @@ def check_aam(num_subcenters, instances=100, dim=8, num_classes=5, seed=0):
     """Max relative gradient error of the AAM loss over random instances."""
     if instances < 1:  # zero instances would report an error of 0
         raise SvkitError(f"instances={instances} must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     cfg = AamConfig(margin=0.2, scale=5.0, num_subcenters=num_subcenters)
     worst = 0.0
     for _ in range(instances):
@@ -68,7 +68,7 @@ def check_moco(instances=100, dim=8, batch=4, queue_size=16, seed=0):
     """Max relative gradient error of the contrastive loss."""
     if instances < 1:  # zero instances would report an error of 0
         raise SvkitError(f"instances={instances} must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     worst = 0.0
     for _ in range(instances):
         X = _unit_rows(rng, (batch, dim))

@@ -186,8 +186,7 @@ def _topn_desc(scores, n):
 def _cohort_stats(emb_set, ids, cohort: Cohort, top_n, metric):
     """Mean and population std of the top_n (None: all) largest scores of
     each utterance of `ids` against the cohort means, under the imposter
-    `metric`, "cosine" or "inner_product" (or the callable of `snorm`'s
-    `similarity` test seam).
+    `metric`, "cosine" or "inner_product"; any other name is an error.
 
     Rows are gathered `_ROW_BLOCK` at a time, their product with the means
     is written into one reused buffer and, under the cosine, divided there
@@ -196,6 +195,8 @@ def _cohort_stats(emb_set, ids, cohort: Cohort, top_n, metric):
     O(_ROW_BLOCK x cohort) for any number of utterances. Under the cosine a
     zero-norm row raises ZeroVector naming its utterance. Only the multiset
     of the top_n values is used, so ties need no rule."""
+    if metric not in ("inner_product", "cosine"):
+        raise SvkitError(f"unknown imposter metric '{metric}'")
     if top_n is None:
         top_n = len(cohort)
     if top_n < 1:
@@ -212,10 +213,7 @@ def _cohort_stats(emb_set, ids, cohort: Cohort, top_n, metric):
     for lo in range(0, len(rows), _ROW_BLOCK):
         hi = lo + _ROW_BLOCK
         block = emb_set.vectors[rows[lo:hi]]
-        if callable(metric):
-            sims = metric(block, cohort.means)
-        else:
-            sims = np.matmul(block, cohort.means.T, out=buf[:len(block)])
+        sims = np.matmul(block, cohort.means.T, out=buf[:len(block)])
         if cosine:
             norms = np.linalg.norm(block, axis=1)
             zero = np.flatnonzero(norms == 0.0)
@@ -254,7 +252,6 @@ def snorm(
     test: EmbeddingSet,
     cohort: Cohort,
     top_n: int | None = 100,
-    similarity=None,
 ) -> ScoreSet:
     """Adaptive symmetric score normalization.
 
@@ -266,16 +263,12 @@ def snorm(
 
     Statistics are computed once per unique utterance, in fixed row blocks,
     so memory stays O(block x cohort). top_n=None uses the whole cohort.
-    `similarity` overrides the cohort scoring function (for property
-    testing); it maps (vectors, cohort_means) to a score matrix, which is
-    then partitioned and sorted in place.
     """
     if (len(cohort) if top_n is None else top_n) < 2:
         raise SvkitError("top_n must be >= 2")
 
     def side_stats(emb_set, ids):
-        mu, sigma = _cohort_stats(emb_set, ids, cohort, top_n,
-                                  similarity or "cosine")
+        mu, sigma = _cohort_stats(emb_set, ids, cohort, top_n, "cosine")
         bad = np.flatnonzero(sigma < _SIGMA_FLOOR)
         if bad.size:
             raise DegenerateCohort(

@@ -19,6 +19,7 @@ from .errors import (
     LengthMismatch,
     NonUnitInput,
     SvkitError,
+    check_seed,
 )
 
 _UNIT_ATOL = 1e-3  # loose: finite-difference probes perturb off the sphere
@@ -268,7 +269,7 @@ def min_overlap_crop_pair(utt_len_frames, crop_len, num_candidates=5,
         )
     if num_candidates < 2:
         raise SvkitError("need at least two candidate crops")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     starts = rng.integers(0, utt_len_frames - crop_len + 1,
                           size=num_candidates)
     return best_crop_pair(starts, crop_len)

@@ -274,6 +274,14 @@ def test_top_n_below_one_is_rejected(top_n):
         _imposter_mean(emb.vectors[0], cohort, "cosine", top_n)
 
 
+@pytest.mark.parametrize("top_n", [3, 0])
+def test_unknown_imposter_metric_is_named_before_top_n(top_n):
+    emb = length_normalize(synth_dataset(4, 3, 8, 4.0, seed=0))
+    cohort = build_cohort(emb)
+    with pytest.raises(SvkitError, match="unknown imposter metric 'cosin'"):
+        calibration.utterance_qmfs(emb, cohort, QmfConfig("cosin", top_n))
+
+
 def test_trial_qmfs_symmetry_and_values():
     emb = length_normalize(
         synth_dataset(10, 6, 8, 4.0, (2.5, 11.0), seed=4))
@@ -451,6 +459,17 @@ def test_fit_logreg_validation():
         fit_logreg(np.array([[1.0]]), np.array([1]))
     with pytest.raises(SvkitError):
         fit_logreg(np.array([[1.0], [2.0]]), np.array([1, 1]))
+
+
+@pytest.mark.parametrize("label, named", [
+    (-1, "-1"), (2.5, "2.5"), (float("nan"), "nan")],
+    ids=["-1", "2.5", "nan"])
+def test_fit_logreg_rejects_a_label_other_than_0_or_1(label, named):
+    # any other label would be fitted as a target of its own value; the
+    # first bad label is named, not a later one
+    with pytest.raises(SvkitError,
+                       match=rf"^label {named} at row 4 must be 0 or 1$"):
+        fit_logreg(np.arange(6.0), [0, 1, 0, 1, label, 7])
 
 
 @pytest.mark.parametrize("l2", [-1e-6, float("nan"), float("inf")])

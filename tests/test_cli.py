@@ -343,6 +343,18 @@ def _synth(tmp_path, capsys, speakers=10):
     return emb, meta
 
 
+def test_gen_trials_with_no_trials_per_class_is_data_error(tmp_path, capsys,
+                                                           caplog):
+    # an empty trial file would be a silent no-op
+    emb, meta = _synth(tmp_path, capsys)
+    out = tmp_path / "t.txt"
+    code, payload = _run(capsys, "gen-trials", "--emb", str(emb), "--meta",
+                         str(meta), "--per-class", "0", "--out", str(out))
+    assert (code, payload) == (2, None)
+    assert "--per-class 0 would write no trials" in caplog.text
+    assert not out.exists()
+
+
 def test_short_metadata_row_is_data_error(tmp_path, capsys, caplog):
     emb, meta = _synth(tmp_path, capsys)
     lines = meta.read_text().splitlines(True)
@@ -495,6 +507,20 @@ def test_bad_k_values_is_usage_error_before_any_file_is_read(capsys, value):
     assert "argument --k-values: invalid" in capsys.readouterr().err
 
 
+def test_fit_cal_on_unlabeled_trials_is_data_error(tmp_path, capsys,
+                                                   caplog):
+    trials, scores = tmp_path / "t.txt", tmp_path / "s.txt"
+    trials.write_text("a x 1\nb y 0\nc z\nd w 0\n")
+    scores.write_text("a x 0.9\nb y 0.1\nc z 0.4\nd w 0.6\n")
+    code, payload = _run(capsys, "fit-cal", "--trials", str(trials),
+                         "--scores", str(scores),
+                         "--out", str(tmp_path / "m.json"))
+    assert code == 2
+    assert payload is None
+    assert "label -1 at row 2 must be 0 or 1" in caplog.text
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("l2", ["nan", "inf", "-1"])
 def test_bad_l2_is_data_error_naming_it(tmp_path, capsys, caplog, l2):
     # RuntimeWarnings fail the suite (pyproject), so this also checks that
@@ -611,22 +637,38 @@ _PULL = _ITERATE + ["--refresher", "prototype-pull"]
     _ITERATE + ["--pull-factor=-1"],
     _ITERATE + ["--pull-factor", "1e308"],
     ["fit-cal", "--max-iter", "-1"],
+    _SYNTH + ["--seed=-1"],
+    _SYNTH + ["--dim=-1"],
+    ["gen-trials", "--per-class", "2", "--seed=-1"],
+    ["kmeans", "--k", "5", "--seed=-1"],
+    _ITERATE + ["--seed=-1"],
+    ["loss-check", "--instances", "1", "--seed=-1"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_values_outside_an_options_domain_are_data_errors(
-        tmp_path, capsys, monkeypatch, argv):
+        tmp_path, capsys, caplog, monkeypatch, argv):
+    # the error names the value, as typed or as a float
+    value = argv[-1].rpartition("=")[2]
     monkeypatch.chdir(tmp_path)
-    if argv[0] == "iterate":
-        emb, _ = _synth(tmp_path, capsys)
+    if argv[0] in ("iterate", "kmeans", "gen-trials"):
+        emb, meta = _synth(tmp_path, capsys)
         argv = argv + ["--emb", str(emb)]
+        if argv[0] == "gen-trials":
+            argv += ["--meta", str(meta)]
     elif argv[0] == "fit-cal":
         (tmp_path / "t.txt").write_text("a x 1\nb y 0\n")
         (tmp_path / "s.txt").write_text("a x 0.9\nb y 0.1\n")
         argv = argv + ["--trials", "t.txt", "--scores", "s.txt"]
-    assert run(argv + ["--out", "out"]) == 2
+    if argv[0] != "loss-check":
+        argv += ["--out", "out"]
+    caplog.clear()
+    assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert not (tmp_path / "out").exists()
+    [error] = [r.getMessage() for r in caplog.records
+               if r.levelname == "ERROR"]
+    assert value in error or str(float(value)) in error, error
 
 
 @pytest.mark.parametrize("lo, hi", [("0", "1e308"), ("-5", "-1")])
@@ -689,7 +731,9 @@ _SWEEP_BASE = {
 _SWEEP_DOMAINS = {
     ("synth", "--dur-lo"): lambda v: 0 <= v <= 12,
     ("synth", "--dur-hi"): lambda v: 2 <= v and math.isfinite(v * 100),
+    ("synth", "--dim"): lambda v: v >= 1,
     ("synth", "--concentration"): lambda v: v >= 0,
+    ("gen-trials", "--per-class"): lambda v: v >= 2,
     ("fit-cal", "--l2"): lambda v: 0 <= v < math.inf,
     ("fit-cal", "--max-iter"): lambda v: v >= 0,
     ("metrics", "--p-target"): lambda v: 0 < v < 1,
@@ -699,6 +743,9 @@ _SWEEP_DOMAINS = {
     ("loss-check", "--instances"): lambda v: v >= 1,
     ("clr", "--lr-min"): lambda v: 0 <= v <= 1e-3,
     ("clr", "--lr-max"): lambda v: 1e-8 <= v < math.inf,
+    **{(name, "--seed"): lambda v: v >= 0
+       for name in ("synth", "gen-trials", "kmeans", "iterate",
+                    "loss-check")},
 }
 
 

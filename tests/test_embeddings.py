@@ -9,7 +9,12 @@ from oracles import lloyd_kmeans
 from svkit import (
     EmbeddingSet,
     UttMeta,
+    gen_calibration_trials,
+    identity_refresher,
+    iterate,
     length_normalize,
+    min_overlap_crop_pair,
+    minibatch_kmeans,
     read_embeddings,
     read_metadata,
     synth_dataset,
@@ -25,6 +30,7 @@ from svkit.errors import (
     UnknownId,
     ZeroVector,
 )
+from svkit.gradcheck import run_suite
 from svkit.metrics import adjusted_rand_index
 
 
@@ -280,6 +286,38 @@ def test_synth_durations_in_range():
 def test_synth_duration_range_outside_its_domain_is_named(bounds):
     with pytest.raises(SvkitError, match=r"duration range \["):
         synth_dataset(2, 2, 4, 4.0, bounds, seed=0)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_synth_dimension_below_one_is_named(dim):
+    # named before numpy sees the shape
+    with pytest.raises(SvkitError, match=rf"^dim={dim} must be >= 1$"):
+        synth_dataset(2, 2, dim, 4.0, seed=0)
+
+
+_LABELED = synth_dataset(4, 6, 8, 8.0, seed=0)
+_SEEDED = {
+    "synth_dataset": lambda seed: synth_dataset(2, 2, 4, 4.0, seed=seed),
+    "gen_calibration_trials": lambda seed: gen_calibration_trials(
+        _LABELED, 2, seed),
+    "minibatch_kmeans": lambda seed: minibatch_kmeans(
+        _LABELED, 3, 6, 2, seed),
+    "iterate": lambda seed: iterate(_LABELED, identity_refresher, 6, 3, 6,
+                                    max_iters=1, seed=seed),
+    "min_overlap_crop_pair": lambda seed: min_overlap_crop_pair(
+        50, 10, seed=seed),
+    "run_suite": lambda seed: run_suite(1, seed),
+}
+
+
+@pytest.mark.parametrize("name", list(_SEEDED))
+def test_every_seeded_function_names_a_seed_outside_its_domain(name):
+    # one rule for every seed, checked before numpy sees it
+    _SEEDED[name](np.uint32(3))  # a numpy integer is a valid seed
+    for seed in (-1, np.int64(-1), 1.5, None):
+        with pytest.raises(SvkitError, match=rf"^seed={seed} must be a "
+                           "non-negative integer$"):
+            _SEEDED[name](seed)
 
 
 def test_synth_zero_length_duration_range_is_valid():

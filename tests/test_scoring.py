@@ -29,6 +29,7 @@ from svkit.errors import (
     UnknownId,
     ZeroVector,
 )
+from svkit import scoring
 from svkit.scoring import (
     _ROW_BLOCK,
     Cohort,
@@ -211,22 +212,25 @@ def test_snorm_symmetric():
     assert np.abs(out.scores - out_sw.scores).max() < 1e-12
 
 
-def test_snorm_affine_invariance():
+def test_snorm_affine_invariance(monkeypatch):
+    # every cohort score goes through s -> a*s + b just before its top-n
+    # partition, sort, mean and std, as the raw trial score does
     emb, cohort, trials, raw = _snorm_setup(seed=4, n_trials=20)
     base = snorm(raw, emb, emb, cohort, 10)
+    topn = scoring._topn_desc
     rng = np.random.default_rng(5)
     for _ in range(20):
         a = rng.uniform(0.1, 5.0)
         b = rng.uniform(-2.0, 2.0)
 
-        def affine_cos(v, m, a=a, b=b):
-            sims = v @ m.T
-            sims /= np.linalg.norm(v, axis=1)[:, None]
-            sims /= np.linalg.norm(m, axis=1)[None, :]
-            return a * sims + b
+        def affine_topn(sims, n, a=a, b=b):
+            sims *= a
+            sims += b
+            return topn(sims, n)
 
+        monkeypatch.setattr(scoring, "_topn_desc", affine_topn)
         shifted = raw.with_scores(a * raw.scores + b)
-        out = snorm(shifted, emb, emb, cohort, 10, similarity=affine_cos)
+        out = snorm(shifted, emb, emb, cohort, 10)
         assert np.abs(out.scores - base.scores).max() < 1e-8
 
 
@@ -287,7 +291,7 @@ def test_cohort_stats_equal_full_matrix_reference(metric, top_n):
 
 def test_cohort_stats_memory_is_one_block():
     # one reused (_ROW_BLOCK x cohort) score buffer; a fresh block per
-    # call of the similarity plus a partitioned copy would be two
+    # product plus a partitioned copy would be two
     emb, ids, cohort = _stats_inputs(2100, 3000, 32, seed=22)
     block = _ROW_BLOCK * len(cohort) * 8
     tracemalloc.start()
@@ -297,6 +301,15 @@ def test_cohort_stats_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * block
+
+
+def test_cohort_stats_rejects_an_unknown_metric_before_top_n():
+    # a misspelt name must not run as the inner product
+    emb, ids, cohort = _stats_inputs(5, 10, 4, seed=25)
+    for top_n in (5, 0, 11):
+        with pytest.raises(SvkitError,
+                           match="^unknown imposter metric 'cosin'$"):
+            _cohort_stats(emb, ids, cohort, top_n, "cosin")
 
 
 def test_cohort_mean_norms_once_per_call(monkeypatch):
