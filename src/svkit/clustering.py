@@ -19,6 +19,7 @@ from .embeddings import (
     _PAIR_BLOCK,
     _ROW_BLOCK,
     EmbeddingSet,
+    _check_text_ids,
     _keyed_rows,
     _normalize_rows,
     _read_header,
@@ -131,8 +132,10 @@ def _kmeans(emb_set, k, batch_size, n_batches, seed):
     n = X.shape[0]
     if k > n:
         raise KTooLarge(f"k={k} exceeds {n} points")
-    if k < 1 or batch_size < 1:
-        raise SvkitError("k and batch_size must be >= 1")
+    if k < 1:
+        raise SvkitError(f"k={k} must be >= 1")
+    if batch_size < 1:
+        raise SvkitError(f"batch_size={batch_size} must be >= 1")
     if n_batches is None:
         n_batches = -(-10 * n // batch_size)
     if n_batches < 1:
@@ -231,7 +234,7 @@ def _cut(Z, num_clusters):
     over len(Z) + 1 centers."""
     k = len(Z) + 1
     if not 1 <= num_clusters <= k:
-        raise SvkitError(f"num_clusters must be in [1, {k}]")
+        raise SvkitError(f"num_clusters={num_clusters} must be in [1, {k}]")
     if k == 1:
         return np.zeros(1, dtype=np.int64)
     from scipy.cluster.hierarchy import fcluster
@@ -434,7 +437,8 @@ def iterate(emb_set: EmbeddingSet, refresher, k_centers, num_clusters,
 # files
 
 def write_labels(assignment: dict, path):
-    """Text `utt_id cluster_index` per line."""
+    """Text `utt_id cluster_index` per line; each id must be one field."""
+    _check_text_ids(path, assignment)
     with open(path, "w", encoding="utf-8") as f:
         for utt_id, c in assignment.items():
             f.write(f"{utt_id} {int(c)}\n")

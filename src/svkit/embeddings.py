@@ -197,6 +197,17 @@ def _write_blocks(path, n, block, header=""):
             f.write(block(lo, min(lo + _RECORD_BLOCK, n)))
 
 
+def _check_text_ids(path, *columns):
+    """SvkitError naming the first id of the `columns`, in line order, that
+    is empty or contains whitespace as `str.split` sees it, so that a text
+    reader would not read it back as one field. Distinct ids are tested."""
+    if any(u.split() != [u] for u in set().union(*columns)):
+        bad = next(u for u in itertools.chain.from_iterable(zip(*columns))
+                   if u.split() != [u])
+        raise SvkitError(f"{path}: id {bad!r} is empty or contains "
+                         "whitespace, so it cannot be a field of a text line")
+
+
 def _keyed_rows(path, rows, parse):
     """{key: parse(fields)} over `rows` of (lineno, key, fields). A repeated
     key raises DuplicateId, and a ValueError or SvkitError from `parse` an
@@ -356,9 +367,9 @@ def synth_dataset(
     [lo, hi]; speech frames fill the whole duration.
     """
     if num_speakers < 1:
-        raise SvkitError("num_speakers must be >= 1")
+        raise SvkitError(f"num_speakers={num_speakers} must be >= 1")
     if utts_per_speaker < 1:
-        raise SvkitError("utts_per_speaker must be >= 1")
+        raise SvkitError(f"utts_per_speaker={utts_per_speaker} must be >= 1")
     if dim < 1:
         raise SvkitError(f"dim={dim} must be >= 1")
     if not concentration >= 0:

@@ -18,15 +18,15 @@ from .errors import IdMismatch, OneClassOnly, SvkitError
 
 @dataclass(frozen=True)
 class DcfParams:
+    """Effective target prior p_target in (0, 1) of a normalized DCF. The
+    costs enter only through P' = C_miss·P / (C_miss·P + C_fa·(1 − P))
+    (Brümmer & du Preez, CSL 2006): NIST SRE 2008 is P' ≈ 0.0917."""
+
     p_target: float
-    c_miss: float = 1.0
-    c_fa: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.p_target < 1.0:
             raise SvkitError("p_target must be in (0, 1)")
-        if self.c_miss <= 0 or self.c_fa <= 0:
-            raise SvkitError("costs must be positive")
 
 
 def _split_scores(score_set):
@@ -69,24 +69,20 @@ def eer(score_set) -> float:
     return float(m1 + alpha * (m2 - m1))
 
 
-def _norm_factor(params):
-    return min(params.c_miss * params.p_target,
-               params.c_fa * (1.0 - params.p_target))
+def _dcf(p_miss, p_fa, params):
+    """Normalized detection cost p·P_miss + (1 − p)·P_fa over the cost
+    min(p, 1 − p) of the better trivial system, p the effective prior."""
+    p = params.p_target
+    return (p * p_miss + (1.0 - p) * p_fa) / min(p, 1.0 - p)
 
 
 def min_dcf(score_set, params: DcfParams) -> float:
     """Minimum normalized detection cost over all thresholds."""
-    p_miss, p_fa = _operating_points(score_set)
-    cost = (params.c_miss * params.p_target * p_miss
-            + params.c_fa * (1.0 - params.p_target) * p_fa)
-    return float(cost.min() / _norm_factor(params))
+    return float(_dcf(*_operating_points(score_set), params).min())
 
 
 def bayes_threshold(params: DcfParams) -> float:
-    return math.log(
-        (params.c_fa * (1.0 - params.p_target))
-        / (params.c_miss * params.p_target)
-    )
+    return math.log((1.0 - params.p_target) / params.p_target)
 
 
 def actual_dcf(score_set, params: DcfParams) -> float:
@@ -94,11 +90,7 @@ def actual_dcf(score_set, params: DcfParams) -> float:
     must be on log-likelihood-ratio scale."""
     tar, non = _split_scores(score_set)
     thr = bayes_threshold(params)
-    p_miss = np.mean(tar < thr)
-    p_fa = np.mean(non >= thr)
-    cost = (params.c_miss * params.p_target * p_miss
-            + params.c_fa * (1.0 - params.p_target) * p_fa)
-    return float(cost / _norm_factor(params))
+    return float(_dcf(np.mean(tar < thr), np.mean(non >= thr), params))
 
 
 def det_points(score_set):

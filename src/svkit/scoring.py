@@ -12,6 +12,7 @@ from scipy import sparse
 from .embeddings import (
     _ROW_BLOCK,
     EmbeddingSet,
+    _check_text_ids,
     _metas,
     _reading,
     _write_blocks,
@@ -309,7 +310,8 @@ def _flat(*columns):
 
 def write_trials(trials: TrialList, path):
     """Text, one per line: `enroll_id test_id [1|0]` (label omitted when
-    unknown), written `_RECORD_BLOCK` lines at a time."""
+    unknown), `_RECORD_BLOCK` lines at a time; each id must be one field."""
+    _check_text_ids(path, trials.enroll_ids, trials.test_ids)
     labels = trials.labels
     line = {lab: f"%s %s {lab}\n" for lab in np.unique(labels).tolist()}
     line[UNKNOWN] = "%s %s\n"
@@ -351,8 +353,9 @@ def read_trials(path) -> TrialList:
 
 def write_scores(score_set: ScoreSet, path):
     """Text `enroll_id test_id score` at 9 significant digits, written
-    `_RECORD_BLOCK` lines at a time."""
+    `_RECORD_BLOCK` lines at a time; each id must be one field."""
     e, t = score_set.trials.enroll_ids, score_set.trials.test_ids
+    _check_text_ids(path, e, t)
     s = score_set.scores
 
     def block(lo, hi):

@@ -240,9 +240,9 @@ def clr_triangular2(t, cycle_len, lr_min=1e-8, lr_max=1e-3):
     within cycle c, the rate rises linearly from lr_min to
     lr_min + (lr_max - lr_min) / 2^c at the cycle midpoint and back."""
     if t < 0:
-        raise SvkitError("iteration index must be >= 0")
+        raise SvkitError(f"iteration index t={t} must be >= 0")
     if cycle_len < 2:
-        raise SvkitError("cycle_len must be >= 2")
+        raise SvkitError(f"cycle_len={cycle_len} must be >= 2")
     if not 0.0 <= lr_min <= lr_max < math.inf:
         raise SvkitError("rates must be finite, 0 <= lr_min <= lr_max")
     cycle = t // cycle_len

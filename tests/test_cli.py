@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -355,6 +356,26 @@ def test_gen_trials_with_no_trials_per_class_is_data_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_gen_trials_refuses_ids_its_trial_file_would_split(tmp_path, capsys,
+                                                          caplog):
+    # the .svb and CSV formats hold "spk0000_utt000 1"; a trial line of
+    # such ids would read back as other fields, so nothing is written
+    data = synth_dataset(10, 8, 16, 8.0, seed=1)
+    ids = [f"{u} 1" for u in data.ids]
+    meta = dict(zip(ids, map(data.meta.__getitem__, data.ids)))
+    emb, meta_csv = tmp_path / "emb.svb", tmp_path / "meta.csv"
+    write_embeddings(EmbeddingSet(ids, data.vectors, meta), emb)
+    write_metadata(meta, meta_csv)
+    out = tmp_path / "t.txt"
+    code, payload = _run(capsys, "gen-trials", "--emb", str(emb), "--meta",
+                         str(meta_csv), "--per-class", "20", "--out",
+                         str(out))
+    assert (code, payload) == (2, None)
+    assert re.search(r"t\.txt: id 'spk\d{4}_utt\d{3} 1' is empty or "
+                     "contains whitespace", caplog.text), caplog.text
+    assert not out.exists()
+
+
 def test_short_metadata_row_is_data_error(tmp_path, capsys, caplog):
     emb, meta = _synth(tmp_path, capsys)
     lines = meta.read_text().splitlines(True)
@@ -643,6 +664,17 @@ _PULL = _ITERATE + ["--refresher", "prototype-pull"]
     ["kmeans", "--k", "5", "--seed=-1"],
     _ITERATE + ["--seed=-1"],
     ["loss-check", "--instances", "1", "--seed=-1"],
+    ["kmeans", "--k", "0"],
+    ["kmeans", "--k", "5", "--batch-size", "0"],
+    _ITERATE + ["--k-centers", "0"],
+    _ITERATE + ["--batch-size", "0"],
+    # at 20 centers, "[1, 20]" in the message would hold the value "0"
+    _ITERATE + ["--k-centers", "8", "--clusters", "0"],
+    _SYNTH + ["--speakers", "0"],
+    _SYNTH + ["--utts-per-speaker", "0"],
+    ["ahc", "--clusters", "0"],
+    ["clr", "--t", "-1"],
+    ["clr", "--t", "5", "--cycle-len", "1"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_values_outside_an_options_domain_are_data_errors(
         tmp_path, capsys, caplog, monkeypatch, argv):
@@ -658,7 +690,11 @@ def test_values_outside_an_options_domain_are_data_errors(
         (tmp_path / "t.txt").write_text("a x 1\nb y 0\n")
         (tmp_path / "s.txt").write_text("a x 0.9\nb y 0.1\n")
         argv = argv + ["--trials", "t.txt", "--scores", "s.txt"]
-    if argv[0] != "loss-check":
+    elif argv[0] == "ahc":
+        write_kmeans(minibatch_kmeans(synth_dataset(5, 2, 4, 8.0), 5, 10),
+                     tmp_path / "km.svkm")
+        argv = argv + ["--kmeans", "km.svkm"]
+    if argv[0] not in ("loss-check", "clr"):
         argv += ["--out", "out"]
     caplog.clear()
     assert run(argv) == 2
@@ -743,9 +779,19 @@ _SWEEP_DOMAINS = {
     ("loss-check", "--instances"): lambda v: v >= 1,
     ("clr", "--lr-min"): lambda v: 0 <= v <= 1e-3,
     ("clr", "--lr-max"): lambda v: 1e-8 <= v < math.inf,
+    ("clr", "--t"): lambda v: v >= 0,
+    ("clr", "--cycle-len"): lambda v: v >= 2,
+    ("ahc", "--clusters"): lambda v: 1 <= v <= 6,  # the model's k
+    ("iterate", "--clusters"): lambda v: 1 <= v <= 6,  # --k-centers
     **{(name, "--seed"): lambda v: v >= 0
        for name in ("synth", "gen-trials", "kmeans", "iterate",
                     "loss-check")},
+    **{option: lambda v: v >= 1
+       for option in (("synth", "--speakers"),
+                      ("synth", "--utts-per-speaker"),
+                      ("kmeans", "--k"), ("kmeans", "--batch-size"),
+                      ("iterate", "--k-centers"),
+                      ("iterate", "--batch-size"))},
 }
 
 

@@ -28,7 +28,7 @@ from svkit import (
     write_trials,
 )
 from svkit.calibration import read_qmf_cache
-from svkit.clustering import read_labels
+from svkit.clustering import read_labels, write_labels
 from svkit.embeddings import _RECORD_BLOCK
 from svkit.errors import DuplicateId, MisalignedTrials, SvkitError
 from svkit.scoring import ScoreSet
@@ -330,6 +330,28 @@ def test_write_trials_golden_bytes(tmp_path):
     assert path.read_bytes() == b"a x 1\nb y\nc z 0\nd w 1\n"
     write_trials(TrialList([], []), path)
     assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("bad", ["b 1", "", " b", "b\t", "b\r", "b\x0c",
+                                 "b\u2028"])
+@pytest.mark.parametrize("writer", ["trials", "scores", "labels"])
+def test_text_writers_name_the_first_id_that_is_not_one_field(
+        tmp_path, writer, bad):
+    # an id must be one field of `str.split` (written, the trial "x b 1"
+    # would read back as the target trial (x, b)); the error names the
+    # first bad id in line order, and no file is opened
+    path = tmp_path / "out.txt"
+    trials = TrialList(["a", "c", "a", "y "], ["x", bad, bad, "z"])
+    write = {
+        "trials": lambda: write_trials(trials, path),
+        "scores": lambda: write_scores(ScoreSet(trials, [0.0] * 4), path),
+        "labels": lambda: write_labels({"a": 0, bad: 1, "y ": 2}, path),
+    }[writer]
+    with pytest.raises(SvkitError) as info:
+        write()
+    assert str(info.value).startswith(
+        f"{path}: id {bad!r} is empty or contains whitespace")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -168,7 +168,24 @@ def test_ari_id_mismatch():
 
 
 def test_dcf_params_validation():
-    with pytest.raises(SvkitError):
-        DcfParams(0.0)
-    with pytest.raises(SvkitError):
-        DcfParams(0.5, c_miss=0.0)
+    for p_target in (0.0, 1.0, float("nan")):
+        with pytest.raises(SvkitError):
+            DcfParams(p_target)
+
+
+@pytest.mark.parametrize("c_miss, c_fa, p", [
+    (10.0, 1.0, 0.01),  # NIST SRE 2008: P' ≈ 0.0917
+    (1.0, 1.0, 0.05),  # VoxSRC
+    (3.5, 0.2, 0.2),  # P' ≈ 0.814, above 1/2
+])
+def test_effective_prior_gives_the_cost_weighted_dcfs(c_miss, c_fa, p):
+    # an operating point with costs is its effective prior P': the DCFs at
+    # DcfParams(P') equal the oracles' cost-weighted ones
+    eff = c_miss * p / (c_miss * p + c_fa * (1.0 - p))
+    rng = np.random.default_rng(8)
+    tar, non = rng.normal(2.0, 2.0, 200), rng.normal(-2.0, 2.0, 300)
+    s, params = _scoreset(tar, non), DcfParams(eff)
+    args = (tar.tolist(), non.tolist(), p, c_miss, c_fa)
+    assert abs(min_dcf(s, params) - oracles.min_dcf_oracle(*args)) < 1e-12
+    assert abs(actual_dcf(s, params)
+               - oracles.actual_dcf_oracle(*args)) < 1e-12

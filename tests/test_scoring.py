@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 
@@ -30,6 +31,12 @@ from svkit.errors import (
     ZeroVector,
 )
 from svkit import scoring
+from svkit.calibration import (
+    QmfConfig,
+    build_features,
+    trial_qmfs,
+    utterance_qmfs,
+)
 from svkit.scoring import (
     _ROW_BLOCK,
     Cohort,
@@ -499,3 +506,36 @@ def test_read_trials_mixed_labeled_and_unlabeled_lines(tmp_path):
     assert trials.enroll_ids == ["a", "b", "c"]
     assert trials.test_ids == ["x", "y", "z"]
     assert trials.labels.tolist() == [1, -1, 0]
+
+
+def test_cohort_kernel_outputs_are_frozen():
+    # one digest over every output of the cohort kernel: s-norm at top-100
+    # and over the whole cohort, the trial QMFs and the cached utterance
+    # QMFs under both metrics, with enroll as test (one pass over the
+    # union of ids) and with a separate test set over the same ids; so a
+    # change of the kernel that is meant to be bit-identical is checked
+    data = length_normalize(synth_dataset(100, 20, 128, 5.0, seed=11))
+    test = data.with_vectors(length_normalize(
+        synth_dataset(100, 20, 128, 5.0, seed=12)).vectors)
+    cohort = build_cohort(length_normalize(
+        synth_dataset(3000, 2, 128, 3.0, seed=13)))
+    e, t = np.random.default_rng(14).integers(len(data), size=(2, 24000))
+    trials = TrialList([data.ids[i] for i in e], [data.ids[i] for i in t])
+    digest = hashlib.sha256()
+
+    def update(values):
+        digest.update(np.asarray(values).astype("<f8").tobytes())
+
+    for test_set in (data, test):
+        raw = cosine_score(trials, data, test_set)
+        for top_n in (100, None):
+            update(snorm(raw, data, test_set, cohort, top_n).scores)
+        for metric in ("cosine", "inner_product"):
+            update(build_features(raw, trial_qmfs(
+                trials, data, test_set, cohort, QmfConfig(metric, 100))))
+    for metric in ("cosine", "inner_product"):
+        for top_n in (100, None):
+            cache = utterance_qmfs(test, cohort, QmfConfig(metric, top_n))
+            update(list(cache.values()))
+    assert digest.hexdigest() == (
+        "a58185b9f01eb77a8cb076dda998223300dc803209a75fdebfefbc13387a4b8f")
