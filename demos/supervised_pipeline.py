@@ -10,7 +10,6 @@ Run:  python3 demos/supervised_pipeline.py
 
 from svkit import (
     DcfParams,
-    QmfConfig,
     actual_dcf,
     apply_calibration,
     build_cohort,
@@ -63,7 +62,6 @@ def main():
           f"fused EER: {eer(fused) * 100:.2f}%")
 
     print("\n== 5. quality-aware calibration ==")
-    cfg = QmfConfig(top_n=100)
     params = DcfParams(p_target=0.01)
 
     cal_fused = mean_fuse([
@@ -74,10 +72,10 @@ def main():
     ])
     plain = fit_logreg(build_features(cal_fused), cal_trials.labels)
     stage1 = apply_calibration(plain, cal_fused)
-    cal_qmfs = trial_qmfs(cal_trials, data, data, cohort, cfg)
+    cal_qmfs = trial_qmfs(cal_trials, data, data, cohort, top_n=100)
     qa = fit_logreg(build_features(stage1, cal_qmfs), cal_trials.labels)
 
-    eval_qmfs = trial_qmfs(eval_trials, data, data, cohort, cfg)
+    eval_qmfs = trial_qmfs(eval_trials, data, data, cohort, top_n=100)
     llr = apply_calibration(qa, apply_calibration(plain, fused), eval_qmfs)
 
     print(f"calibrated EER:  {eer(llr) * 100:.2f}%")

@@ -36,7 +36,7 @@ def main():
     u = unit(rng, (8,))
     weights = unit(rng, (5, 2, 8))  # 5 classes, 2 subcenters each
     for margin in (0.0, 0.2, 0.5):
-        cfg = AamConfig(margin=margin, scale=30.0, num_subcenters=2)
+        cfg = AamConfig(margin=margin, scale=30.0)
         loss, _, _ = aam_softmax_loss(u, weights, 2, cfg)
         print(f"  margin {margin:.1f}: loss {loss:.4f}")
     print("  (a larger margin makes the same prediction cost more)")

@@ -27,7 +27,6 @@ from .scoring import (
 )
 from .calibration import (
     CalibrationModel,
-    QmfConfig,
     QmfVector,
     apply_calibration,
     build_features,

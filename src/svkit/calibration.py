@@ -81,7 +81,8 @@ def gen_calibration_trials(
     memory is O(_PAIR_BLOCK + n) whatever the number of utterances, and
     the trials equal those of drawing from the full candidate list."""
     if per_class < 0 or per_class % 2:
-        raise SvkitError("per_class must be a nonnegative even number")
+        raise SvkitError(
+            f"per_class={per_class} must be a nonnegative even number")
     rng = np.random.default_rng(check_seed(seed))
     if per_class == 0:
         return TrialList([], [])
@@ -174,26 +175,19 @@ QA_FEATURE_NAMES = ("score",) + tuple(f.name for f in fields(QmfVector))
 _QMF_FIELDS = operator.attrgetter(*QA_FEATURE_NAMES[1:])
 
 
-@dataclass(frozen=True)
-class QmfConfig:
-    metric: str = "inner_product"
-    top_n: int | None = 100
-
-
-def _qmf_rows(emb_set: EmbeddingSet, ids, cohort: Cohort,
-              config: QmfConfig):
+def _qmf_rows(emb_set: EmbeddingSet, ids, cohort: Cohort, metric, top_n):
     """(len(ids), 2) rows [dur_q, imp_q] of `ids` in one set: the duration
     QMF of each utterance's metadata and the mean of its top_n cohort
-    scores under the configured metric (top_n=None: the whole cohort)."""
+    scores under the imposter `metric` (top_n=None: the whole cohort)."""
     dur = list(map(duration_qmf, _metas(emb_set, ids)))
-    imp = _cohort_stats(emb_set, ids, cohort, config.top_n, config.metric)[0]
+    imp = _cohort_stats(emb_set, ids, cohort, top_n, metric)[0]
     return np.column_stack([dur, imp])
 
 
 def utterance_qmfs(emb_set: EmbeddingSet, cohort: Cohort,
-                   config: QmfConfig = QmfConfig()):
+                   metric: str = "inner_product", top_n: int | None = 100):
     """Per-utterance (dur_q, imp_q) pairs, cached by id."""
-    rows = _qmf_rows(emb_set, emb_set.ids, cohort, config)
+    rows = _qmf_rows(emb_set, emb_set.ids, cohort, metric, top_n)
     return dict(zip(emb_set.ids, map(tuple, rows.tolist())))
 
 
@@ -204,12 +198,13 @@ def _minmax_pairs(side_e, side_t):
 
 
 def trial_qmfs(trials: TrialList, enroll: EmbeddingSet, test: EmbeddingSet,
-               cohort: Cohort, config: QmfConfig = QmfConfig()):
+               cohort: Cohort, metric: str = "inner_product",
+               top_n: int | None = 100):
     """Symmetric per-trial QMF vectors: (min, max) over the two sides for
     each metric. Each side's values come from its own set, once per
     unique utterance."""
     e, t = _side_rows(trials, enroll, test,
-                      lambda s, ids: _qmf_rows(s, ids, cohort, config))
+                      lambda s, ids: _qmf_rows(s, ids, cohort, metric, top_n))
     return [QmfVector(*row) for row in _minmax_pairs(e, t).tolist()]
 
 

@@ -267,9 +267,8 @@ def _cmd_qmf(args):
     emb = _load_set(args.emb, args.meta, normalize=True)
     cohort = scoring.build_cohort(
         _load_set(args.cohort_emb, args.cohort_meta, normalize=True))
-    config = calibration.QmfConfig(metric=args.qmf_metric,
-                                   top_n=args.qmf_top_n)
-    cache = calibration.utterance_qmfs(emb, cohort, config)
+    cache = calibration.utterance_qmfs(emb, cohort, args.qmf_metric,
+                                       args.qmf_top_n)
     calibration.write_qmf_cache(cache, args.out)
     return {"utterances": len(cache), "out": args.out}
 
@@ -314,9 +313,9 @@ def _cmd_fuse(args):
 
 
 def _cmd_metrics(args):
+    params = metrics.DcfParams(p_target=args.p_target)
     trials = scoring.read_trials(args.trials)
     scores = scoring.read_scores(args.scores, trials)
-    params = metrics.DcfParams(p_target=args.p_target)
     e = metrics.eer(scores)
     m = metrics.min_dcf(scores, params)
     payload = {"eer_pct": e * 100.0, "min_dcf": m, "p_target": args.p_target}

@@ -49,7 +49,7 @@ def check_aam(num_subcenters, instances=100, dim=8, num_classes=5, seed=0):
     if instances < 1:  # zero instances would report an error of 0
         raise SvkitError(f"instances={instances} must be >= 1")
     rng = np.random.default_rng(check_seed(seed))
-    cfg = AamConfig(margin=0.2, scale=5.0, num_subcenters=num_subcenters)
+    cfg = AamConfig(margin=0.2, scale=5.0)
     worst = 0.0
     for _ in range(instances):
         u = _unit_rows(rng, (dim,))

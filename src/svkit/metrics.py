@@ -26,7 +26,7 @@ class DcfParams:
 
     def __post_init__(self):
         if not 0.0 < self.p_target < 1.0:
-            raise SvkitError("p_target must be in (0, 1)")
+            raise SvkitError(f"p_target={self.p_target} must be in (0, 1)")
 
 
 def _split_scores(score_set):

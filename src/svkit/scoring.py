@@ -266,7 +266,8 @@ def snorm(
     so memory stays O(block x cohort). top_n=None uses the whole cohort.
     """
     if (len(cohort) if top_n is None else top_n) < 2:
-        raise SvkitError("top_n must be >= 2")
+        raise SvkitError(
+            f"top_n={top_n} must be >= 2 (cohort size {len(cohort)})")
 
     def side_stats(emb_set, ids):
         mu, sigma = _cohort_stats(emb_set, ids, cohort, top_n, "cosine")

@@ -42,15 +42,12 @@ def _check_unit(arr, name):
 class AamConfig:
     margin: float = 0.2
     scale: float = 30.0
-    num_subcenters: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.margin < math.pi / 2:
-            raise SvkitError("margin must be in [0, pi/2)")
-        if self.scale <= 0:
-            raise SvkitError("scale must be positive")
-        if self.num_subcenters < 1:
-            raise SvkitError("num_subcenters must be >= 1")
+            raise SvkitError(f"margin={self.margin} must be in [0, pi/2)")
+        if not 0.0 < self.scale < math.inf:
+            raise SvkitError(f"scale={self.scale} must be finite and > 0")
 
 
 def _target_angle(cos_t):
@@ -96,11 +93,10 @@ def aam_softmax_loss(embedding, class_weights, target_class,
     """
     u = np.asarray(embedding, dtype=np.float64)
     W = np.asarray(class_weights, dtype=np.float64)
-    if W.ndim != 3:
-        raise SvkitError("class_weights must be (C, K, d)")
+    if W.ndim != 3 or 0 in W.shape:
+        raise SvkitError(f"class_weights of shape {W.shape} must be "
+                         "(C, K, d) with C, K, d >= 1")
     C, K, d = W.shape
-    if K != config.num_subcenters:
-        raise SvkitError("subcenter count mismatch with config")
     if u.shape != (d,):
         raise DimMismatch("embedding dimension mismatch")
     if not 0 <= target_class < C:
@@ -179,8 +175,8 @@ class ContrastiveBatch:
             raise DimMismatch("queries/positives shape mismatch")
         if self.queries.shape[0] < 1:
             raise SvkitError("batch must be nonempty")
-        if self.scale < 0:
-            raise SvkitError("scale must be nonnegative")
+        if not 0.0 <= self.scale < math.inf:
+            raise SvkitError(f"scale={self.scale} must be finite and >= 0")
         _check_unit(self.queries, "queries")
         _check_unit(self.positives, "positives")
 
@@ -244,7 +240,8 @@ def clr_triangular2(t, cycle_len, lr_min=1e-8, lr_max=1e-3):
     if cycle_len < 2:
         raise SvkitError(f"cycle_len={cycle_len} must be >= 2")
     if not 0.0 <= lr_min <= lr_max < math.inf:
-        raise SvkitError("rates must be finite, 0 <= lr_min <= lr_max")
+        raise SvkitError(f"rates lr_min={lr_min}, lr_max={lr_max} must be "
+                         "finite, 0 <= lr_min <= lr_max")
     cycle = t // cycle_len
     pos = t - cycle * cycle_len
     peak = lr_min + (lr_max - lr_min) / (2.0 ** cycle)

@@ -14,7 +14,6 @@ from svkit import (
     CalibrationModel,
     DcfParams,
     EmbeddingSet,
-    QmfConfig,
     ScoreSet,
     TrialList,
     actual_dcf,
@@ -267,14 +266,13 @@ def test_criterion_6_quality_aware_calibration():
                        duration_range_s=(2.0, 12.0), seed=11)
     data = length_normalize(ds)
     cohort = build_cohort(data)
-    cfg = QmfConfig(top_n=100)
     params = DcfParams(0.01)
 
     def prepare(trial_seed):
         trials = gen_calibration_trials(data, 2000, seed=trial_seed)
         raw = cosine_score(trials, data, data)
         shifted = _shift_short_short(raw, data)
-        qmfs = trial_qmfs(trials, data, data, cohort, cfg)
+        qmfs = trial_qmfs(trials, data, data, cohort, top_n=100)
         return shifted, qmfs
 
     cal_scores, cal_qmfs = prepare(1)

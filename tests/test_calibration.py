@@ -29,7 +29,6 @@ from svkit import (
 from svkit import calibration
 from svkit.calibration import (
     CalibrationModel,
-    QmfConfig,
     QmfVector,
     build_features,
     duration_class,
@@ -222,8 +221,7 @@ def _imposter_mean(vec, cohort, metric, top_n):
     """The imposter-mean QMF of one vector, through `utterance_qmfs` on a
     one-utterance set."""
     emb = EmbeddingSet(["u"], [vec], {"u": UttMeta(0, 0.0)})
-    config = QmfConfig(metric=metric, top_n=top_n)
-    return calibration.utterance_qmfs(emb, cohort, config)["u"][1]
+    return calibration.utterance_qmfs(emb, cohort, metric, top_n)["u"][1]
 
 
 def test_imposter_mean_qmf_hand_example():
@@ -249,13 +247,12 @@ def test_zero_norm_utterance_under_cosine_qmf_is_named(shared):
     vecs = emb.vectors.copy()
     vecs[5] = 0.0
     emb = emb.with_vectors(vecs)
-    cfg = QmfConfig("cosine", 2)
     with pytest.raises(ZeroVector, match=f"embedding '{emb.ids[5]}'"):
-        calibration.utterance_qmfs(emb, cohort, cfg)
+        calibration.utterance_qmfs(emb, cohort, "cosine", 2)
     test = emb if shared else emb.with_vectors(emb.vectors)
     trials = TrialList(emb.ids[:6], emb.ids[6:])
     with pytest.raises(ZeroVector, match=f"embedding '{emb.ids[5]}'"):
-        trial_qmfs(trials, emb, test, cohort, cfg)
+        trial_qmfs(trials, emb, test, cohort, "cosine", 2)
 
 
 def test_imposter_mean_qmf_top_n_too_large():
@@ -269,7 +266,7 @@ def test_top_n_below_one_is_rejected(top_n):
     emb = length_normalize(synth_dataset(4, 3, 8, 4.0, seed=0))
     cohort = build_cohort(emb)
     with pytest.raises(SvkitError, match=f"top_n={top_n} must be >= 1"):
-        calibration.utterance_qmfs(emb, cohort, QmfConfig(top_n=top_n))
+        calibration.utterance_qmfs(emb, cohort, top_n=top_n)
     with pytest.raises(SvkitError, match=f"top_n={top_n} must be >= 1"):
         _imposter_mean(emb.vectors[0], cohort, "cosine", top_n)
 
@@ -279,7 +276,7 @@ def test_unknown_imposter_metric_is_named_before_top_n(top_n):
     emb = length_normalize(synth_dataset(4, 3, 8, 4.0, seed=0))
     cohort = build_cohort(emb)
     with pytest.raises(SvkitError, match="unknown imposter metric 'cosin'"):
-        calibration.utterance_qmfs(emb, cohort, QmfConfig("cosin", top_n))
+        calibration.utterance_qmfs(emb, cohort, "cosin", top_n)
 
 
 def test_trial_qmfs_symmetry_and_values():
@@ -289,9 +286,8 @@ def test_trial_qmfs_symmetry_and_values():
     ids = emb.ids
     trials = TrialList(ids[:10], ids[10:20])
     swapped = TrialList(ids[10:20], ids[:10])
-    cfg = QmfConfig(top_n=5)
-    fwd = trial_qmfs(trials, emb, emb, cohort, cfg)
-    rev = trial_qmfs(swapped, emb, emb, cohort, cfg)
+    fwd = trial_qmfs(trials, emb, emb, cohort, top_n=5)
+    rev = trial_qmfs(swapped, emb, emb, cohort, top_n=5)
     assert fwd == rev
     for (e, t, _), q in zip(trials, fwd):
         dur = sorted([
@@ -317,9 +313,8 @@ def test_trial_qmfs_sides_sharing_ids_use_their_own_vectors():
     cohort = Cohort(tuple(f"k{i}" for i in range(6)),
                     rng.standard_normal((6, 8)))
     trials = TrialList(["a", "b", "c"], ["a", "c", "b"])
-    cfg = QmfConfig(top_n=3)
     for (e, t, _), q in zip(trials, trial_qmfs(trials, enroll, test,
-                                                cohort, cfg)):
+                                                cohort, top_n=3)):
         imp = sorted([
             oracles.imposter_mean_oracle(enroll.vector(e), cohort.means, 3),
             oracles.imposter_mean_oracle(test.vector(t), cohort.means, 3),
@@ -340,11 +335,10 @@ def test_cache_features_equal_library_features(metric):
     pairs = rng.integers(0, len(emb), size=(2, 300))
     trials = TrialList([emb.ids[i] for i in pairs[0]],
                        [emb.ids[i] for i in pairs[1]])
-    cfg = QmfConfig(metric=metric, top_n=5)
     cached = calibration.trial_qmfs_from_cache(
-        trials, calibration.utterance_qmfs(emb, cohort, cfg))
-    library = np.array([q.as_array()
-                        for q in trial_qmfs(trials, emb, emb, cohort, cfg)])
+        trials, calibration.utterance_qmfs(emb, cohort, metric, 5))
+    library = np.array([q.as_array() for q in trial_qmfs(
+        trials, emb, emb, cohort, metric, 5)])
     assert cached.shape == library.shape == (300, 4)
     assert np.array_equal(cached[:, :2], library[:, :2])
     assert np.abs(cached[:, 2:] - library[:, 2:]).max() <= 1e-15
@@ -377,10 +371,9 @@ _META_USERS = {
     "build_cohort": build_cohort,
     "gen_calibration_trials": lambda s: gen_calibration_trials(s, 2),
     "utterance_qmfs": lambda s: calibration.utterance_qmfs(
-        s, _COHORT, QmfConfig(top_n=1)),
+        s, _COHORT, top_n=1),
     "trial_qmfs": lambda s: trial_qmfs(
-        TrialList(["a0", "b0"], ["b1", "a0"]), s, s, _COHORT,
-        QmfConfig(top_n=1)),
+        TrialList(["a0", "b0"], ["b1", "a0"]), s, s, _COHORT, top_n=1),
 }
 
 
@@ -533,7 +526,7 @@ def test_full_pipeline_monotone_in_raw_score():
     cohort = build_cohort(emb)
     trials = gen_calibration_trials(emb, 60, seed=10)
     raw = cosine_score(trials, emb)
-    qmfs = trial_qmfs(trials, emb, emb, cohort, QmfConfig(top_n=10))
+    qmfs = trial_qmfs(trials, emb, emb, cohort, top_n=10)
     stage1 = fit_logreg(build_features(raw), trials.labels)
     fused = mean_fuse([apply_calibration(stage1, raw)])
     stage2 = fit_logreg(build_features(fused, qmfs), trials.labels)
@@ -653,7 +646,7 @@ def test_read_model_names_path_for_numbers_out_of_range(
 def test_imposter_means_over_whole_cohort_match_oracle():
     emb = length_normalize(synth_dataset(12, 3, 16, 3.0, seed=21))
     cohort = build_cohort(emb)
-    qmfs = calibration.utterance_qmfs(emb, cohort, QmfConfig(top_n=None))
+    qmfs = calibration.utterance_qmfs(emb, cohort, top_n=None)
     for u in emb.ids:
         want = oracles.imposter_mean_oracle(emb.vector(u), cohort.means)
         assert abs(qmfs[u][1] - want) <= 1e-15

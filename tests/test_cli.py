@@ -11,6 +11,7 @@ from svkit import (
     EmbeddingSet,
     TrialList,
     UttMeta,
+    read_embeddings,
     read_scores,
     read_trials,
     synth_dataset,
@@ -648,45 +649,64 @@ _ITERATE = ["iterate", "--k-centers", "20", "--clusters", "10",
 _PULL = _ITERATE + ["--refresher", "prototype-pull"]
 
 
-@pytest.mark.parametrize("argv", [
-    _SYNTH + ["--dur-hi", "inf"],
-    _SYNTH + ["--dur-lo", "nan"],
-    _SYNTH + ["--concentration", "nan"],
-    _PULL + ["--pull-factor", "5"],
-    _PULL + ["--pull-factor", "-1"],
-    _ITERATE + ["--pull-factor", "nan"],
-    _ITERATE + ["--pull-factor=-1"],
-    _ITERATE + ["--pull-factor", "1e308"],
-    ["fit-cal", "--max-iter", "-1"],
-    _SYNTH + ["--seed=-1"],
-    _SYNTH + ["--dim=-1"],
-    ["gen-trials", "--per-class", "2", "--seed=-1"],
-    ["kmeans", "--k", "5", "--seed=-1"],
-    _ITERATE + ["--seed=-1"],
-    ["loss-check", "--instances", "1", "--seed=-1"],
-    ["kmeans", "--k", "0"],
-    ["kmeans", "--k", "5", "--batch-size", "0"],
-    _ITERATE + ["--k-centers", "0"],
-    _ITERATE + ["--batch-size", "0"],
-    # at 20 centers, "[1, 20]" in the message would hold the value "0"
-    _ITERATE + ["--k-centers", "8", "--clusters", "0"],
-    _SYNTH + ["--speakers", "0"],
-    _SYNTH + ["--utts-per-speaker", "0"],
-    ["ahc", "--clusters", "0"],
-    ["clr", "--t", "-1"],
-    ["clr", "--t", "5", "--cycle-len", "1"],
-], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+# (argv, the fragment that names the option's value in the one ERROR line):
+# a bare value would also match a bound, as "0" matches "(0, 1)"
+_DOMAIN_CASES = [
+    (_SYNTH + ["--dur-hi", "inf"], "[2.0, inf]"),
+    (_SYNTH + ["--dur-lo", "nan"], "[nan, 12.0]"),
+    (_SYNTH + ["--concentration", "nan"], "concentration=nan"),
+    (_PULL + ["--pull-factor", "5"], "pull=5.0"),
+    (_PULL + ["--pull-factor", "-1"], "pull=-1.0"),
+    (_ITERATE + ["--pull-factor", "nan"], "pull=nan"),
+    (_ITERATE + ["--pull-factor=-1"], "pull=-1.0"),
+    (_ITERATE + ["--pull-factor", "1e308"], "pull=1e+308"),
+    (["fit-cal", "--max-iter", "-1"], "max_iter=-1"),
+    (_SYNTH + ["--seed=-1"], "seed=-1"),
+    (_SYNTH + ["--dim=-1"], "dim=-1"),
+    (["gen-trials", "--per-class", "2", "--seed=-1"], "seed=-1"),
+    (["kmeans", "--k", "5", "--seed=-1"], "seed=-1"),
+    (_ITERATE + ["--seed=-1"], "seed=-1"),
+    (["loss-check", "--instances", "1", "--seed=-1"], "seed=-1"),
+    (["kmeans", "--k", "0"], "k=0"),
+    (["kmeans", "--k", "5", "--batch-size", "0"], "batch_size=0"),
+    (_ITERATE + ["--k-centers", "0"], "k=0"),
+    (_ITERATE + ["--batch-size", "0"], "batch_size=0"),
+    (_ITERATE + ["--clusters", "0"], "num_clusters=0"),
+    (_SYNTH + ["--speakers", "0"], "num_speakers=0"),
+    (_SYNTH + ["--utts-per-speaker", "0"], "utts_per_speaker=0"),
+    (["ahc", "--clusters", "0"], "num_clusters=0"),
+    (["clr", "--t", "-1"], "t=-1"),
+    (["clr", "--t", "5", "--cycle-len", "1"], "cycle_len=1"),
+    (["clr", "--t", "5", "--lr-min", "-1"], "lr_min=-1.0"),
+    (["clr", "--t", "5", "--lr-max", "nan"], "lr_max=nan"),
+    (["gen-trials", "--per-class", "-1"], "per_class=-1"),
+    (["gen-trials", "--per-class", "3"], "per_class=3"),
+    (["metrics", "--p-target", "0"], "p_target=0.0"),
+    (["metrics", "--p-target", "1e308"], "p_target=1e+308"),
+    (["snorm", "--top-n", "1"], "top_n=1"),
+]
+
+
+@pytest.mark.parametrize("argv, named", _DOMAIN_CASES,
+                         ids=[" ".join(argv[:1] + argv[-2:])
+                              for argv, _ in _DOMAIN_CASES])
 def test_values_outside_an_options_domain_are_data_errors(
-        tmp_path, capsys, caplog, monkeypatch, argv):
-    # the error names the value, as typed or as a float
-    value = argv[-1].rpartition("=")[2]
+        tmp_path, capsys, caplog, monkeypatch, argv, named):
     monkeypatch.chdir(tmp_path)
-    if argv[0] in ("iterate", "kmeans", "gen-trials"):
+    if argv[0] in ("iterate", "kmeans", "gen-trials", "snorm"):
         emb, meta = _synth(tmp_path, capsys)
-        argv = argv + ["--emb", str(emb)]
+        if argv[0] == "snorm":
+            a, b = read_embeddings(emb).ids[:2]
+            (tmp_path / "t.txt").write_text(f"{a} {b} 1\n")
+            (tmp_path / "s.txt").write_text(f"{a} {b} 0.5\n")
+            argv = argv + ["--trials", "t.txt", "--scores", "s.txt",
+                           "--enroll", str(emb), "--cohort-emb", str(emb),
+                           "--cohort-meta", str(meta)]
+        else:
+            argv = argv + ["--emb", str(emb)]
         if argv[0] == "gen-trials":
             argv += ["--meta", str(meta)]
-    elif argv[0] == "fit-cal":
+    elif argv[0] in ("fit-cal", "metrics"):
         (tmp_path / "t.txt").write_text("a x 1\nb y 0\n")
         (tmp_path / "s.txt").write_text("a x 0.9\nb y 0.1\n")
         argv = argv + ["--trials", "t.txt", "--scores", "s.txt"]
@@ -694,7 +714,7 @@ def test_values_outside_an_options_domain_are_data_errors(
         write_kmeans(minibatch_kmeans(synth_dataset(5, 2, 4, 8.0), 5, 10),
                      tmp_path / "km.svkm")
         argv = argv + ["--kmeans", "km.svkm"]
-    if argv[0] not in ("loss-check", "clr"):
+    if argv[0] not in ("loss-check", "clr", "metrics"):
         argv += ["--out", "out"]
     caplog.clear()
     assert run(argv) == 2
@@ -704,7 +724,7 @@ def test_values_outside_an_options_domain_are_data_errors(
     assert not (tmp_path / "out").exists()
     [error] = [r.getMessage() for r in caplog.records
                if r.levelname == "ERROR"]
-    assert value in error or str(float(value)) in error, error
+    assert named in error, error
 
 
 @pytest.mark.parametrize("lo, hi", [("0", "1e308"), ("-5", "-1")])

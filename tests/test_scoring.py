@@ -32,7 +32,6 @@ from svkit.errors import (
 )
 from svkit import scoring
 from svkit.calibration import (
-    QmfConfig,
     build_features,
     trial_qmfs,
     utterance_qmfs,
@@ -532,10 +531,10 @@ def test_cohort_kernel_outputs_are_frozen():
             update(snorm(raw, data, test_set, cohort, top_n).scores)
         for metric in ("cosine", "inner_product"):
             update(build_features(raw, trial_qmfs(
-                trials, data, test_set, cohort, QmfConfig(metric, 100))))
+                trials, data, test_set, cohort, metric, 100)))
     for metric in ("cosine", "inner_product"):
         for top_n in (100, None):
-            cache = utterance_qmfs(test, cohort, QmfConfig(metric, top_n))
+            cache = utterance_qmfs(test, cohort, metric, top_n)
             update(list(cache.values()))
     assert digest.hexdigest() == (
         "a58185b9f01eb77a8cb076dda998223300dc803209a75fdebfefbc13387a4b8f")

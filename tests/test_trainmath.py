@@ -44,7 +44,7 @@ def _unit(rng, shape):
 
 def test_aam_reduces_to_softmax_ce():
     # m=0, K=1, s=1, cosines (1, 0), target 0 -> log(1 + e^-1)
-    cfg = AamConfig(margin=0.0, scale=1.0, num_subcenters=1)
+    cfg = AamConfig(margin=0.0, scale=1.0)
     u = np.array([1.0, 0.0])
     W = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
     loss, _, _ = aam_softmax_loss(u, W, 0, cfg)
@@ -54,7 +54,7 @@ def test_aam_reduces_to_softmax_ce():
 
 def test_aam_margin_zero_equals_plain_softmax_random():
     rng = np.random.default_rng(0)
-    cfg = AamConfig(margin=0.0, scale=7.0, num_subcenters=1)
+    cfg = AamConfig(margin=0.0, scale=7.0)
     for _ in range(20):
         u = _unit(rng, (8,))
         W = _unit(rng, (5, 1, 8))
@@ -70,7 +70,7 @@ def test_aam_margin_increases_target_loss():
     u = _unit(rng, (8,))
     W = _unit(rng, (5, 1, 8))
     losses = [
-        aam_softmax_loss(u, W, 2, AamConfig(m, 30.0, 1))[0]
+        aam_softmax_loss(u, W, 2, AamConfig(m, 30.0))[0]
         for m in (0.0, 0.2, 0.5)
     ]
     assert losses[0] < losses[1] < losses[2]
@@ -81,8 +81,8 @@ def test_aam_duplicate_subcenters_equal_k1():
     u = _unit(rng, (8,))
     W1 = _unit(rng, (5, 1, 8))
     W2 = np.repeat(W1, 2, axis=1)
-    l1, g1, _ = aam_softmax_loss(u, W1, 3, AamConfig(0.2, 30.0, 1))
-    l2, g2, _ = aam_softmax_loss(u, W2, 3, AamConfig(0.2, 30.0, 2))
+    l1, g1, _ = aam_softmax_loss(u, W1, 3, AamConfig(0.2, 30.0))
+    l2, g2, _ = aam_softmax_loss(u, W2, 3, AamConfig(0.2, 30.0))
     assert l1 == l2
     assert np.array_equal(g1, g2)
 
@@ -90,7 +90,7 @@ def test_aam_duplicate_subcenters_equal_k1():
 @pytest.mark.parametrize("k", [1, 2])
 def test_aam_gradients_match_finite_differences(k):
     rng = np.random.default_rng(3 + k)
-    cfg = AamConfig(0.2, 5.0, k)
+    cfg = AamConfig(0.2, 5.0)
     worst = 0.0
     for _ in range(25):
         u = _unit(rng, (8,))
@@ -107,7 +107,7 @@ def test_aam_gradients_match_finite_differences(k):
 
 
 def test_aam_rejects_non_unit():
-    cfg = AamConfig(0.2, 30.0, 1)
+    cfg = AamConfig(0.2, 30.0)
     with pytest.raises(NonUnitInput):
         aam_softmax_loss(np.array([2.0, 0.0]),
                          np.array([[[1.0, 0.0]]]), 0, cfg)
@@ -118,8 +118,21 @@ def test_aam_config_validation():
         AamConfig(margin=2.0)
     with pytest.raises(SvkitError):
         AamConfig(scale=0.0)
-    with pytest.raises(SvkitError):
-        AamConfig(num_subcenters=0)
+    # K is the middle axis of class_weights: K = 0 is no subcenter at all
+    with pytest.raises(SvkitError, match=r"shape \(5, 0, 8\)"):
+        aam_softmax_loss(np.eye(8)[0], np.zeros((5, 0, 8)), 0, AamConfig())
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+@pytest.mark.parametrize("loss", ["aam", "moco"])
+def test_loss_scale_must_be_finite(loss, scale):
+    # either scale makes the loss and its gradient NaN, silently for NaN;
+    # NaN fails every comparison, so a `scale <= 0` check lets it through
+    with pytest.raises(SvkitError, match=f"scale={scale} must be finite"):
+        if loss == "aam":
+            AamConfig(0.2, scale)
+        else:
+            ContrastiveBatch(np.eye(2)[:1], np.eye(2)[:1], scale)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +233,7 @@ def test_queue_random_trace_vs_deque_oracle():
 @pytest.mark.parametrize("k", [1, 2])
 def test_stacked_central_diff_equals_scalar_loop_aam(k):
     rng = np.random.default_rng(30 + k)
-    cfg = AamConfig(0.2, 5.0, k)
+    cfg = AamConfig(0.2, 5.0)
     for _ in range(10):
         u = _unit(rng, (8,))
         W = _unit(rng, (5, k, 8))
@@ -252,7 +265,7 @@ def test_stacked_central_diff_equals_scalar_loop_moco():
 @pytest.mark.parametrize("k", [1, 2])
 def test_aam_kernel_rows_equal_public_loss(k):
     rng = np.random.default_rng(34 + k)
-    cfg = AamConfig(0.3, 30.0, k)
+    cfg = AamConfig(0.3, 30.0)
     U = _unit(rng, (6, 8))
     Ws = _unit(rng, (6, 5, k, 8))
     for t in range(5):
@@ -279,7 +292,7 @@ def test_moco_kernel_rows_equal_public_loss():
 
 def test_loss_kernels_check_every_stacked_row():
     rng = np.random.default_rng(37)
-    cfg = AamConfig(0.2, 5.0, 1)
+    cfg = AamConfig(0.2, 5.0)
     U = _unit(rng, (4, 8))
     Ws = _unit(rng, (4, 5, 1, 8))
     U[3] *= 1.01
