@@ -13,7 +13,6 @@ from .embeddings import (
     write_metadata,
 )
 from .scoring import (
-    Cohort,
     ScoreSet,
     TrialList,
     build_cohort,

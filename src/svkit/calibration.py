@@ -34,7 +34,6 @@ from .errors import (
     check_seed,
 )
 from .scoring import (
-    Cohort,
     ScoreSet,
     TrialList,
     _cohort_stats,
@@ -175,7 +174,7 @@ QA_FEATURE_NAMES = ("score",) + tuple(f.name for f in fields(QmfVector))
 _QMF_FIELDS = operator.attrgetter(*QA_FEATURE_NAMES[1:])
 
 
-def _qmf_rows(emb_set: EmbeddingSet, ids, cohort: Cohort, metric, top_n):
+def _qmf_rows(emb_set, ids, cohort: EmbeddingSet, metric, top_n):
     """(len(ids), 2) rows [dur_q, imp_q] of `ids` in one set: the duration
     QMF of each utterance's metadata and the mean of its top_n cohort
     scores under the imposter `metric` (top_n=None: the whole cohort)."""
@@ -184,7 +183,7 @@ def _qmf_rows(emb_set: EmbeddingSet, ids, cohort: Cohort, metric, top_n):
     return np.column_stack([dur, imp])
 
 
-def utterance_qmfs(emb_set: EmbeddingSet, cohort: Cohort,
+def utterance_qmfs(emb_set: EmbeddingSet, cohort: EmbeddingSet,
                    metric: str = "inner_product", top_n: int | None = 100):
     """Per-utterance (dur_q, imp_q) pairs, cached by id."""
     rows = _qmf_rows(emb_set, emb_set.ids, cohort, metric, top_n)
@@ -198,7 +197,7 @@ def _minmax_pairs(side_e, side_t):
 
 
 def trial_qmfs(trials: TrialList, enroll: EmbeddingSet, test: EmbeddingSet,
-               cohort: Cohort, metric: str = "inner_product",
+               cohort: EmbeddingSet, metric: str = "inner_product",
                top_n: int | None = 100):
     """Symmetric per-trial QMF vectors: (min, max) over the two sides for
     each metric. Each side's values come from its own set, once per

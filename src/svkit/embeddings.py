@@ -138,15 +138,15 @@ class EmbeddingSet:
 
 def _metas(emb_set: EmbeddingSet, ids, speaker=False):
     """The UttMeta of each of `ids`. An id without a metadata row raises
-    MissingMeta; with `speaker`, one whose row has no speaker raises
-    MissingLabel."""
+    MissingMeta; with `speaker`, one whose row has no (or an empty)
+    speaker raises MissingLabel."""
     try:
         metas = list(map(emb_set.meta.__getitem__, ids))
     except KeyError as e:
         raise MissingMeta(e.args[0]) from None
     if speaker:
         for utt_id, m in zip(ids, metas):
-            if m.speaker is None:
+            if not m.speaker:
                 raise MissingLabel(utt_id)
     return metas
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -19,6 +18,7 @@ from .embeddings import (
 )
 from .errors import (
     DegenerateCohort,
+    DimMismatch,
     MisalignedTrials,
     SvkitError,
     TopNTooLarge,
@@ -31,18 +31,6 @@ NONTARGET = 0
 UNKNOWN = -1
 
 _SIGMA_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class Cohort:
-    """Per-speaker mean embeddings. Means of unit vectors are deliberately
-    NOT re-normalized, so inner-product and cosine comparisons differ."""
-
-    speaker_ids: tuple
-    means: np.ndarray  # (n_speakers, dim)
-
-    def __len__(self):
-        return len(self.speaker_ids)
 
 
 class TrialList:
@@ -101,10 +89,11 @@ class ScoreSet:
         return ScoreSet(self.trials, scores)
 
 
-def build_cohort(emb_set: EmbeddingSet) -> Cohort:
-    """Mean of each speaker's (already length-normalized) embeddings, one
-    vector per speaker, speakers in lexicographic order. A speaker whose
-    embeddings cancel to a zero mean raises DegenerateCohort."""
+def build_cohort(emb_set: EmbeddingSet) -> EmbeddingSet:
+    """One vector per speaker, keyed by speaker id in lexicographic order:
+    the mean of its (already length-normalized) embeddings, deliberately
+    NOT re-normalized, so inner-product and cosine comparisons differ. A
+    speaker whose embeddings cancel to a zero mean raises DegenerateCohort."""
     metas = _metas(emb_set, emb_set.ids, speaker=True)
     table, spk = _intern([m.speaker for m in metas])
     means = _group_sums(spk, emb_set.vectors, len(table))
@@ -113,7 +102,7 @@ def build_cohort(emb_set: EmbeddingSet) -> Cohort:
     if zero.size:
         raise DegenerateCohort(
             f"cohort speaker '{table[zero[0]]}' has a zero mean embedding")
-    return Cohort(tuple(table), means)
+    return EmbeddingSet(table, means)
 
 
 def _rows(index, ids, missing="unknown utterance id"):
@@ -162,6 +151,9 @@ def cosine_score(
     memory (`_row_dots`)."""
     if test is None:
         test = enroll
+    if test.dim != enroll.dim:
+        raise DimMismatch(
+            f"enroll set is {enroll.dim}-dim, test set {test.dim}-dim")
     return ScoreSet(trials, _row_dots(
         enroll.vectors, _rows(enroll._index, trials.enroll_ids),
         test.vectors, _rows(test._index, trials.test_ids)))
@@ -184,7 +176,7 @@ def _topn_desc(scores, n):
     return np.negative(scores, out=scores)
 
 
-def _cohort_stats(emb_set, ids, cohort: Cohort, top_n, metric):
+def _cohort_stats(emb_set, ids, cohort: EmbeddingSet, top_n, metric):
     """Mean and population std of the top_n (None: all) largest scores of
     each utterance of `ids` against the cohort means, under the imposter
     `metric`, "cosine" or "inner_product"; any other name is an error.
@@ -204,9 +196,12 @@ def _cohort_stats(emb_set, ids, cohort: Cohort, top_n, metric):
         raise SvkitError(f"top_n={top_n} must be >= 1")
     if top_n > len(cohort):
         raise TopNTooLarge(f"top_n={top_n} exceeds cohort size {len(cohort)}")
+    if emb_set.dim != cohort.dim:
+        raise DimMismatch(
+            f"embeddings are {emb_set.dim}-dim, cohort {cohort.dim}-dim")
     cosine = metric == "cosine"
     if cosine:
-        mean_norms = np.linalg.norm(cohort.means, axis=1)
+        mean_norms = np.linalg.norm(cohort.vectors, axis=1)
     rows = _rows(emb_set._index, ids)
     mu = np.empty(len(rows))
     sigma = np.empty(len(rows))
@@ -214,7 +209,7 @@ def _cohort_stats(emb_set, ids, cohort: Cohort, top_n, metric):
     for lo in range(0, len(rows), _ROW_BLOCK):
         hi = lo + _ROW_BLOCK
         block = emb_set.vectors[rows[lo:hi]]
-        sims = np.matmul(block, cohort.means.T, out=buf[:len(block)])
+        sims = np.matmul(block, cohort.vectors.T, out=buf[:len(block)])
         if cosine:
             norms = np.linalg.norm(block, axis=1)
             zero = np.flatnonzero(norms == 0.0)
@@ -251,7 +246,7 @@ def snorm(
     scores: ScoreSet,
     enroll: EmbeddingSet,
     test: EmbeddingSet,
-    cohort: Cohort,
+    cohort: EmbeddingSet,
     top_n: int | None = 100,
 ) -> ScoreSet:
     """Adaptive symmetric score normalization.

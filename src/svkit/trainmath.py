@@ -34,7 +34,7 @@ def _logsumexp(a):
 
 def _check_unit(arr, name):
     norms = np.linalg.norm(arr, axis=-1)
-    if np.any(np.abs(norms - 1.0) > _UNIT_ATOL):
+    if not np.all(np.abs(norms - 1.0) <= _UNIT_ATOL):  # NaN fails too
         raise NonUnitInput(f"{name} rows must be unit-norm")
 
 
@@ -130,12 +130,20 @@ class NegativeQueue:
     """FIFO store of momentum-encoder embeddings, oldest evicted first."""
 
     capacity: int
-    embeddings: np.ndarray  # (size, d)
+    embeddings: np.ndarray  # (size, d), size <= capacity
+
+    def __post_init__(self):
+        if not (hasattr(self.capacity, "__index__") and self.capacity >= 1):
+            raise SvkitError(
+                f"capacity={self.capacity} must be an integer >= 1")
+        q = self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
+        if not (q.ndim == 2 and len(q) <= self.capacity
+                and np.isfinite(q).all()):
+            raise SvkitError(f"queue of shape {q.shape} must be a finite "
+                             f"(size, d) array with size <= {self.capacity}")
 
     @classmethod
     def empty(cls, capacity, dim):
-        if capacity < 1:
-            raise SvkitError("capacity must be >= 1")
         return cls(capacity, np.empty((0, dim)))
 
     def __len__(self):
@@ -208,6 +216,7 @@ def moco_loss(batch: ContrastiveBatch, queue: NegativeQueue):
     X, P = batch.queries, batch.positives
     if queue.dim != X.shape[1]:
         raise DimMismatch("queue dimension mismatch")
+    _check_unit(queue.embeddings, "queue")
     s = batch.scale
     n = X.shape[0]
     Q = queue.embeddings

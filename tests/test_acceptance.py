@@ -127,9 +127,9 @@ def test_criterion_3_snorm_oracle_and_properties(monkeypatch):
         eff = len(cohort) if top_n is None else top_n
         for i, (e, t, _) in enumerate(trials):
             ec = [oracles.cosine_oracle(enroll.vector(e), m)
-                  for m in cohort.means]
+                  for m in cohort.vectors]
             tc = [oracles.cosine_oracle(test.vector(t), m)
-                  for m in cohort.means]
+                  for m in cohort.vectors]
             want = oracles.snorm_oracle(raw.scores[i], ec, tc, eff)
             worst = max(worst, abs(got.scores[i] - want))
     assert worst < 1e-10

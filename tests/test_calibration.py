@@ -46,7 +46,7 @@ from svkit.errors import (
     UnknownId,
     ZeroVector,
 )
-from svkit.scoring import Cohort, ScoreSet
+from svkit.scoring import ScoreSet
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +225,16 @@ def _imposter_mean(vec, cohort, metric, top_n):
 
 
 def test_imposter_mean_qmf_hand_example():
-    cohort = Cohort(("s1", "s2"), np.array([[0.5, 0.0], [0.0, 0.5]]))
+    cohort = EmbeddingSet(["s1", "s2"], np.array([[0.5, 0.0], [0.0, 0.5]]))
     emb = np.array([1.0, 0.0])
     assert _imposter_mean(emb, cohort, "inner_product", 1) == 0.5
     assert _imposter_mean(emb, cohort, "inner_product", None) == 0.25
-    one = Cohort(("s1",), np.array([[1.0, 0.0]]))
+    one = EmbeddingSet(["s1"], np.array([[1.0, 0.0]]))
     assert _imposter_mean(emb, one, "cosine", None) == 1.0
 
 
 def test_imposter_mean_qmf_metrics_differ_on_nonunit_cohort():
-    cohort = Cohort(("s1",), np.array([[0.5, 0.0]]))
+    cohort = EmbeddingSet(["s1"], np.array([[0.5, 0.0]]))
     emb = np.array([1.0, 0.0])
     assert _imposter_mean(emb, cohort, "inner_product", None) == 0.5
     assert _imposter_mean(emb, cohort, "cosine", None) == 1.0
@@ -256,7 +256,7 @@ def test_zero_norm_utterance_under_cosine_qmf_is_named(shared):
 
 
 def test_imposter_mean_qmf_top_n_too_large():
-    cohort = Cohort(("s1",), np.array([[1.0, 0.0]]))
+    cohort = EmbeddingSet(["s1"], np.array([[1.0, 0.0]]))
     with pytest.raises(TopNTooLarge):
         _imposter_mean(np.array([1.0, 0.0]), cohort, "cosine", 5)
 
@@ -293,8 +293,8 @@ def test_trial_qmfs_symmetry_and_values():
         dur = sorted([
             duration_qmf(emb.meta[e]), duration_qmf(emb.meta[t])])
         imp = sorted([
-            oracles.imposter_mean_oracle(emb.vector(e), cohort.means, 5),
-            oracles.imposter_mean_oracle(emb.vector(t), cohort.means, 5),
+            oracles.imposter_mean_oracle(emb.vector(e), cohort.vectors, 5),
+            oracles.imposter_mean_oracle(emb.vector(t), cohort.vectors, 5),
         ])
         assert q.min_dur_q == dur[0] and q.max_dur_q == dur[1]
         assert abs(q.min_imp_q - imp[0]) <= 1e-15
@@ -310,14 +310,14 @@ def test_trial_qmfs_sides_sharing_ids_use_their_own_vectors():
         EmbeddingSet(ids, rng.standard_normal((3, 8)), meta))
     test = length_normalize(
         EmbeddingSet(ids, rng.standard_normal((3, 8)), meta))
-    cohort = Cohort(tuple(f"k{i}" for i in range(6)),
-                    rng.standard_normal((6, 8)))
+    cohort = EmbeddingSet([f"k{i}" for i in range(6)],
+                          rng.standard_normal((6, 8)))
     trials = TrialList(["a", "b", "c"], ["a", "c", "b"])
     for (e, t, _), q in zip(trials, trial_qmfs(trials, enroll, test,
                                                 cohort, top_n=3)):
         imp = sorted([
-            oracles.imposter_mean_oracle(enroll.vector(e), cohort.means, 3),
-            oracles.imposter_mean_oracle(test.vector(t), cohort.means, 3),
+            oracles.imposter_mean_oracle(enroll.vector(e), cohort.vectors, 3),
+            oracles.imposter_mean_oracle(test.vector(t), cohort.vectors, 3),
         ])
         assert q.min_imp_q < q.max_imp_q
         assert abs(q.min_imp_q - imp[0]) <= 1e-15
@@ -366,7 +366,7 @@ def _set_lacking(what):
     return EmbeddingSet(ids, np.eye(4), meta)
 
 
-_COHORT = Cohort(("s1", "s2"), np.eye(4)[:2])
+_COHORT = EmbeddingSet(["s1", "s2"], np.eye(4)[:2])
 _META_USERS = {
     "build_cohort": build_cohort,
     "gen_calibration_trials": lambda s: gen_calibration_trials(s, 2),
@@ -392,6 +392,16 @@ def test_missing_speaker_raises_missing_label_only_where_needed(name):
             _META_USERS[name](s)
     else:
         _META_USERS[name](s)  # QMFs need durations, not speakers
+
+
+@pytest.mark.parametrize("name", ["build_cohort", "gen_calibration_trials"])
+def test_empty_speaker_raises_missing_label_naming_the_utterance(name):
+    # an empty speaker is no speaker: it must not become a cohort id
+    s = _set_lacking("speaker")
+    s = EmbeddingSet(s.ids, s.vectors, {**s.meta, "a0": UttMeta(300, 3.0, "")})
+    with pytest.raises(MissingLabel,
+                       match="utterance 'a0' has no speaker label"):
+        _META_USERS[name](s)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +658,7 @@ def test_imposter_means_over_whole_cohort_match_oracle():
     cohort = build_cohort(emb)
     qmfs = calibration.utterance_qmfs(emb, cohort, top_n=None)
     for u in emb.ids:
-        want = oracles.imposter_mean_oracle(emb.vector(u), cohort.means)
+        want = oracles.imposter_mean_oracle(emb.vector(u), cohort.vectors)
         assert abs(qmfs[u][1] - want) <= 1e-15
 
 

@@ -11,9 +11,14 @@ from svkit import (
     EmbeddingSet,
     TrialList,
     UttMeta,
+    build_cohort,
+    cosine_score,
+    length_normalize,
     read_embeddings,
+    read_metadata,
     read_scores,
     read_trials,
+    snorm,
     synth_dataset,
     write_embeddings,
     write_metadata,
@@ -633,6 +638,95 @@ def test_zero_mean_cohort_speaker_is_data_error(tmp_path, capsys, caplog,
     assert code == 2
     assert payload is None
     assert "cohort speaker 's2' has a zero mean embedding" in caplog.text
+    assert not (tmp_path / "out.txt").exists()
+
+
+def _two_sets(tmp_path, capsys):
+    """The synth set, a second set of other vectors over the same ids and
+    a trial list whose two sides list different utterances."""
+    emb, meta = _synth(tmp_path, capsys)
+    ids = read_embeddings(emb).ids
+    rng = np.random.default_rng(40)
+    other = tmp_path / "other.svb"
+    write_embeddings(EmbeddingSet(ids, rng.standard_normal((len(ids), 16))),
+                     other)
+    trials = tmp_path / "t.txt"
+    write_trials(TrialList(ids[:40], ids[-40:][::-1]), trials)
+    return emb, meta, other, trials
+
+
+def _score_and_snorm(tmp_path, capsys, emb, meta, trials, test, tag):
+    """The paths of the `score` and `snorm` outputs, each run with
+    `--test test` after the enroll set (none when test is None)."""
+    side = [] if test is None else ["--test", str(test)]
+    raw, normed = tmp_path / f"raw{tag}.txt", tmp_path / f"snorm{tag}.txt"
+    code, _ = _run(capsys, "score", "--trials", str(trials), "--enroll",
+                   str(emb), *side, "--out", str(raw))
+    assert code == 0
+    code, _ = _run(capsys, "snorm", "--trials", str(trials), "--scores",
+                   str(raw), "--enroll", str(emb), *side, "--cohort-emb",
+                   str(emb), "--cohort-meta", str(meta), "--top-n", "5",
+                   "--out", str(normed))
+    assert code == 0
+    return raw, normed
+
+
+def test_score_and_snorm_over_a_separate_test_set(tmp_path, capsys):
+    emb, meta, other, trials = _two_sets(tmp_path, capsys)
+    raw, normed = _score_and_snorm(tmp_path, capsys, emb, meta, trials,
+                                   other, "")
+    # the library on the sets the CLI reads, written at the same 9 digits
+    enroll = length_normalize(read_embeddings(emb))
+    test = length_normalize(read_embeddings(other))
+    cohort_set = read_embeddings(emb)
+    cohort = build_cohort(length_normalize(EmbeddingSet(
+        cohort_set.ids, cohort_set.vectors, read_metadata(meta))))
+    tl = read_trials(trials)
+    write_scores(cosine_score(tl, enroll, test), tmp_path / "lib_raw.txt")
+    write_scores(snorm(read_scores(raw, tl), enroll, test, cohort, 5),
+                 tmp_path / "lib_snorm.txt")
+    assert raw.read_bytes() == (tmp_path / "lib_raw.txt").read_bytes()
+    assert normed.read_bytes() == (tmp_path / "lib_snorm.txt").read_bytes()
+
+    # --test naming the enroll file is the same as no --test: the sets are
+    # equal but two objects, so the per-side statistics path runs
+    same = _score_and_snorm(tmp_path, capsys, emb, meta, trials, emb, "_same")
+    omitted = _score_and_snorm(tmp_path, capsys, emb, meta, trials, None,
+                               "_none")
+    assert same[0].read_bytes() == omitted[0].read_bytes()
+    a, b = (read_scores(paths[1], tl).scores for paths in (same, omitted))
+    assert np.allclose(a, b, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("command", ["snorm", "qmf", "score"])
+def test_sets_of_different_dim_are_data_errors_naming_both(
+        tmp_path, capsys, caplog, command):
+    ids = ["a0", "a1", "b0", "b1"]
+    meta = {u: UttMeta(300, 3.0, u[0]) for u in ids}
+    rng = np.random.default_rng(41)
+    small, large = tmp_path / "e8.svb", tmp_path / "e16.svb"
+    write_embeddings(EmbeddingSet(ids, rng.standard_normal((4, 8))), small)
+    write_embeddings(EmbeddingSet(ids, rng.standard_normal((4, 16))), large)
+    meta_csv = tmp_path / "meta.csv"
+    write_metadata(meta, meta_csv)
+    trials, scores = tmp_path / "t.txt", tmp_path / "s.txt"
+    trials.write_text("a0 b1 0\n")
+    scores.write_text("a0 b1 0.1\n")
+    cohort = ["--cohort-emb", large, "--cohort-meta", meta_csv]
+    argv = {
+        "snorm": ["snorm", "--trials", trials, "--scores", scores,
+                  "--enroll", small, *cohort, "--top-n", "2"],
+        "qmf": ["qmf", "--emb", small, "--meta", meta_csv, *cohort,
+                "--qmf-top-n", "2"],
+        "score": ["score", "--trials", trials, "--enroll", small,
+                  "--test", large],
+    }[command] + ["--out", tmp_path / "out.txt"]
+    code, payload = _run(capsys, *map(str, argv))
+    assert (code, payload) == (2, None)
+    want = ("enroll set is 8-dim, test set 16-dim" if command == "score"
+            else "embeddings are 8-dim, cohort 16-dim")
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("ERROR", want)]
     assert not (tmp_path / "out.txt").exists()
 
 

@@ -24,6 +24,7 @@ from svkit import (
 from svkit.embeddings import _RECORD_BLOCK
 from svkit.errors import (
     DegenerateCohort,
+    DimMismatch,
     MisalignedTrials,
     MissingLabel,
     SvkitError,
@@ -38,7 +39,6 @@ from svkit.calibration import (
 )
 from svkit.scoring import (
     _ROW_BLOCK,
-    Cohort,
     ScoreSet,
     _cohort_stats,
 )
@@ -54,21 +54,21 @@ def test_cohort_identical_embeddings():
     v = np.array([0.6, 0.8])
     s = _labeled_set([v, v], ["a", "a"])
     cohort = build_cohort(s)
-    assert cohort.speaker_ids == ("a",)
-    assert np.allclose(cohort.means[0], v)
+    assert cohort.ids == ["a"]
+    assert np.allclose(cohort.vectors[0], v)
 
 
 def test_cohort_orthogonal_mean_norm():
     s = _labeled_set([[1.0, 0.0], [0.0, 1.0]], ["a", "a"])
     cohort = build_cohort(s)
-    assert abs(np.linalg.norm(cohort.means[0]) - np.sqrt(2) / 2) < 1e-12
+    assert abs(np.linalg.norm(cohort.vectors[0]) - np.sqrt(2) / 2) < 1e-12
 
 
 def test_cohort_one_vector_per_speaker_sorted():
     s = length_normalize(synth_dataset(30, 4, 16, 8.0, seed=0))
     cohort = build_cohort(s)
     assert len(cohort) == 30
-    assert list(cohort.speaker_ids) == sorted(cohort.speaker_ids)
+    assert cohort.ids == sorted(cohort.ids)
 
 
 def test_cohort_means_equal_per_speaker_means():
@@ -78,8 +78,8 @@ def test_cohort_means_equal_per_speaker_means():
     speakers = rng.choice(["b", "a", "c", "dd"], size=40).tolist()
     s = _labeled_set(rng.standard_normal((40, 7)), speakers)
     cohort = build_cohort(s)
-    assert cohort.speaker_ids == tuple(sorted(set(speakers)))
-    for spk, mean in zip(cohort.speaker_ids, cohort.means):
+    assert cohort.ids == sorted(set(speakers))
+    for spk, mean in zip(cohort.ids, cohort.vectors):
         rows = [i for i, x in enumerate(speakers) if x == spk]
         assert np.array_equal(mean, s.vectors[rows].mean(axis=0))
 
@@ -174,9 +174,9 @@ def test_snorm_matches_oracle(top_n):
     eff_top = len(cohort) if top_n is None else top_n
     for i, (e, t, _) in enumerate(trials):
         e_scores = [oracles.cosine_oracle(emb.vector(e), c)
-                    for c in cohort.means]
+                    for c in cohort.vectors]
         t_scores = [oracles.cosine_oracle(emb.vector(t), c)
-                    for c in cohort.means]
+                    for c in cohort.vectors]
         want = oracles.snorm_oracle(raw.scores[i], e_scores, t_scores,
                                     eff_top)
         assert abs(out.scores[i] - want) < 1e-10
@@ -188,9 +188,8 @@ def test_snorm_tied_cohort_over_several_row_blocks(shared):
     # sides hold more unique utterances than one statistics block
     cohort_set = length_normalize(synth_dataset(15, 3, 8, 4.0, seed=7))
     base = build_cohort(cohort_set)
-    cohort = Cohort(base.speaker_ids + tuple(f"{s}-dup" for s in
-                                             base.speaker_ids),
-                    np.vstack([base.means, base.means]))
+    cohort = EmbeddingSet(base.ids + [f"{s}-dup" for s in base.ids],
+                          np.vstack([base.vectors, base.vectors]))
     emb = length_normalize(synth_dataset(300, 4, 8, 4.0, seed=8))
     test = emb if shared else emb.with_vectors(emb.vectors)
     rng = np.random.default_rng(9)
@@ -201,7 +200,7 @@ def test_snorm_tied_cohort_over_several_row_blocks(shared):
     raw = cosine_score(trials, emb, test)
     out = snorm(raw, emb, test, cohort, 5)
     cohort_scores = {
-        u: [oracles.cosine_oracle(emb.vector(u), c) for c in cohort.means]
+        u: [oracles.cosine_oracle(emb.vector(u), c) for c in cohort.vectors]
         for u in ids
     }
     for i, (e, t, _) in enumerate(trials):
@@ -267,8 +266,8 @@ def _stats_inputs(n, m, dim, seed):
     rng = np.random.default_rng(seed)
     ids = [f"u{i}" for i in range(n)]
     emb = EmbeddingSet(ids, rng.standard_normal((n, dim)))
-    cohort = Cohort(tuple(f"s{i}" for i in range(m)),
-                    rng.standard_normal((m, dim)))
+    cohort = EmbeddingSet([f"s{i}" for i in range(m)],
+                          rng.standard_normal((m, dim)))
     return emb, ids, cohort
 
 
@@ -280,7 +279,7 @@ def test_cohort_stats_equal_full_matrix_reference(metric, top_n):
     # multiplied in the same row blocks
     emb, ids, cohort = _stats_inputs(_ROW_BLOCK + 37, 300, 16, seed=21)
     ids = ids[::-1]
-    vecs, means = emb.vectors[::-1], cohort.means
+    vecs, means = emb.vectors[::-1], cohort.vectors
     full = np.vstack([vecs[lo:lo + _ROW_BLOCK] @ means.T
                       for lo in range(0, len(vecs), _ROW_BLOCK)])
     if metric == "cosine":
@@ -325,7 +324,7 @@ def test_cohort_mean_norms_once_per_call(monkeypatch):
     calls = []
 
     def counting_norm(x, *args, **kwargs):
-        calls.append(x is cohort.means)
+        calls.append(x is cohort.vectors)
         return norm(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
@@ -357,6 +356,32 @@ def test_snorm_top_n_bounds():
         snorm(raw, emb, emb, cohort, 1)
     with pytest.raises(SvkitError):
         snorm(raw, emb, emb, cohort, len(cohort) + 1)
+
+
+@pytest.mark.parametrize("name", ["snorm", "utterance_qmfs", "trial_qmfs"])
+def test_set_and_cohort_of_different_dim_raise_dim_mismatch(name):
+    # before any product: numpy's own error would name neither set
+    rng = np.random.default_rng(26)
+    emb = EmbeddingSet(["a", "b"], rng.standard_normal((2, 8)),
+                       {u: UttMeta(300, 3.0) for u in ("a", "b")})
+    cohort = EmbeddingSet(["s1", "s2", "s3"], rng.standard_normal((3, 16)))
+    trials = TrialList(["a"], ["b"])
+    calls = {
+        "snorm": lambda: snorm(ScoreSet(trials, [0.5]), emb, emb, cohort, 2),
+        "utterance_qmfs": lambda: utterance_qmfs(emb, cohort, top_n=2),
+        "trial_qmfs": lambda: trial_qmfs(trials, emb, emb, cohort, top_n=2),
+    }
+    with pytest.raises(DimMismatch,
+                       match="^embeddings are 8-dim, cohort 16-dim$"):
+        calls[name]()
+
+
+def test_cosine_score_sets_of_different_dim_raise_dim_mismatch():
+    enroll = EmbeddingSet(["a"], np.eye(8)[:1])
+    test = EmbeddingSet(["a"], np.eye(16)[:1])
+    with pytest.raises(DimMismatch,
+                       match="^enroll set is 8-dim, test set 16-dim$"):
+        cosine_score(TrialList(["a"], ["a"]), enroll, test)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

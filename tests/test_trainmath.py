@@ -227,6 +227,49 @@ def test_queue_random_trace_vs_deque_oracle():
         assert np.array_equal(q.embeddings, np.array(ref))
 
 
+@pytest.mark.parametrize("capacity", [0, -1, 2.5])
+def test_queue_capacity_must_be_an_integer_of_at_least_one(capacity):
+    # capacity 0 never evicted and -1 dropped every push
+    msg = f"^capacity={capacity} must be an integer >= 1$"
+    with pytest.raises(SvkitError, match=msg):
+        NegativeQueue(capacity, np.empty((0, 2)))
+    with pytest.raises(SvkitError, match=msg):
+        NegativeQueue.empty(capacity, 2)
+
+
+@pytest.mark.parametrize("rows", [
+    np.ones(2),
+    np.eye(3)[:, :2],
+    np.array([[np.nan, 0.0]]),
+    np.array([[np.inf, 0.0]]),
+], ids=["1-D", "3 rows over capacity 2", "NaN", "inf"])
+def test_queue_must_be_a_finite_matrix_within_capacity(rows):
+    with pytest.raises(SvkitError, match=r"^queue of shape \("):
+        NegativeQueue(2, rows)
+
+
+@pytest.mark.parametrize("name", ["embedding", "class_weights"])
+def test_aam_rejects_a_nan_row(name):
+    # NaN fails every comparison, so a `> atol` test let it through
+    u = np.array([1.0, 0.0])
+    W = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
+    if name == "embedding":
+        u[1] = np.nan
+    else:
+        W[1, 0, 0] = np.nan
+    with pytest.raises(NonUnitInput, match=name):
+        aam_softmax_loss(u, W, 0, AamConfig())
+
+
+def test_moco_rejects_a_queue_row_off_the_unit_sphere():
+    # a row of norm 3 gave a finite, plausible-looking loss
+    batch = ContrastiveBatch(np.array([[1.0, 0.0]]),
+                             np.array([[1.0, 0.0]]))
+    queue = NegativeQueue(4, np.array([[0.0, 1.0], [0.0, -3.0]]))
+    with pytest.raises(NonUnitInput, match="queue"):
+        moco_loss(batch, queue)
+
+
 # ---------------------------------------------------------------------------
 # stacked finite differences
 
