@@ -96,9 +96,12 @@ class EmbeddingSet:
             raise SvkitError("ids and vectors disagree in length")
         if vectors.shape[0] > 0 and vectors.shape[1] < 1:
             raise SvkitError("embedding dimension must be >= 1")
-        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-        if bad.size:
-            raise SvkitError(f"embedding '{ids[bad[0]]}' is not finite")
+        for lo in range(0, len(vectors), _ROW_BLOCK):  # no n x dim mask
+            bad = np.flatnonzero(
+                ~np.isfinite(vectors[lo:lo + _ROW_BLOCK]).all(axis=1))
+            if bad.size:
+                raise SvkitError(
+                    f"embedding '{ids[lo + bad[0]]}' is not finite")
         index = {u: i for i, u in enumerate(ids)}
         if not all(index):
             raise SvkitError("utterance id must be non-empty")

@@ -144,6 +144,12 @@ def _group_sums(labels, vectors, n_groups, rows=None):
     return onehot @ vectors
 
 
+def _check_same_dim(enroll, test):
+    if test.dim != enroll.dim:
+        raise DimMismatch(
+            f"enroll set is {enroll.dim}-dim, test set {test.dim}-dim")
+
+
 def cosine_score(
     trials: TrialList, enroll: EmbeddingSet, test: EmbeddingSet | None = None
 ) -> ScoreSet:
@@ -151,9 +157,7 @@ def cosine_score(
     memory (`_row_dots`)."""
     if test is None:
         test = enroll
-    if test.dim != enroll.dim:
-        raise DimMismatch(
-            f"enroll set is {enroll.dim}-dim, test set {test.dim}-dim")
+    _check_same_dim(enroll, test)
     return ScoreSet(trials, _row_dots(
         enroll.vectors, _rows(enroll._index, trials.enroll_ids),
         test.vectors, _rows(test._index, trials.test_ids)))
@@ -231,7 +235,10 @@ def _intern(ids):
 def _side_rows(trials, enroll, test, per_utt):
     """Per-trial enroll and test rows of `per_utt(emb_set, ids)` (one row
     per id), run once per unique utterance of each side, or once over the
-    union of both sides when enroll is test, then gathered by trial."""
+    union of both sides when enroll is test, then gathered by trial. Sets
+    of different dims raise DimMismatch naming both, before any row is
+    computed."""
+    _check_same_dim(enroll, test)
     if enroll is test:
         ids, inv = _intern(trials.enroll_ids + trials.test_ids)
         rows = per_utt(enroll, ids)

@@ -29,11 +29,14 @@ def _logsumexp(a):
     """log(sum(exp(a))) over the last axis, shifted by the row maximum so
     no exponential overflows. Inputs are finite."""
     m = np.max(a, axis=-1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(a - m), axis=-1, keepdims=True)))[..., 0]
+    e = a - m
+    np.exp(e, out=e)  # in place: one temporary the size of `a`, not two
+    return (m + np.log(np.sum(e, axis=-1, keepdims=True)))[..., 0]
 
 
 def _check_unit(arr, name):
-    norms = np.linalg.norm(arr, axis=-1)
+    # row dot products: no squared copy of a large probe stack
+    norms = np.sqrt(np.einsum("...i,...i->...", arr, arr))
     if not np.all(np.abs(norms - 1.0) <= _UNIT_ATOL):  # NaN fails too
         raise NonUnitInput(f"{name} rows must be unit-norm")
 
@@ -58,27 +61,52 @@ def _target_angle(cos_t):
 
 
 def _aam_losses(U, W, target, config: AamConfig):
-    """AAM losses, one per row of a leading batch axis: U is (B, d), W is
-    (B, C, K, d), and either batch axis may be 1 and broadcast.
+    """AAM losses over leading batch axes: U is (..., d), W (..., C, K, d)
+    and target an integer or an integer array, and the leading axes of the
+    three broadcast together, so a stack of probes of one argument can
+    share the other argument through an axis of length 1.
 
     The class cosine is the max over the K subcenter cosines. Returns
-    (losses (B,), cosines (B, C, K), logits (B, C), logsumexp (B,)); the
-    analytic gradient reuses the last three. Every row of both stacks is
+    (losses (...), cosines (..., C, K), logits (..., C), logsumexp (...));
+    the analytic gradient reuses the last three. Every row of both stacks is
     checked for unit norm.
     """
     _check_unit(U, "embedding")
     _check_unit(W, "class_weights")
-    # einsum keeps per-row summation order independent of K and of B, so
-    # duplicated subcenters reproduce the K=1 loss bit-for-bit and a
-    # stacked call reproduces each single call
-    cos_all = np.einsum("bckd,bd->bck", W, U)
-    cos = cos_all.max(axis=2)
+    # einsum keeps per-row summation order independent of K and of the
+    # batch shape, so duplicated subcenters reproduce the K=1 loss
+    # bit-for-bit and a stacked call reproduces each single call
+    cos_all = np.einsum("...ckd,...d->...ck", W, U)
+    cos = cos_all.max(axis=-1)
     s, m = config.scale, config.margin
-    logits = s * cos
-    c_t, sin_t = _target_angle(cos[:, target])
-    logits[:, target] = s * (c_t * math.cos(m) - sin_t * math.sin(m))
+    t = np.broadcast_to(np.expand_dims(target, -1), cos.shape[:-1] + (1,))
+    c_t, sin_t = _target_angle(np.take_along_axis(cos, t, -1))
+    target_logit = s * (c_t * math.cos(m) - sin_t * math.sin(m))
+    logits = np.where(np.arange(cos.shape[-1]) == t, target_logit, s * cos)
     lse = _logsumexp(logits)
-    return lse - logits[:, target], cos_all, logits, lse
+    return lse - target_logit[..., 0], cos_all, logits, lse
+
+
+def _aam_grads(U, W, target, config: AamConfig):
+    """(losses (B,), grad_U (B, d), grad_W (B, C, K, d)) of B AAM instances:
+    U is (B, d), W (B, C, K, d) and target (B,). `aam_softmax_loss` is its
+    B = 1 case."""
+    losses, cos_all, logits, lse = _aam_losses(U, W, target, config)
+    s, m = config.scale, config.margin
+    t = np.expand_dims(target, -1)
+    hit = np.arange(logits.shape[-1]) == t           # (B, C) target mask
+    best = np.argmax(cos_all, axis=-1)[..., None, None]  # first on ties
+    c_t, sin_t = _target_angle(np.take_along_axis(cos_all.max(axis=-1), t,
+                                                  -1))
+    # softmax minus the one-hot target, times d logit_j / d cos_j
+    dcos = (np.exp(logits - lse[:, None]) - hit) * np.where(
+        hit, s * (math.cos(m) + c_t * math.sin(m) / sin_t), s)
+    grad_U = (dcos[..., None]
+              * np.take_along_axis(W, best, axis=2)[:, :, 0]).sum(axis=1)
+    grad_W = np.zeros_like(W)
+    np.put_along_axis(grad_W, best,
+                      (dcos[..., None] * U[:, None, :])[:, :, None], axis=2)
+    return losses, grad_U, grad_W
 
 
 def aam_softmax_loss(embedding, class_weights, target_class,
@@ -101,28 +129,9 @@ def aam_softmax_loss(embedding, class_weights, target_class,
         raise DimMismatch("embedding dimension mismatch")
     if not 0 <= target_class < C:
         raise SvkitError("target_class out of range")
-    losses, cos_all, logits, lse = _aam_losses(u[None], W[None],
-                                               target_class, config)
-    loss = float(losses[0])
-    cos_all, logits, lse = cos_all[0], logits[0], lse[0]
-
-    best = np.argmax(cos_all, axis=1)    # first index on ties
-    c_t, sin_t = _target_angle(cos_all[target_class, best[target_class]])
-    s, m = config.scale, config.margin
-
-    dloss_dlogit = np.exp(logits - lse)   # softmax
-    dloss_dlogit[target_class] -= 1.0
-    # d logit_j / d cos_j
-    dlogit_dcos = np.full(C, s)
-    dlogit_dcos[target_class] = s * (
-        math.cos(m) + c_t * math.sin(m) / sin_t
-    )
-    dcos = dloss_dlogit * dlogit_dcos     # (C,)
-
-    grad_u = (dcos[:, None] * W[np.arange(C), best]).sum(axis=0)
-    grad_W = np.zeros_like(W)
-    grad_W[np.arange(C), best] = dcos[:, None] * u[None, :]
-    return loss, grad_u, grad_W
+    losses, grad_u, grad_W = _aam_grads(u[None], W[None], [target_class],
+                                        config)
+    return float(losses[0]), grad_u[0], grad_W[0]
 
 
 @dataclass
@@ -190,19 +199,33 @@ class ContrastiveBatch:
 
 
 def _moco_losses(X, P, Q, scale):
-    """Contrastive losses, one per row of a leading batch axis: X is
-    (B, n, d) queries, P the (n, d) or (B, n, d) positives and Q the (N, d)
-    queue. Returns (losses (B,), logits (B, n, 1 + N), logsumexp (B, n));
-    the analytic gradient reuses the last two. Every query and positive
-    row is checked for unit norm.
+    """Contrastive losses over leading batch axes: X is (..., n, d)
+    queries, P the (..., n, d) positives and Q the (N, d) or (..., N, d)
+    queue, the leading axes broadcasting together. Returns (losses (...),
+    logits (..., n, 1 + N), logsumexp (..., n)); the analytic gradient
+    reuses the last two. Every query, positive and queue row is checked for
+    unit norm.
     """
     _check_unit(X, "queries")
     _check_unit(P, "positives")
-    pos_logit = scale * np.einsum("...ij,...ij->...i", X, P)   # (B, n)
-    neg_logits = scale * X @ Q.T                               # (B, n, N)
-    all_logits = np.concatenate([pos_logit[..., None], neg_logits], axis=-1)
+    _check_unit(Q, "queue")
+    pos_logit = scale * np.einsum("...ij,...ij->...i", X, P)   # (..., n)
+    all_logits = np.concatenate(   # (..., n, 1 + N); the negatives freed
+        [pos_logit[..., None], scale * X @ np.swapaxes(Q, -1, -2)], axis=-1)
     lse = _logsumexp(all_logits)
     return np.mean(lse - pos_logit, axis=-1), all_logits, lse
+
+
+def _moco_grads(X, P, Q, scale):
+    """(losses (B,), grad (B, n, d)) of B contrastive instances, with
+    respect to the queries: X and P are (B, n, d), Q is (N, d) or
+    (B, N, d). `moco_loss` is its B = 1 case."""
+    losses, all_logits, lse = _moco_losses(X, P, Q, scale)
+    probs = np.exp(all_logits - lse[..., None])    # softmax rows
+    # dL/dx_i = (s/n) * (sum_k pi_k v_k - p_i)
+    grad = (probs[..., :1] * P + probs[..., 1:] @ Q - P) * (
+        scale / X.shape[-2])
+    return losses, grad
 
 
 def moco_loss(batch: ContrastiveBatch, queue: NegativeQueue):
@@ -216,17 +239,9 @@ def moco_loss(batch: ContrastiveBatch, queue: NegativeQueue):
     X, P = batch.queries, batch.positives
     if queue.dim != X.shape[1]:
         raise DimMismatch("queue dimension mismatch")
-    _check_unit(queue.embeddings, "queue")
-    s = batch.scale
-    n = X.shape[0]
-    Q = queue.embeddings
-
-    losses, all_logits, lse = _moco_losses(X[None], P, Q, s)
-    loss = float(losses[0])
-    probs = np.exp(all_logits[0] - lse[0][:, None])    # softmax rows
-    # dL/dx_i = (s/n) * (sum_k pi_k v_k - p_i)
-    grad = (probs[:, :1] * P + probs[:, 1:] @ Q - P) * (s / n)
-    return loss, grad
+    losses, grad = _moco_grads(X[None], P[None], queue.embeddings,
+                               batch.scale)
+    return float(losses[0]), grad[0]
 
 
 def momentum_update(theta_m, theta_e, momentum):

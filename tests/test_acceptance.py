@@ -96,7 +96,7 @@ def test_criterion_2_gradient_suite():
     errs = run_suite(instances=100, seed=0)
     elapsed = time.perf_counter() - t0
     worst = max(errs.values())
-    _report(2, worst < 1e-6 and elapsed < 1.0,
+    _report(2, worst < 1e-6 and elapsed < 0.5,
             f"max rel err {worst:.2e} over 100 instances each "
             f"({elapsed:.1f}s)")
 

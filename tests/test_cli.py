@@ -698,7 +698,7 @@ def test_score_and_snorm_over_a_separate_test_set(tmp_path, capsys):
     assert np.allclose(a, b, rtol=1e-8, atol=0.0)
 
 
-@pytest.mark.parametrize("command", ["snorm", "qmf", "score"])
+@pytest.mark.parametrize("command", ["snorm", "qmf", "score", "snorm-test"])
 def test_sets_of_different_dim_are_data_errors_naming_both(
         tmp_path, capsys, caplog, command):
     ids = ["a0", "a1", "b0", "b1"]
@@ -720,11 +720,16 @@ def test_sets_of_different_dim_are_data_errors_naming_both(
                 "--qmf-top-n", "2"],
         "score": ["score", "--trials", trials, "--enroll", small,
                   "--test", large],
+        # the cohort agrees with --enroll: only --test is of another dim
+        "snorm-test": ["snorm", "--trials", trials, "--scores", scores,
+                       "--enroll", small, "--test", large, "--cohort-emb",
+                       small, "--cohort-meta", meta_csv, "--top-n", "2"],
     }[command] + ["--out", tmp_path / "out.txt"]
     code, payload = _run(capsys, *map(str, argv))
     assert (code, payload) == (2, None)
-    want = ("enroll set is 8-dim, test set 16-dim" if command == "score"
-            else "embeddings are 8-dim, cohort 16-dim")
+    want = ("embeddings are 8-dim, cohort 16-dim"
+            if command in ("snorm", "qmf")
+            else "enroll set is 8-dim, test set 16-dim")
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
         ("ERROR", want)]
     assert not (tmp_path / "out.txt").exists()

@@ -224,6 +224,32 @@ def test_synth_memory_is_its_output():
     assert peak <= 1.3 * (n_spk * utts + n_spk) * dim * 8
 
 
+def test_set_finiteness_check_memory_is_one_row_block():
+    # the check runs one _ROW_BLOCK of rows at a time; a whole-matrix
+    # mask took n x dim bytes (5.3 MB traced peak here)
+    rng = np.random.default_rng(8)
+    n, dim = 20000, 256
+    vecs = rng.standard_normal((n, dim))
+    ids = [f"utt{i:05d}" for i in range(n)]
+    tracemalloc.start()
+    try:
+        EmbeddingSet(ids, vecs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * dim / 2
+
+
+def test_set_names_the_first_non_finite_row_past_the_first_block():
+    vecs = np.ones((2 * _ROW_BLOCK + 9, 3))
+    vecs[2 * _ROW_BLOCK + 3, 1] = np.inf
+    vecs[_ROW_BLOCK + 5, 2] = np.nan
+    ids = [f"u{i}" for i in range(len(vecs))]
+    with pytest.raises(SvkitError,
+                       match=f"^embedding 'u{_ROW_BLOCK + 5}' is not finite$"):
+        EmbeddingSet(ids, vecs)
+
+
 def test_write_embeddings_memory_is_one_record_block(tmp_path):
     # vectors are cast to f32 and ids encoded one block of records at a
     # time; a cast of the whole set took n x dim x 4 B (12.3 MB here)

@@ -376,6 +376,31 @@ def test_set_and_cohort_of_different_dim_raise_dim_mismatch(name):
         calls[name]()
 
 
+@pytest.mark.parametrize("cohort_dim", [8, 16])
+@pytest.mark.parametrize("name", ["snorm", "trial_qmfs"])
+def test_enroll_and_test_sets_of_different_dim_raise_dim_mismatch(
+        name, cohort_dim):
+    # the two sets are compared with each other first, as cosine_score
+    # does, so the message is the same whichever side the cohort agrees with
+    rng = np.random.default_rng(27)
+    ids = ["a", "b"]
+    meta = {u: UttMeta(300, 3.0) for u in ids}
+    enroll = EmbeddingSet(ids, rng.standard_normal((2, 8)), meta)
+    test = EmbeddingSet(ids, rng.standard_normal((2, 16)), meta)
+    cohort = EmbeddingSet(["s1", "s2", "s3"],
+                          rng.standard_normal((3, cohort_dim)))
+    trials = TrialList(["a"], ["b"])
+    calls = {
+        "snorm": lambda: snorm(ScoreSet(trials, [0.5]), enroll, test,
+                               cohort, 2),
+        "trial_qmfs": lambda: trial_qmfs(trials, enroll, test, cohort,
+                                         top_n=2),
+    }
+    with pytest.raises(DimMismatch,
+                       match="^enroll set is 8-dim, test set 16-dim$"):
+        calls[name]()
+
+
 def test_cosine_score_sets_of_different_dim_raise_dim_mismatch():
     enroll = EmbeddingSet(["a"], np.eye(8)[:1])
     test = EmbeddingSet(["a"], np.eye(16)[:1])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,16 +373,139 @@ def test_gradient_checks_reject_fewer_than_one_instance(instances):
 
 
 def test_run_suite_flags_a_wrong_gradient(monkeypatch):
+    # skews the batched analytic gradient that the AAM check compares
+    real = gradcheck._aam_grads
+
     def skewed(*args):
-        loss, grad_u, grad_W = aam_softmax_loss(*args)
-        return loss, grad_u, grad_W * (1.0 + 1e-4)
+        losses, grad_U, grad_W = real(*args)
+        return losses, grad_U, grad_W * (1.0 + 1e-4)
 
     assert max(run_suite(5, 0).values()) < 1e-6
-    monkeypatch.setattr(gradcheck, "aam_softmax_loss", skewed)
+    monkeypatch.setattr(gradcheck, "_aam_grads", skewed)
     errs = run_suite(5, 0)
     assert errs["aam_softmax_k1"] > 1e-6
     assert errs["aam_softmax_k2"] > 1e-6
     assert errs["moco"] < 1e-6
+
+
+@pytest.mark.parametrize("arg", [1, 2])
+def test_run_suite_reports_a_nan_gradient(monkeypatch, arg):
+    # Python's max() keeps its first argument when the other is NaN, so a
+    # NaN error after a finite one read as a pass
+    real = gradcheck._aam_grads
+
+    def broken(*args):
+        out = list(real(*args))
+        out[arg][-1].flat[0] = np.nan
+        return tuple(out)
+
+    monkeypatch.setattr(gradcheck, "_aam_grads", broken)
+    errs = run_suite(5, 0)
+    assert math.isnan(errs["aam_softmax_k1"])
+    assert math.isnan(errs["aam_softmax_k2"])
+    assert errs["moco"] < 1e-6
+
+
+def _spy_on_gradients(monkeypatch):
+    """The (analytic, numeric) gradient stacks of every argument that the
+    gradient checks compare, in call order."""
+    pairs = []
+    real = gradcheck._rel_errs
+
+    def spy(analytic, numeric):
+        pairs.append((analytic, numeric))
+        return real(analytic, numeric)
+
+    monkeypatch.setattr(gradcheck, "_rel_errs", spy)
+    return pairs
+
+
+def _instance_counts(block, n):
+    """Instance counts on both sides of the first block edge of an
+    argument of n values: a block of 2**7 values holds one W or X probe
+    stack and two u stacks, so 1, 2, 3 cross the edges of every one."""
+    if block:
+        return [1, 2, 3]
+    per = max(1, gradcheck._PROBE_BLOCK // (n * n))
+    return [per, per + 1]
+
+
+@pytest.mark.parametrize("block", [None, 2 ** 7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batched_aam_check_equals_per_instance_loop(monkeypatch, k, block):
+    if block:
+        monkeypatch.setattr(gradcheck, "_PROBE_BLOCK", block)
+    pairs = _spy_on_gradients(monkeypatch)
+    cfg = AamConfig(0.2, 5.0)
+    for seed in (0, 1, 2):
+        for instances in _instance_counts(block, 5 * k * 8):
+            gradcheck.check_aam(k, instances, seed=seed)
+            (gu, nu), (gW, nW) = pairs[-2:]
+            rng = np.random.default_rng(seed)
+            for i in range(instances):
+                u = _unit(rng, (8,))
+                W = _unit(rng, (5, k, 8))
+                t = int(rng.integers(5))
+                _, ru, rW = aam_softmax_loss(u, W, t, cfg)
+                assert np.array_equal(gu[i], ru)
+                assert np.array_equal(gW[i], rW)
+                assert np.array_equal(nu[i], oracles.fd_gradient(
+                    lambda v: aam_softmax_loss(v, W, t, cfg)[0], u))
+                assert np.array_equal(nW[i], oracles.fd_gradient(
+                    lambda M: aam_softmax_loss(u, M, t, cfg)[0], W))
+
+
+@pytest.mark.parametrize("block", [None, 2 ** 7])
+def test_batched_moco_check_equals_per_instance_loop(monkeypatch, block):
+    if block:
+        monkeypatch.setattr(gradcheck, "_PROBE_BLOCK", block)
+    pairs = _spy_on_gradients(monkeypatch)
+    for seed in (0, 1, 2):
+        for instances in _instance_counts(block, 4 * 8):
+            gradcheck.check_moco(instances, seed=seed)
+            grad, num = pairs[-1]
+            rng = np.random.default_rng(seed)
+            for i in range(instances):
+                X = _unit(rng, (4, 8))
+                P = _unit(rng, (4, 8))
+                queue = NegativeQueue(16, _unit(rng, (16, 8)))
+                _, ref = moco_loss(ContrastiveBatch(X, P, 10.0), queue)
+                assert np.array_equal(grad[i], ref)
+                assert np.array_equal(num[i], oracles.fd_gradient(
+                    lambda V: moco_loss(
+                        ContrastiveBatch(V, P, 10.0), queue)[0], X))
+
+
+def test_run_suite_memory_is_bounded_by_the_probe_block():
+    # probe stacks go in blocks and share the unperturbed arguments by
+    # broadcasting; one unblocked stack took 12.5 MB here
+    run_suite(1, 0)
+    tracemalloc.start()
+    try:
+        run_suite(100, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_batched_kernels_take_per_row_targets_and_batched_queues():
+    rng = np.random.default_rng(38)
+    cfg = AamConfig(0.2, 5.0)
+    U = _unit(rng, (3, 8))
+    Ws = _unit(rng, (3, 5, 2, 8))
+    t = np.array([4, 0, 2])
+    assert _aam_losses(U, Ws, t, cfg)[0].tolist() == [
+        aam_softmax_loss(U[b], Ws[b], t[b], cfg)[0] for b in range(3)]
+    Xs = _unit(rng, (3, 4, 8))
+    Ps = _unit(rng, (3, 4, 8))
+    Qs = _unit(rng, (3, 16, 8))
+    assert _moco_losses(Xs, Ps, Qs, 10.0)[0].tolist() == [
+        moco_loss(ContrastiveBatch(Xs[b], Ps[b], 10.0),
+                  NegativeQueue(16, Qs[b]))[0] for b in range(3)]
+    Qs[1, 7] *= 1.01
+    with pytest.raises(NonUnitInput, match="queue"):
+        _moco_losses(Xs, Ps, Qs, 10.0)
 
 
 # ---------------------------------------------------------------------------
