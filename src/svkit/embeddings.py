@@ -67,8 +67,12 @@ class UttMeta:
     speaker: str | None = None
 
     def __post_init__(self):
-        if self.speech_frames < 0:
-            raise SvkitError("speech_frames must be nonnegative")
+        frames = self.speech_frames
+        # an int or a numpy integer; a bool is not a frame count
+        if ((type(frames) is not int and not isinstance(frames, np.integer))
+                or frames < 0):
+            raise SvkitError(
+                f"speech_frames={frames} must be a non-negative integer")
         if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
             raise SvkitError("duration_s must be finite and nonnegative")
         # allow half a frame of slack for rounding at the boundary
@@ -387,26 +391,30 @@ def synth_dataset(
     means = rng.standard_normal((num_speakers, dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
 
-    # each speaker's rows are drawn, shifted and normalized in place in
-    # the output matrix, so memory is the output plus the means
-    vecs = np.empty((num_speakers * utts_per_speaker, dim))
-    ids, meta = [], {}
+    # the loop only draws, in the stream's order: each speaker's noise
+    # rows into the output matrix, then its durations. The arithmetic then
+    # runs in place over the whole matrix and duration array; each step
+    # works per element or per row, so the bits are those of a
+    # per-speaker loop, and memory is the output plus the means.
+    n = num_speakers * utts_per_speaker
+    vecs = np.empty((n, dim))
+    durations = np.empty(n)
     for s in range(num_speakers):
-        spk = f"spk{s:04d}"
-        raw = vecs[s * utts_per_speaker:(s + 1) * utts_per_speaker]
-        rng.standard_normal(out=raw)
-        if concentration > 0:
-            raw /= concentration
-            raw += means[s]
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        durations = rng.uniform(lo, hi, size=utts_per_speaker)
-        for u in range(utts_per_speaker):
-            utt_id = f"{spk}_utt{u:03d}"
-            ids.append(utt_id)
-            dur = float(durations[u])
-            meta[utt_id] = UttMeta(
-                speech_frames=int(dur * FRAME_RATE),
-                duration_s=dur,
-                speaker=spk,
-            )
+        rows = slice(s * utts_per_speaker, (s + 1) * utts_per_speaker)
+        rng.standard_normal(out=vecs[rows])
+        rng.random(out=durations[rows])
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), bit for bit
+    durations *= hi - lo
+    durations += lo
+    if concentration > 0:
+        vecs /= concentration
+        per_speaker = vecs.reshape(num_speakers, utts_per_speaker, dim)
+        per_speaker += means[:, None, :]
+    names = [f"spk{s:04d}" for s in range(num_speakers)]
+    suffixes = [f"_utt{u:03d}" for u in range(utts_per_speaker)]
+    ids = [name + suffix for name in names for suffix in suffixes]
+    speakers = [name for name in names for _ in suffixes]
+    _normalize_rows(vecs, ids, out=vecs)
+    meta = {utt_id: UttMeta(int(dur * FRAME_RATE), dur, spk)
+            for utt_id, dur, spk in zip(ids, durations.tolist(), speakers)}
     return EmbeddingSet(ids, vecs, meta)

@@ -6,7 +6,6 @@ import math
 from array import array
 
 import numpy as np
-from scipy import sparse
 
 from .embeddings import (
     _ROW_BLOCK,
@@ -135,6 +134,8 @@ def _group_sums(labels, vectors, n_groups, rows=None):
     repeated row stays a separate entry. CSR adds them in that order
     starting from 0, as `np.add.at` does, so the sums are bit-identical
     to sequential addition; an empty group sums to 0."""
+    # imported here: only group sums pay for scipy.sparse's import
+    from scipy import sparse
     order = np.argsort(labels, kind="stable")
     indptr = np.zeros(n_groups + 1, dtype=np.intp)
     np.cumsum(np.bincount(labels, minlength=n_groups), out=indptr[1:])

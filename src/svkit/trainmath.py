@@ -288,17 +288,22 @@ def min_overlap_crop_pair(utt_len_frames, crop_len, num_candidates=5,
             f"crop of {crop_len} frames exceeds utterance of "
             f"{utt_len_frames}"
         )
-    if num_candidates < 2:
-        raise SvkitError("need at least two candidate crops")
+    _check_candidates(num_candidates)
     rng = np.random.default_rng(check_seed(seed))
     starts = rng.integers(0, utt_len_frames - crop_len + 1,
                           size=num_candidates)
     return best_crop_pair(starts, crop_len)
 
 
+def _check_candidates(count):
+    if count < 2:
+        raise SvkitError(f"need at least two candidate crops, got {count}")
+
+
 def best_crop_pair(starts, crop_len):
     """Least-overlap unordered pair among explicit candidate starts."""
     starts = [int(s) for s in starts]
+    _check_candidates(len(starts))
     best = None
     for i in range(len(starts)):
         for j in range(i + 1, len(starts)):

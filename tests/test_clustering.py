@@ -792,13 +792,27 @@ def test_prototype_pull_refresher_equals_per_utterance_update():
     assert len(emb) > 2 * _ROW_BLOCK
 
 
-def test_importing_svkit_leaves_scipy_cluster_unloaded():
-    # scipy.cluster is imported by the first linkage or cut, so importing
-    # the library or the CLI does not pay for it
-    code = ("import sys, svkit, svkit.cli; print(sorted(m for m in "
-            "sys.modules if m.startswith('scipy.cluster')))")
+def test_importing_svkit_loads_no_scipy_until_first_use():
+    # scipy.sparse is imported by the first group sum and scipy.cluster by
+    # the first linkage, so importing the library or the CLI pays for
+    # neither
+    code = """
+import sys
+import svkit, svkit.cli
+from svkit import EmbeddingSet, UttMeta, ahc_ward, build_cohort
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+ids = ["a", "b", "c"]
+emb = EmbeddingSet(ids, [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]],
+                   {u: UttMeta(100, 1.0, s) for u, s in zip(ids, "xxy")})
+cohort = build_cohort(emb)
+assert cohort.ids == ["x", "y"], cohort.ids
+assert cohort.vectors.tolist() == [[0.5, 0.5], [0.6, 0.8]], cohort.vectors
+print("scipy.sparse" in sys.modules, "scipy.cluster" in sys.modules)
+ahc_ward(cohort.vectors, 1)
+print("scipy.cluster" in sys.modules)
+"""
     src = os.path.dirname(os.path.dirname(svkit.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "True False", "True"]

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -106,6 +107,23 @@ def test_uttmeta_frame_consistency():
         UttMeta(speech_frames=601, duration_s=6.0)
 
 
+@pytest.mark.parametrize("frames", [float("nan"), 2.5, 3.0, True, -1,
+                                    np.int64(-1), "3", None])
+def test_uttmeta_speech_frames_must_be_a_non_negative_integer(frames):
+    # a NaN passed both comparisons, 2.5 was written as a row that
+    # read_metadata rejects, and True was written as "True"
+    with pytest.raises(SvkitError, match=rf"^speech_frames={frames} must be "
+                       "a non-negative integer$"):
+        UttMeta(frames, 1.0, "s")
+
+
+@pytest.mark.parametrize("frames", [0, 7, np.int64(7), np.uint16(7)])
+def test_uttmeta_accepts_python_and_numpy_integers(frames, tmp_path):
+    path = tmp_path / "m.csv"
+    write_metadata({"a": UttMeta(frames, 1.0, "s")}, path)
+    assert read_metadata(path) == {"a": UttMeta(int(frames), 1.0, "s")}
+
+
 def test_binary_empty_set(tmp_path):
     path = tmp_path / "e.svb"
     write_embeddings(EmbeddingSet([], np.empty((0, 16))), path)
@@ -191,24 +209,29 @@ def test_synth_deterministic():
     assert a.meta == b.meta
 
 
-@pytest.mark.parametrize("concentration", [4.0, 0.0])
+@pytest.mark.parametrize("concentration", [4.0, 0.0, math.inf])
 def test_synth_equals_per_speaker_reference(concentration):
     # reference loop with one array per speaker, stacked at the end; the
     # draw order is the means, then per speaker its noise rows and then
-    # its durations
-    num_speakers, utts, dim = 6, 3, 8
-    rng = np.random.default_rng(5)
-    means = rng.standard_normal((num_speakers, dim))
-    means /= np.linalg.norm(means, axis=1, keepdims=True)
-    rows, durations = [], []
-    for s in range(num_speakers):
-        noise = rng.standard_normal((utts, dim))
-        raw = means[s] + noise / concentration if concentration else noise
-        rows.extend(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-        durations.extend(rng.uniform(2.0, 12.0, size=utts))
-    got = synth_dataset(num_speakers, utts, dim, concentration, seed=5)
-    assert got.vectors.tobytes() == np.array(rows).tobytes()
-    assert [got.meta[u].duration_s for u in got.ids] == durations
+    # its durations. 90 x 3 rows cross a _ROW_BLOCK edge of the bulk
+    # normalization; inf concentration is the noise-free limit.
+    assert 90 * 3 > _ROW_BLOCK
+    for num_speakers, utts in [(6, 3), (90, 3), (7, 1)]:
+        dim = 8
+        rng = np.random.default_rng(5)
+        means = rng.standard_normal((num_speakers, dim))
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
+        rows, metas = [], []
+        for s in range(num_speakers):
+            noise = rng.standard_normal((utts, dim))
+            raw = means[s] + noise / concentration if concentration else noise
+            rows.extend(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+            metas.extend((int(d * 100), d, f"spk{s:04d}")
+                         for d in rng.uniform(2.0, 12.0, size=utts).tolist())
+        got = synth_dataset(num_speakers, utts, dim, concentration, seed=5)
+        assert got.vectors.tobytes() == np.array(rows).tobytes()
+        assert [(m.speech_frames, m.duration_s, m.speaker)
+                for m in map(got.meta.__getitem__, got.ids)] == metas
 
 
 def test_synth_memory_is_its_output():

@@ -601,3 +601,18 @@ def test_crop_pair_minimality_random():
 def test_crop_too_long():
     with pytest.raises(CropTooLong):
         min_overlap_crop_pair(100, 200)
+
+
+@pytest.mark.parametrize("starts", [[5], []])
+def test_crop_pair_needs_two_starts(starts):
+    # fewer than two starts raised a bare TypeError from the empty search
+    with pytest.raises(SvkitError, match=rf"^need at least two candidate "
+                       rf"crops, got {len(starts)}$"):
+        best_crop_pair(starts, 10)
+
+
+@pytest.mark.parametrize("count", [1, 0, -3])
+def test_crop_pair_needs_two_candidates(count):
+    with pytest.raises(SvkitError, match=rf"^need at least two candidate "
+                       rf"crops, got {count}$"):
+        min_overlap_crop_pair(100, 10, num_candidates=count)
