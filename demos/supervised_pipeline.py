@@ -45,6 +45,9 @@ def main():
     print("\n== 3. adaptive s-norm ==")
     cohort = build_cohort(data)
     normed = snorm(raw, data, data, cohort, top_n=100)
+    # right after s-norm on the same trials, sets and cohort, the
+    # imposter-mean QMFs reuse s-norm's pass over the cohort
+    eval_qmfs = trial_qmfs(eval_trials, data, data, cohort, top_n=100)
     print(f"s-normed EER: {eer(normed) * 100:.2f}% "
           f"(cohort of {len(cohort)} speaker means, top-100)")
 
@@ -64,18 +67,18 @@ def main():
     print("\n== 5. quality-aware calibration ==")
     params = DcfParams(p_target=0.01)
 
+    cal_normed = snorm(cosine_score(cal_trials, data, data),
+                       data, data, cohort, top_n=100)
+    cal_qmfs = trial_qmfs(cal_trials, data, data, cohort, top_n=100)
     cal_fused = mean_fuse([
-        snorm(cosine_score(cal_trials, data, data),
-              data, data, cohort, top_n=100),
+        cal_normed,
         snorm(cosine_score(cal_trials, data_b, data_b),
               data_b, data_b, build_cohort(data_b), top_n=100),
     ])
     plain = fit_logreg(build_features(cal_fused), cal_trials.labels)
     stage1 = apply_calibration(plain, cal_fused)
-    cal_qmfs = trial_qmfs(cal_trials, data, data, cohort, top_n=100)
     qa = fit_logreg(build_features(stage1, cal_qmfs), cal_trials.labels)
 
-    eval_qmfs = trial_qmfs(eval_trials, data, data, cohort, top_n=100)
     llr = apply_calibration(qa, apply_calibration(plain, fused), eval_qmfs)
 
     print(f"calibrated EER:  {eer(llr) * 100:.2f}%")

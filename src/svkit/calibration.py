@@ -201,7 +201,10 @@ def trial_qmfs(trials: TrialList, enroll: EmbeddingSet, test: EmbeddingSet,
                top_n: int | None = 100):
     """Symmetric per-trial QMF vectors: (min, max) over the two sides for
     each metric. Each side's values come from its own set, once per
-    unique utterance."""
+    unique utterance. Under the inner product, a side whose last cohort
+    pass was `snorm`'s, on the same trials, cohort object and top_n, takes
+    the imposter means that pass kept instead of making a second one; the
+    values are bit-identical (`scoring._cohort_stats`)."""
     e, t = _side_rows(trials, enroll, test,
                       lambda s, ids: _qmf_rows(s, ids, cohort, metric, top_n))
     return [QmfVector(*row) for row in _minmax_pairs(e, t).tolist()]
@@ -323,7 +326,9 @@ def build_features(scores: ScoreSet, qmfs=None):
     if len(qmfs) != len(scores):
         raise SvkitError("qmf list length mismatch")
     if not isinstance(qmfs, np.ndarray):
-        qmfs = np.array(list(map(_QMF_FIELDS, qmfs)))
+        # (n, 4) also for n = 0, as `trial_qmfs_from_cache` shapes it
+        qmfs = np.array(list(map(_QMF_FIELDS, qmfs)), dtype=np.float64)
+        qmfs = qmfs.reshape(len(qmfs), len(QA_FEATURE_NAMES) - 1)
     return np.column_stack([scores.scores, qmfs])
 
 

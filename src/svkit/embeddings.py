@@ -121,6 +121,9 @@ class EmbeddingSet:
         self.vectors.setflags(write=False)
         self.meta = meta
         self._index = index
+        # inner-product cohort statistics a cosine pass left for the next
+        # pass over this set (`scoring._cohort_stats`)
+        self._kept_stats = None
 
     @property
     def dim(self):

@@ -515,6 +515,23 @@ def test_apply_calibration_arity_mismatch():
         apply_calibration(m, s)
 
 
+def test_empty_trial_list_goes_through_the_library_qa_path():
+    # an empty QmfVector list used to become (0, 2) features and raise
+    # ArityMismatch, while the cache path gave an empty ScoreSet
+    emb = length_normalize(synth_dataset(4, 3, 8, 4.0, seed=13))
+    cohort = build_cohort(emb)
+    empty = TrialList([], [])
+    raw = cosine_score(empty, emb)
+    qmfs = trial_qmfs(empty, emb, emb, cohort, top_n=2)
+    assert qmfs == []
+    assert build_features(raw, qmfs).shape == (0, 5)
+    qa = CalibrationModel(np.ones(5), 0.5, calibration.QA_FEATURE_NAMES)
+    for features in (qmfs, calibration.trial_qmfs_from_cache(
+            empty, calibration.utterance_qmfs(emb, cohort, top_n=2))):
+        out = apply_calibration(qa, raw, features)
+        assert out.trials is empty and out.scores.shape == (0,)
+
+
 def test_plain_calibration_preserves_eer():
     # stage-1 calibration is monotone in the score, so single-system EER
     # cannot move

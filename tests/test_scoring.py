@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -271,6 +273,12 @@ def _stats_inputs(n, m, dim, seed):
     return emb, ids, cohort
 
 
+def _with_meta(emb):
+    """`emb` with a metadata row for every id."""
+    return EmbeddingSet(emb.ids, emb.vectors,
+                        {u: UttMeta(100, 1.0) for u in emb.ids})
+
+
 @pytest.mark.parametrize("top_n", [100, None])
 @pytest.mark.parametrize("metric", ["cosine", "inner_product"])
 def test_cohort_stats_equal_full_matrix_reference(metric, top_n):
@@ -289,23 +297,31 @@ def test_cohort_stats_equal_full_matrix_reference(metric, top_n):
     n = m if top_n is None else top_n
     top = np.partition(full, m - n, axis=1)[:, m - n:]
     top = -np.sort(-top, axis=1)
-    mu, sigma = _cohort_stats(emb, ids, cohort, top_n, metric)
-    assert np.array_equal(mu, top.mean(axis=1))
-    assert np.array_equal(sigma, top.std(axis=1))
+    # with metadata for every id, a cosine pass also keeps the
+    # inner-product statistics and divides in a scratch of a few rows
+    for emb_set in (emb, _with_meta(emb)):
+        mu, sigma = _cohort_stats(emb_set, ids, cohort, top_n, metric)
+        assert np.array_equal(mu, top.mean(axis=1))
+        assert np.array_equal(sigma, top.std(axis=1))
 
 
 def test_cohort_stats_memory_is_one_block():
     # one reused (_ROW_BLOCK x cohort) score buffer; a fresh block per
-    # product plus a partitioned copy would be two
-    emb, ids, cohort = _stats_inputs(2100, 3000, 32, seed=22)
-    block = _ROW_BLOCK * len(cohort) * 8
-    tracemalloc.start()
-    try:
-        _cohort_stats(emb, ids, cohort, 100, "cosine")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * block
+    # product plus a partitioned copy would be two. A set with metadata
+    # adds only the scratch rows of the cosine division. At dim 256 the
+    # means' norms take a (cohort x dim) temporary as large as the
+    # buffer, so they must be taken before it exists
+    for emb, ids, cohort in (_stats_inputs(2100, 3000, 32, seed=22),
+                             _stats_inputs(300, 3000, 256, seed=26)):
+        block = _ROW_BLOCK * len(cohort) * 8
+        for emb_set in (emb, _with_meta(emb)):
+            tracemalloc.start()
+            try:
+                _cohort_stats(emb_set, ids, cohort, 100, "cosine")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * block
 
 
 def test_cohort_stats_rejects_an_unknown_metric_before_top_n():
@@ -348,6 +364,160 @@ def test_zero_norm_utterance_under_cosine_is_named():
     # an inner product with a zero row is well defined
     mu = _cohort_stats(emb, ids, cohort, 5, "inner_product")[0]
     assert mu[_ROW_BLOCK + 2] == 0.0
+
+
+def _shared_pass_setup():
+    # 600 utterances with metadata: the ~490 of the trials span two row
+    # blocks
+    data = length_normalize(synth_dataset(30, 20, 16, 5.0, seed=31))
+    cohort = build_cohort(length_normalize(
+        synth_dataset(200, 2, 16, 3.0, seed=32)))
+    e, t = np.random.default_rng(33).integers(len(data), size=(2, 500))
+    trials = TrialList([data.ids[i] for i in e], [data.ids[i] for i in t])
+    return data, cohort, trials, cosine_score(trials, data)
+
+
+def _count_matmul(monkeypatch):
+    """A list that gets one entry per np.matmul call from now on."""
+    calls = []
+    matmul = np.matmul
+
+    def counting_matmul(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    return calls
+
+
+def _unshared(emb):
+    return emb.with_vectors(emb.vectors)
+
+
+def _unshared_qmfs(trials, emb, *args):
+    """trial_qmfs on a copy of `emb` as both sides, which shares no
+    kept statistics (a side pass over the union of ids, as with `emb`)."""
+    copy = _unshared(emb)
+    return trial_qmfs(trials, copy, copy, *args)
+
+
+def _qmf_matrix(qmfs):
+    return np.array([q.as_array() for q in qmfs])
+
+
+@pytest.mark.parametrize("separate_test", [False, True])
+def test_trial_qmfs_after_snorm_reuse_its_cohort_pass(monkeypatch,
+                                                      separate_test):
+    data, cohort, trials, raw = _shared_pass_setup()
+    test = _unshared(data) if separate_test else data
+    copy = _unshared(data)
+    want = trial_qmfs(trials, copy, _unshared(data) if separate_test
+                      else copy, cohort, top_n=50)
+    calls = _count_matmul(monkeypatch)
+    snorm(raw, data, test, cohort, 50)
+    in_snorm = len(calls)
+    got = trial_qmfs(trials, data, test, cohort, top_n=50)
+    assert in_snorm == (4 if separate_test else 2)  # 2 blocks a side pass
+    assert len(calls) == in_snorm
+    assert np.array_equal(_qmf_matrix(got), _qmf_matrix(want))
+
+
+@pytest.mark.parametrize(
+    "miss", ["cohort", "top_n", "trials", "cosine", "meta"])
+def test_trial_qmfs_after_snorm_recompute_on_a_miss(monkeypatch, miss):
+    # each part of the key: the cohort object, top_n, the ids (from the
+    # trial list), the metric; and no kept statistics without metadata
+    # for every id of the snorm pass
+    data, cohort, trials, raw = _shared_pass_setup()
+    emb, qmf_trials, qmf_cohort, metric, top_n = (
+        data, trials, cohort, "inner_product", 50)
+    if miss == "cohort":
+        qmf_cohort = _unshared(cohort)
+    elif miss == "top_n":
+        top_n = 40
+    elif miss == "trials":
+        qmf_trials = TrialList(trials.enroll_ids[:100], trials.test_ids[:100])
+    elif miss == "cosine":
+        metric = "cosine"
+    else:
+        lacking = trials.enroll_ids[0]
+        emb = EmbeddingSet(data.ids, data.vectors, {
+            u: m for u, m in data.meta.items() if u != lacking})
+    want = _unshared_qmfs(qmf_trials, data, qmf_cohort, metric, top_n)
+    snorm(raw, emb, emb, cohort, 50)
+    if miss == "meta":  # the QMFs need it; the snorm pass lacked it
+        emb.meta[lacking] = data.meta[lacking]
+    calls = _count_matmul(monkeypatch)
+    got = trial_qmfs(qmf_trials, emb, emb, qmf_cohort, metric, top_n)
+    assert len(calls) > 0
+    assert np.array_equal(_qmf_matrix(got), _qmf_matrix(want))
+
+
+def test_kept_cohort_stats_serve_one_call_only(monkeypatch):
+    data, cohort, trials, raw = _shared_pass_setup()
+    snorm(raw, data, data, cohort, 50)
+    calls = _count_matmul(monkeypatch)
+    first = trial_qmfs(trials, data, data, cohort, top_n=50)
+    assert len(calls) == 0
+    second = trial_qmfs(trials, data, data, cohort, top_n=50)
+    assert len(calls) > 0
+    assert np.array_equal(_qmf_matrix(first), _qmf_matrix(second))
+
+
+def test_kept_cohort_stats_do_not_keep_the_cohort_alive(monkeypatch):
+    data, cohort, trials, raw = _shared_pass_setup()
+    snorm(raw, data, data, cohort, 50)
+    alive = weakref.ref(cohort)
+    copy = _unshared(cohort)
+    del cohort
+    gc.collect()
+    assert alive() is None
+    # so an equal cohort built later is another cohort: a miss
+    calls = _count_matmul(monkeypatch)
+    got = trial_qmfs(trials, data, data, copy, top_n=50)
+    assert len(calls) > 0
+    want = _unshared_qmfs(trials, data, copy, "inner_product", 50)
+    assert np.array_equal(_qmf_matrix(got), _qmf_matrix(want))
+
+
+@pytest.mark.parametrize("write", ["base", "matrix", "rebound"])
+def test_trial_qmfs_after_snorm_see_writes_to_the_vectors(monkeypatch,
+                                                          write):
+    # a set built on a view of a writable array keeps nothing; a matrix
+    # made writable again after snorm, or another matrix bound to the set,
+    # is a miss. Either way the QMFs see the values written after snorm
+    data, cohort, trials, raw = _shared_pass_setup()
+    base = data.vectors.copy()
+    emb = EmbeddingSet(data.ids, base[:] if write == "base" else base,
+                       data.meta)
+    snorm(raw, emb, emb, cohort, 50)
+    base.setflags(write=True)
+    base[:, 0] += 1.0
+    if write == "rebound":  # read-only, but not the matrix snorm saw
+        emb.vectors = base.copy()
+        emb.vectors.setflags(write=False)
+    calls = _count_matmul(monkeypatch)
+    got = trial_qmfs(trials, emb, emb, cohort, top_n=50)
+    assert len(calls) > 0
+    want = _unshared_qmfs(trials, data.with_vectors(base.copy()), cohort,
+                          "inner_product", 50)
+    assert np.array_equal(_qmf_matrix(got), _qmf_matrix(want))
+
+
+def test_zero_norm_row_on_a_set_with_metadata():
+    # the zero row sits in the second row block of the pass; the first
+    # block was already scored when snorm raises
+    data, cohort, trials, raw = _shared_pass_setup()
+    zero_id = sorted(set(trials.enroll_ids + trials.test_ids))[
+        _ROW_BLOCK + 2]
+    vecs = data.vectors.copy()
+    vecs[data.index(zero_id)] = 0.0
+    emb = data.with_vectors(vecs)
+    with pytest.raises(ZeroVector, match=f"embedding '{zero_id}'"):
+        snorm(raw, emb, emb, cohort, 50)
+    got = trial_qmfs(trials, emb, emb, cohort, top_n=50)
+    want = _unshared_qmfs(trials, emb, cohort, "inner_product", 50)
+    assert np.array_equal(_qmf_matrix(got), _qmf_matrix(want))
 
 
 def test_snorm_top_n_bounds():
