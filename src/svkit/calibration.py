@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -176,9 +177,11 @@ _QMF_FIELDS = operator.attrgetter(*QA_FEATURE_NAMES[1:])
 
 def _qmf_rows(emb_set, ids, cohort: EmbeddingSet, metric, top_n):
     """(len(ids), 2) rows [dur_q, imp_q] of `ids` in one set: the duration
-    QMF of each utterance's metadata and the mean of its top_n cohort
-    scores under the imposter `metric` (top_n=None: the whole cohort)."""
-    dur = list(map(duration_qmf, _metas(emb_set, ids)))
+    QMF of each utterance's metadata (`duration_qmf`, in one `np.log1p`)
+    and the mean of its top_n cohort scores under the imposter `metric`
+    (top_n=None: the whole cohort)."""
+    dur = np.log1p(np.array([m.speech_frames for m in _metas(emb_set, ids)],
+                            dtype=np.float64))
     imp = _cohort_stats(emb_set, ids, cohort, top_n, metric)[0]
     return np.column_stack([dur, imp])
 
@@ -191,23 +194,60 @@ def utterance_qmfs(emb_set: EmbeddingSet, cohort: EmbeddingSet,
 
 
 def _minmax_pairs(side_e, side_t):
-    """(n, 4) [min, max] of dur_q, then of imp_q, over two (n, 2) sides."""
-    lo, hi = np.minimum(side_e, side_t), np.maximum(side_e, side_t)
-    return np.column_stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]])
+    """(n, 4) [min, max] of dur_q, then of imp_q, over two (n, 2) sides,
+    written in place: no (n, 2) temporary."""
+    out = np.empty((len(side_e), 4))
+    np.minimum(side_e, side_t, out=out[:, 0::2])
+    np.maximum(side_e, side_t, out=out[:, 1::2])
+    return out
+
+
+class _TrialQmfs(Sequence):
+    """Read-only sequence of per-trial QMFs over one (n, 4) array,
+    `values`, whose write flag is cleared. An int index builds that
+    trial's `QmfVector`, a slice gives a view of those rows. It equals
+    another view of equal values and a list of the same QmfVectors.
+
+    It serves only callers that still take QmfVectors one by one; the
+    simpler end state is `trial_qmfs` returning `values` itself, and then
+    this view and QmfVector go."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        values.setflags(write=False)
+        self.values = values
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _TrialQmfs(self.values[i])
+        return QmfVector(*self.values[operator.index(i)].tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, _TrialQmfs):
+            return np.array_equal(self.values, other.values)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
 
 def trial_qmfs(trials: TrialList, enroll: EmbeddingSet, test: EmbeddingSet,
                cohort: EmbeddingSet, metric: str = "inner_product",
                top_n: int | None = 100):
-    """Symmetric per-trial QMF vectors: (min, max) over the two sides for
-    each metric. Each side's values come from its own set, once per
-    unique utterance. Under the inner product, a side whose last cohort
-    pass was `snorm`'s, on the same trials, cohort object and top_n, takes
-    the imposter means that pass kept instead of making a second one; the
-    values are bit-identical (`scoring._cohort_stats`)."""
+    """Symmetric per-trial QMFs, (min, max) over the two sides for each
+    measure, as a `_TrialQmfs` view over one read-only (n, 4) array in
+    `QA_FEATURE_NAMES[1:]` order; no per-trial object is built unless
+    the view is indexed. Each side's values come from its own set, once
+    per unique utterance. Under the inner product, a side whose last
+    cohort pass was `snorm`'s, on the same trials, cohort object and
+    top_n, takes the imposter means that pass kept instead of making a
+    second one; the values are bit-identical (`scoring._cohort_stats`)."""
     e, t = _side_rows(trials, enroll, test,
                       lambda s, ids: _qmf_rows(s, ids, cohort, metric, top_n))
-    return [QmfVector(*row) for row in _minmax_pairs(e, t).tolist()]
+    return _TrialQmfs(_minmax_pairs(e, t))
 
 
 def trial_qmfs_from_cache(trials: TrialList, cache: dict):
@@ -319,13 +359,17 @@ def fit_logreg(features, labels, l2=1e-6, max_iter=100,
 
 
 def build_features(scores: ScoreSet, qmfs=None):
-    """Design matrix: [score] or [score, min_dur, max_dur, min_imp,
-    max_imp]. `qmfs` is an (n, 4) array or a list of QmfVector."""
+    """Design matrix: [score] (qmfs=None) or [score, min_dur, max_dur,
+    min_imp, max_imp]. `qmfs` is what `trial_qmfs` returns (its `values`
+    are used as they are), an (n, 4) array such as `trial_qmfs_from_cache`
+    returns, or a list of QmfVector."""
     if qmfs is None:
         return scores.scores[:, None]
     if len(qmfs) != len(scores):
         raise SvkitError("qmf list length mismatch")
-    if not isinstance(qmfs, np.ndarray):
+    if isinstance(qmfs, _TrialQmfs):
+        qmfs = qmfs.values
+    elif not isinstance(qmfs, np.ndarray):
         # (n, 4) also for n = 0, as `trial_qmfs_from_cache` shapes it
         qmfs = np.array(list(map(_QMF_FIELDS, qmfs)), dtype=np.float64)
         qmfs = qmfs.reshape(len(qmfs), len(QA_FEATURE_NAMES) - 1)
@@ -334,7 +378,8 @@ def build_features(scores: ScoreSet, qmfs=None):
 
 def apply_calibration(model: CalibrationModel, scores: ScoreSet,
                       qmfs=None) -> ScoreSet:
-    """bias + w . features per trial, on LLR scale."""
+    """bias + w . features per trial, on LLR scale; `qmfs` as
+    `build_features` takes them."""
     X = build_features(scores, qmfs)
     if X.shape[1] != model.arity:
         raise ArityMismatch(

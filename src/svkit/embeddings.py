@@ -83,11 +83,21 @@ class UttMeta:
             )
 
 
+def _frozen(a):
+    """True when neither `a` nor any array it is a view of can be written,
+    so its values cannot change."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        a = a.base
+    return a is None
+
+
 class EmbeddingSet:
     """Ordered collection of same-dimension embeddings, immutable after load.
 
     Vectors are stored as a single (n, dim) float64 matrix; `meta` maps a
-    subset of the ids to UttMeta.
+    subset of the ids to UttMeta. A view of an array that can still be
+    written is copied, so writes through its base do not reach the set;
+    a frozen array (`_frozen`) or one that owns its data is kept.
     """
 
     def __init__(self, ids, vectors, meta=None):
@@ -116,6 +126,8 @@ class EmbeddingSet:
         unknown = meta.keys() - index.keys()
         if unknown:
             raise SvkitError(f"metadata for unknown ids: {sorted(unknown)[:5]}")
+        if vectors.base is not None and not _frozen(vectors):
+            vectors = vectors.copy()
         self.ids = ids
         self.vectors = vectors
         self.vectors.setflags(write=False)

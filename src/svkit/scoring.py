@@ -12,6 +12,7 @@ from .embeddings import (
     _ROW_BLOCK,
     EmbeddingSet,
     _check_text_ids,
+    _frozen,
     _metas,
     _reading,
     _write_blocks,
@@ -192,14 +193,6 @@ def _top_stats(scores, top_n, mu, sigma, lo):
     top = _topn_desc(scores, top_n)
     mu[lo:lo + len(top)] = top.mean(axis=1)
     sigma[lo:lo + len(top)] = top.std(axis=1)
-
-
-def _frozen(a):
-    """True when neither `a` nor any array it is a view of can be written,
-    so its values cannot change."""
-    while isinstance(a, np.ndarray) and not a.flags.writeable:
-        a = a.base
-    return a is None
 
 
 def _cohort_stats(emb_set, ids, cohort: EmbeddingSet, top_n, metric):

@@ -22,6 +22,7 @@ from svkit import (
     length_normalize,
     mean_fuse,
     read_model,
+    snorm,
     synth_dataset,
     trial_qmfs,
     write_model,
@@ -322,6 +323,83 @@ def test_trial_qmfs_sides_sharing_ids_use_their_own_vectors():
         assert q.min_imp_q < q.max_imp_q
         assert abs(q.min_imp_q - imp[0]) <= 1e-15
         assert abs(q.max_imp_q - imp[1]) <= 1e-15
+
+
+def _qmf_setup(n_trials, seed):
+    emb = length_normalize(
+        synth_dataset(10, 6, 8, 4.0, (2.5, 11.0), seed=seed))
+    e, t = np.random.default_rng(seed).integers(len(emb), size=(2, n_trials))
+    trials = TrialList([emb.ids[i] for i in e], [emb.ids[i] for i in t])
+    return emb, build_cohort(emb), trials
+
+
+def test_trial_qmfs_is_a_sequence_view_of_one_read_only_array():
+    emb, cohort, trials = _qmf_setup(7, seed=15)
+    qmfs = trial_qmfs(trials, emb, emb, cohort, top_n=5)
+    rows = qmfs.values
+    assert rows.shape == (7, 4) and rows.dtype == np.float64
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.0
+    as_list = list(qmfs)
+    assert all(type(q) is QmfVector for q in as_list)
+    assert np.array_equal(rows, np.array([q.as_array() for q in as_list]))
+    assert len(qmfs) == 7
+    assert qmfs[0] == QmfVector(*rows[0]) == as_list[0]
+    assert qmfs[-1] == qmfs[6] == as_list[-1]
+    part = qmfs[2:5]
+    assert len(part) == 3 and part == as_list[2:5]
+    assert np.shares_memory(part.values, rows)
+    assert qmfs[::-2] == as_list[::-2]
+    for bad in (7, -8):
+        with pytest.raises(IndexError):
+            qmfs[bad]
+    assert qmfs == as_list and qmfs == trial_qmfs(
+        trials, emb, emb, cohort, top_n=5)
+    assert qmfs != as_list[:-1] and qmfs != part
+
+
+def test_library_qa_path_builds_no_qmf_vector(monkeypatch):
+    emb, cohort, trials = _qmf_setup(40, seed=16)
+    built = []
+    init = QmfVector.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QmfVector, "__init__", counting_init)
+    raw = cosine_score(trials, emb)
+    qmfs = trial_qmfs(trials, emb, emb, cohort, top_n=5)
+    features = build_features(raw, qmfs)
+    qa = CalibrationModel(np.ones(5), 0.5, calibration.QA_FEATURE_NAMES)
+    out = apply_calibration(qa, raw, qmfs)
+    assert len(built) == 0
+    assert np.array_equal(out.scores, features @ qa.weights + qa.bias)
+    assert isinstance(qmfs[0], QmfVector)  # an index still builds one
+    assert len(built) == 1
+
+
+def test_trial_qmfs_memory_on_a_kept_statistics_hit():
+    # after snorm keeps the imposter statistics, the QMFs and their design
+    # matrix cost the (n, 4) array, its (n, 5) features and the (n, 2)
+    # sides; one QmfVector and row list per trial took about 8 MB here
+    data = length_normalize(synth_dataset(100, 20, 256, 5.0, seed=41))
+    cohort = build_cohort(length_normalize(
+        synth_dataset(1000, 2, 256, 3.0, seed=42)))
+    e, t = np.random.default_rng(43).integers(len(data), size=(2, 24000))
+    trials = TrialList([data.ids[i] for i in e], [data.ids[i] for i in t])
+    raw = cosine_score(trials, data)
+    snorm(raw, data, data, cohort, 100)
+    tracemalloc.start()
+    try:
+        features = build_features(
+            raw, trial_qmfs(trials, data, data, cohort, top_n=100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert features.shape == (24000, 5)
+    assert peak < 2.5e6
 
 
 @pytest.mark.parametrize("metric", ["inner_product", "cosine"])

@@ -96,6 +96,19 @@ def test_unknown_id_lookup_raises_unknown_id(lookup):
         getattr(s, lookup)("b")
 
 
+def test_set_copies_only_a_view_of_a_writable_array():
+    ids = ["a", "b", "c"]
+    base = np.ones((3, 2))
+    held = EmbeddingSet(ids, base[:])
+    base[0, 0] = 5.0  # through the writable base
+    assert held.vectors[0, 0] == 1.0 and not held.vectors.flags.writeable
+    owned = np.ones((3, 2))
+    assert EmbeddingSet(ids, owned).vectors is owned
+    assert not owned.flags.writeable
+    frozen_view = owned[:]  # of a read-only base: kept, no copy
+    assert EmbeddingSet(ids, frozen_view).vectors is frozen_view
+
+
 def test_meta_keys_subset():
     with pytest.raises(SvkitError):
         EmbeddingSet(["a"], [[1.0]], {"b": UttMeta(0, 0.0)})

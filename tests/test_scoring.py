@@ -483,9 +483,10 @@ def test_kept_cohort_stats_do_not_keep_the_cohort_alive(monkeypatch):
 @pytest.mark.parametrize("write", ["base", "matrix", "rebound"])
 def test_trial_qmfs_after_snorm_see_writes_to_the_vectors(monkeypatch,
                                                           write):
-    # a set built on a view of a writable array keeps nothing; a matrix
-    # made writable again after snorm, or another matrix bound to the set,
-    # is a miss. Either way the QMFs see the values written after snorm
+    # a set built on a view of a writable array holds a copy, so writes
+    # through the base reach neither the set nor its kept statistics; a
+    # matrix made writable again after snorm, or another matrix bound to
+    # the set, is a miss, and the QMFs see the values written after snorm
     data, cohort, trials, raw = _shared_pass_setup()
     base = data.vectors.copy()
     emb = EmbeddingSet(data.ids, base[:] if write == "base" else base,
@@ -498,6 +499,12 @@ def test_trial_qmfs_after_snorm_see_writes_to_the_vectors(monkeypatch,
         emb.vectors.setflags(write=False)
     calls = _count_matmul(monkeypatch)
     got = trial_qmfs(trials, emb, emb, cohort, top_n=50)
+    if write == "base":
+        assert np.array_equal(emb.vectors, data.vectors)
+        assert len(calls) == 0
+        want = _unshared_qmfs(trials, data, cohort, "inner_product", 50)
+        assert np.array_equal(_qmf_matrix(got), _qmf_matrix(want))
+        return
     assert len(calls) > 0
     want = _unshared_qmfs(trials, data.with_vectors(base.copy()), cohort,
                           "inner_product", 50)
