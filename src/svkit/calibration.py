@@ -24,7 +24,6 @@ from .embeddings import (
     UttMeta,
     _csv_rows,
     _keyed_rows,
-    _metas,
     _reading,
 )
 from .errors import (
@@ -88,9 +87,10 @@ def gen_calibration_trials(
         return TrialList([], [])
 
     ids = emb_set.ids
-    metas = _metas(emb_set, ids, speaker=True)
-    dur = np.array([m.duration_s for m in metas], dtype=np.float64)
-    speaker = _intern([m.speaker for m in metas])[1]
+    meta = emb_set.meta
+    rows = meta.rows(ids)
+    speaker = meta.speakers_at(rows, ids)[1]
+    dur = meta.duration_s[rows]
     rank = _intern(ids)[1]  # lexicographic id rank
     buckets = {
         "short": np.flatnonzero((dur >= SHORT_MIN_S) & (dur < LONG_MIN_S)),
@@ -180,8 +180,7 @@ def _qmf_rows(emb_set, ids, cohort: EmbeddingSet, metric, top_n):
     QMF of each utterance's metadata (`duration_qmf`, in one `np.log1p`)
     and the mean of its top_n cohort scores under the imposter `metric`
     (top_n=None: the whole cohort)."""
-    dur = np.log1p(np.array([m.speech_frames for m in _metas(emb_set, ids)],
-                            dtype=np.float64))
+    dur = np.log1p(emb_set.meta.speech_frames[emb_set.meta.rows(ids)])
     imp = _cohort_stats(emb_set, ids, cohort, top_n, metric)[0]
     return np.column_stack([dur, imp])
 
@@ -460,6 +459,7 @@ def _qmf_row(fields):
 
 
 def read_qmf_cache(path) -> dict:
-    rows = _csv_rows(path, lambda names: names == ["utt_id", "dur_q", "imp_q"],
-                     ("dur_q", "imp_q"))
-    return _keyed_rows(path, rows, _qmf_row)
+    lines, ids, *fields = _csv_rows(
+        path, lambda names: names == ["utt_id", "dur_q", "imp_q"],
+        ("dur_q", "imp_q"))
+    return _keyed_rows(path, zip(lines, ids, zip(*fields)), _qmf_row)

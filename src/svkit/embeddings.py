@@ -20,6 +20,7 @@ import math
 import operator
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +59,11 @@ _ROW_BLOCK = 256
 _PAIR_BLOCK = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UttMeta:
-    """Per-utterance metadata: VAD speech-frame count, duration, speaker."""
+    """Per-utterance metadata: VAD speech-frame count, duration, speaker.
+    The frame count is an integer in [0, 2**63), the range of the int64
+    column a metadata table stores it in."""
 
     speech_frames: int
     duration_s: float
@@ -73,6 +76,8 @@ class UttMeta:
                 or frames < 0):
             raise SvkitError(
                 f"speech_frames={frames} must be a non-negative integer")
+        if frames >= 2**63:
+            raise SvkitError(f"speech_frames={frames} must be below 2**63")
         if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
             raise SvkitError("duration_s must be finite and nonnegative")
         # allow half a frame of slack for rounding at the boundary
@@ -81,6 +86,126 @@ class UttMeta:
                 f"speech_frames={self.speech_frames} inconsistent with "
                 f"duration_s={self.duration_s} at {FRAME_RATE} fps"
             )
+
+
+# UttMeta's slot setters: a metadata table fills the UttMeta of a row
+# with them, which skips __init__'s check; the row's columns passed it
+_set_frames = UttMeta.speech_frames.__set__
+_set_duration = UttMeta.duration_s.__set__
+_set_speaker = UttMeta.speaker.__set__
+
+
+def _keeps_meta_rules(frames, durations):
+    """True when every row of the int64 `frames` and float64 `durations`
+    columns keeps UttMeta's rules. The frame bound is compared exactly, as
+    Python compares an int with a float: an integer exceeds a float b
+    exactly when it exceeds floor(b), and an integral float64 below 2**63
+    converts to int64 exactly, where casting the frames to float64 would
+    round them above 2**53."""
+    if not ((frames >= 0).all() and np.isfinite(durations).all()
+            and (durations >= 0).all()):
+        return False
+    with np.errstate(over="ignore"):  # an inf bound, as in Python
+        bound = np.floor(durations * FRAME_RATE + 0.5)
+    small = bound < 2.0**63  # no int64 exceeds a larger bound
+    return not (frames[small] > bound[small].astype(np.int64)).any()
+
+
+def _interned(speakers):
+    """(codes, names): the distinct `speakers` in first-seen order, and
+    each row's position in them."""
+    names = list(dict.fromkeys(speakers))
+    position = {s: i for i, s in enumerate(names)}
+    return (np.fromiter(map(position.__getitem__, speakers), np.intp,
+                        len(speakers)), names)
+
+
+class _MetaTable(Mapping):
+    """Read-only {utt_id: UttMeta} stored as columns aligned with its ids:
+    `speech_frames` (int64), `duration_s` (float64) and `speaker_codes`,
+    each row's position in `speakers`, which holds one entry per distinct
+    speaker (None for no speaker). A lookup builds that row's UttMeta;
+    gathers read the columns, whose write flags are cleared, at `rows`.
+    The columns given must keep UttMeta's rules and the ids be unique."""
+
+    __slots__ = ("_index", "speech_frames", "duration_s", "speaker_codes",
+                 "speakers")
+
+    def __init__(self, ids, speech_frames, duration_s, speaker_codes,
+                 speakers):
+        self._index = dict(zip(ids, range(len(speech_frames))))
+        self.speech_frames = speech_frames
+        self.duration_s = duration_s
+        self.speaker_codes = speaker_codes
+        self.speakers = tuple(speakers)
+        for column in (speech_frames, duration_s, speaker_codes):
+            column.setflags(write=False)
+
+    @classmethod
+    def of(cls, meta):
+        """`meta` itself when it is a table; else the table of a mapping
+        of UttMeta (None: empty), made once. A value that is not a
+        UttMeta raises SvkitError naming its id."""
+        if isinstance(meta, _MetaTable):
+            return meta
+        meta = dict(meta or {})
+        for utt_id, m in meta.items():
+            if not isinstance(m, UttMeta):
+                raise SvkitError(
+                    f"metadata of '{utt_id}' is not a UttMeta: {m!r}")
+        metas = list(meta.values())
+
+        def column(name):
+            return list(map(operator.attrgetter(name), metas))
+
+        return cls(meta, np.array(column("speech_frames"), dtype=np.int64),
+                   np.array(column("duration_s"), dtype=np.float64),
+                   *_interned(column("speaker")))
+
+    def __getitem__(self, utt_id):
+        i = self._index[utt_id]
+        m = object.__new__(UttMeta)
+        _set_frames(m, self.speech_frames.item(i))
+        _set_duration(m, self.duration_s.item(i))
+        _set_speaker(m, self.speakers[self.speaker_codes.item(i)])
+        return m
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self):
+        return len(self._index)
+
+    def __contains__(self, utt_id):
+        return utt_id in self._index
+
+    def keys(self):
+        return self._index.keys()
+
+    def rows(self, ids):
+        """The row of each of `ids`; MissingMeta names the first id that
+        has none."""
+        try:
+            return np.fromiter(map(self._index.__getitem__, ids), np.intp,
+                               len(ids))
+        except KeyError as e:
+            raise MissingMeta(e.args[0]) from None
+
+    def speakers_at(self, rows, ids):
+        """(table, codes): the distinct speakers of `rows` in
+        lexicographic order, and each row's position in that table.
+        MissingLabel names the first of `ids`, the rows' ids, whose row
+        has no (or an empty) speaker."""
+        codes = self.speaker_codes[rows]
+        unlabeled = np.array([not s for s in self.speakers], dtype=bool)
+        bad = np.flatnonzero(unlabeled[codes])
+        if bad.size:
+            raise MissingLabel(ids[bad[0]])
+        used = np.bincount(codes, minlength=len(self.speakers)).nonzero()[0]
+        order = sorted(used.tolist(), key=self.speakers.__getitem__)
+        rank = np.empty(len(self.speakers), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        return [self.speakers[c] for c in order], rank[codes]
 
 
 def _frozen(a):
@@ -94,10 +219,13 @@ def _frozen(a):
 class EmbeddingSet:
     """Ordered collection of same-dimension embeddings, immutable after load.
 
-    Vectors are stored as a single (n, dim) float64 matrix; `meta` maps a
-    subset of the ids to UttMeta. A view of an array that can still be
-    written is copied, so writes through its base do not reach the set;
-    a frozen array (`_frozen`) or one that owns its data is kept.
+    Vectors are stored as a single (n, dim) float64 matrix. A view of an
+    array that can still be written is copied, so writes through its base
+    do not reach the set; a frozen array (`_frozen`) or one that owns its
+    data is kept. `meta` is a read-only mapping from a subset of the ids
+    to UttMeta, stored as columns (`_MetaTable`): a table such as
+    `read_metadata` returns is kept as it is, and a mapping of UttMeta is
+    converted once.
     """
 
     def __init__(self, ids, vectors, meta=None):
@@ -122,7 +250,7 @@ class EmbeddingSet:
         if len(index) < len(ids):
             dup = next(u for i, u in enumerate(ids) if index[u] != i)
             raise DuplicateId(f"duplicate utterance id '{dup}'")
-        meta = dict(meta) if meta else {}
+        meta = _MetaTable.of(meta)
         unknown = meta.keys() - index.keys()
         if unknown:
             raise SvkitError(f"metadata for unknown ids: {sorted(unknown)[:5]}")
@@ -131,11 +259,15 @@ class EmbeddingSet:
         self.ids = ids
         self.vectors = vectors
         self.vectors.setflags(write=False)
-        self.meta = meta
+        self._meta = meta
         self._index = index
         # inner-product cohort statistics a cosine pass left for the next
         # pass over this set (`scoring._cohort_stats`)
         self._kept_stats = None
+
+    @property
+    def meta(self):
+        return self._meta
 
     @property
     def dim(self):
@@ -154,35 +286,30 @@ class EmbeddingSet:
             raise UnknownId(f"unknown utterance id '{utt_id}'") from None
 
     def with_vectors(self, vectors):
-        """New set with the same ids/meta but replaced vectors."""
-        return EmbeddingSet(self.ids, vectors, self.meta)
+        """New set with the same ids and replaced vectors; it shares this
+        set's metadata table, which needs no copy and no new check."""
+        new = EmbeddingSet(self.ids, vectors)
+        new._meta = self._meta
+        return new
 
 
-def _metas(emb_set: EmbeddingSet, ids, speaker=False):
-    """The UttMeta of each of `ids`. An id without a metadata row raises
-    MissingMeta; with `speaker`, one whose row has no (or an empty)
-    speaker raises MissingLabel."""
-    try:
-        metas = list(map(emb_set.meta.__getitem__, ids))
-    except KeyError as e:
-        raise MissingMeta(e.args[0]) from None
-    if speaker:
-        for utt_id, m in zip(ids, metas):
-            if not m.speaker:
-                raise MissingLabel(utt_id)
-    return metas
-
-
-def _normalize_rows(vectors, ids, out=None):
-    """Each row of `vectors` divided by its Euclidean norm, written into
-    `out` (a new array when None; `vectors` itself to normalize in
-    place). The norms are taken `_ROW_BLOCK` rows at a time, so no
-    n x dim temporary is built. Raises ZeroVector naming the id of the
-    first zero-norm row."""
+def _row_norms(vectors):
+    """The Euclidean norm of each row of `vectors`, taken `_ROW_BLOCK`
+    rows at a time, so no n x dim temporary is built. A row's norm does
+    not depend on its block, so the norms are those of one whole call."""
     norms = np.empty(len(vectors))
     for lo in range(0, len(vectors), _ROW_BLOCK):
         norms[lo:lo + _ROW_BLOCK] = np.linalg.norm(
             vectors[lo:lo + _ROW_BLOCK], axis=1)
+    return norms
+
+
+def _normalize_rows(vectors, ids, out=None):
+    """Each row of `vectors` divided by its Euclidean norm (`_row_norms`),
+    written into `out` (a new array when None; `vectors` itself to
+    normalize in place). Raises ZeroVector naming the id of the first
+    zero-norm row."""
+    norms = _row_norms(vectors)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroVector(ids[int(zero[0])])
@@ -247,27 +374,31 @@ def _keyed_rows(path, rows, parse):
 
 
 def _csv_rows(path, header_ok, columns):
-    """(lineno, utt_id, fields) per data row of the CSV file at `path`, with
-    `fields` the row's values of `columns` in that order; a header row that
-    fails `header_ok` raises SvkitError. Rows follow `csv.DictReader`'s
-    rules: blank rows are skipped, a column the header or a short row lacks
-    reads "", a repeated header name means its last column, and extra
-    fields are ignored."""
+    """The data rows of the CSV file at `path` as columns, each a tuple:
+    their line numbers, their utt_id values, then their values of each of
+    `columns` in that order. A header row that fails `header_ok` raises
+    SvkitError; one that passes names utt_id and one of `columns` at
+    least. Rows follow `csv.DictReader`'s rules: blank rows are skipped, a
+    column the header or a short row lacks reads "", a repeated header
+    name means its last column, and extra fields are ignored."""
     with _reading(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if not header_ok(header or []):
             raise SvkitError(f"{path}: bad header {header}")
-        # index len(header) of a row cut to the header and padded is ""
-        width = len(header)
         position = {name: i for i, name in enumerate(header)}
-        pick = operator.itemgetter(
-            position["utt_id"], *(position.get(c, width) for c in columns))
-        pad = [""] * (width + 1)
-        for row in reader:
-            if row:
-                utt_id, *fields = pick(row[:width] + pad)
-                yield reader.line_num, utt_id, fields
+        at = [position["utt_id"], *(position.get(c) for c in columns)]
+        present = [i for i in at if i is not None]
+        pick = operator.itemgetter(*present)
+        # only a row too short for a picked field is padded, with ""
+        top = max(present)
+        pad = [""] * (top + 1)
+        rows = [(reader.line_num, *pick(row if len(row) > top else row + pad))
+                for row in reader if row]
+    lines, *picked = zip(*rows) if rows else [()] * (1 + len(present))
+    picked = iter(picked)
+    return (lines, *(("",) * len(rows) if i is None else next(picked)
+                     for i in at))
 
 
 def _write_header(f, magic, dim, count):
@@ -344,30 +475,68 @@ def read_embeddings(path) -> EmbeddingSet:
 
 
 def write_metadata(meta, path):
-    """CSV `utt_id,speech_frames,duration_s[,speaker]` with header row."""
-    has_speaker = any(m.speaker is not None for m in meta.values())
+    """CSV `utt_id,speech_frames,duration_s[,speaker]` with header row,
+    one row per entry of `meta` in its order: a metadata table (a set's
+    `meta`, what `read_metadata` returns) or a mapping of UttMeta. The
+    speaker column is written when an entry has a speaker."""
+    meta = _MetaTable.of(meta)
+    header = ["utt_id", "speech_frames", "duration_s"]
+    columns = [meta.keys(), meta.speech_frames.tolist(),
+               map(repr, meta.duration_s.tolist())]
+    if any(s is not None for s in meta.speakers):
+        header.append("speaker")
+        names = ["" if s is None else s for s in meta.speakers]
+        columns.append(map(names.__getitem__, meta.speaker_codes.tolist()))
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
-        header = ["utt_id", "speech_frames", "duration_s"]
-        if has_speaker:
-            header.append("speaker")
         w.writerow(header)
-        for utt_id, m in meta.items():
-            row = [utt_id, m.speech_frames, repr(float(m.duration_s))]
-            if has_speaker:
-                row.append(m.speaker if m.speaker is not None else "")
-            w.writerow(row)
+        w.writerows(zip(*columns))
+
+
+def _meta_row(fields):
+    """The UttMeta of one metadata row's (speech_frames, duration_s,
+    speaker) fields; an empty speaker is none."""
+    return UttMeta(speech_frames=int(fields[0]), duration_s=float(fields[1]),
+                   speaker=fields[2] or None)
+
+
+def _meta_columns(ids, frames, durations, speakers):
+    """The table of the text columns of a metadata file, parsed as
+    `_meta_row` parses a row and checked in bulk (`_keeps_meta_rules`).
+    A field that does not parse, a row that breaks a rule, or a repeated
+    id raises ValueError, OverflowError or SvkitError, naming no row."""
+    n = len(ids)
+    frames = np.fromiter(map(int, frames), np.int64, n)
+    durations = np.fromiter(map(float, durations), np.float64, n)
+    if not _keeps_meta_rules(frames, durations):
+        raise SvkitError("a row breaks UttMeta's rules")
+    codes, names = _interned(speakers)
+    table = _MetaTable(ids, frames, durations, codes,
+                       [s or None for s in names])
+    if len(table) < n:
+        raise DuplicateId("a repeated utterance id")
+    return table
 
 
 def read_metadata(path):
+    """The metadata CSV at `path` (`write_metadata`'s columns, in any
+    order, with or without a speaker column) as a read-only table of
+    UttMeta, stored as columns (`_MetaTable`). The rows are parsed and
+    checked against UttMeta's rules in bulk. When one fails, the file's
+    rows are read again one at a time, as `_keyed_rows` reads them and
+    UttMeta checks them, to raise the first failing row's error naming
+    `path:lineno`; within a row a repeated id comes before a parse error.
+    A frame count of 2**63 or more is such an error (int64 column)."""
     required = {"utt_id", "speech_frames", "duration_s"}
-    return _keyed_rows(
-        path,
-        _csv_rows(path, required.issubset,
-                  ("speech_frames", "duration_s", "speaker")),
-        lambda fields: UttMeta(speech_frames=int(fields[0]),
-                               duration_s=float(fields[1]),
-                               speaker=fields[2] or None))
+    lines, ids, *fields = _csv_rows(path, required.issubset,
+                                    ("speech_frames", "duration_s",
+                                     "speaker"))
+    try:
+        return _meta_columns(ids, *fields)
+    except (ValueError, OverflowError, SvkitError) as e:
+        error = e
+    _keyed_rows(path, zip(lines, ids, zip(*fields)), _meta_row)
+    raise error  # only if the bulk check and UttMeta disagree
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +566,10 @@ def synth_dataset(
     if not concentration >= 0:
         raise SvkitError(f"concentration={concentration} must be >= 0")
     lo, hi = duration_range_s
-    if not (0 <= lo <= hi and math.isfinite(hi * FRAME_RATE)):
+    if not (0 <= lo <= hi and hi * FRAME_RATE < 2.0**63):
         raise SvkitError(f"duration range [{lo}, {hi}] s must have "
-                         f"0 <= lo <= hi and a finite hi * {FRAME_RATE:g} "
-                         "frames")
+                         f"0 <= lo <= hi and hi * {FRAME_RATE:g} frames "
+                         "below 2**63")
 
     rng = np.random.default_rng(check_seed(seed))
     means = rng.standard_normal((num_speakers, dim))
@@ -428,8 +597,10 @@ def synth_dataset(
     names = [f"spk{s:04d}" for s in range(num_speakers)]
     suffixes = [f"_utt{u:03d}" for u in range(utts_per_speaker)]
     ids = [name + suffix for name in names for suffix in suffixes]
-    speakers = [name for name in names for _ in suffixes]
     _normalize_rows(vecs, ids, out=vecs)
-    meta = {utt_id: UttMeta(int(dur * FRAME_RATE), dur, spk)
-            for utt_id, dur, spk in zip(ids, durations.tolist(), speakers)}
+    # int(dur * FRAME_RATE) per utterance: truncation, below 2**63
+    meta = _MetaTable(ids, (durations * FRAME_RATE).astype(np.int64),
+                      durations,
+                      np.repeat(np.arange(num_speakers), utts_per_speaker),
+                      names)
     return EmbeddingSet(ids, vecs, meta)

@@ -13,8 +13,8 @@ from .embeddings import (
     EmbeddingSet,
     _check_text_ids,
     _frozen,
-    _metas,
     _reading,
+    _row_norms,
     _write_blocks,
 )
 from .errors import (
@@ -99,8 +99,8 @@ def build_cohort(emb_set: EmbeddingSet) -> EmbeddingSet:
     the mean of its (already length-normalized) embeddings, deliberately
     NOT re-normalized, so inner-product and cosine comparisons differ. A
     speaker whose embeddings cancel to a zero mean raises DegenerateCohort."""
-    metas = _metas(emb_set, emb_set.ids, speaker=True)
-    table, spk = _intern([m.speaker for m in metas])
+    meta = emb_set.meta
+    table, spk = meta.speakers_at(meta.rows(emb_set.ids), emb_set.ids)
     means = _group_sums(spk, emb_set.vectors, len(table))
     means /= np.bincount(spk)[:, None]
     zero = np.flatnonzero(~means.any(axis=1))
@@ -236,8 +236,8 @@ def _cohort_stats(emb_set, ids, cohort: EmbeddingSet, top_n, metric):
             and kept[3] is emb_set.vectors):
         return kept[4]
     cosine = metric == "cosine"
-    if cosine:  # its (cohort x dim) temporary is gone before buf exists
-        mean_norms = np.linalg.norm(cohort.vectors, axis=1)
+    if cosine:
+        mean_norms = _row_norms(cohort.vectors)
     keep = cosine and frozen and all(map(emb_set.meta.__contains__, ids))
     rows = _rows(emb_set._index, ids)
     mu, sigma = np.empty(len(rows)), np.empty(len(rows))

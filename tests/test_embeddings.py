@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -114,6 +115,70 @@ def test_meta_keys_subset():
         EmbeddingSet(["a"], [[1.0]], {"b": UttMeta(0, 0.0)})
 
 
+@pytest.mark.parametrize("meta, named", [
+    ({"a": (1, 2.0, "s"), "b": None}, "a"),
+    ({"a": UttMeta(1, 2.0, "s"), "b": None}, "b"),
+])
+def test_meta_values_must_be_uttmeta(meta, named):
+    # a tuple was accepted, and build_cohort then died on its .speaker
+    with pytest.raises(SvkitError, match=f"^metadata of '{named}' is not a "
+                       "UttMeta: "):
+        EmbeddingSet(["a", "b"], np.eye(2), meta)
+
+
+def test_set_metadata_cannot_be_written():
+    s = synth_dataset(2, 2, 4, 9.0, seed=0)
+    a, b = s.ids[:2]
+    with pytest.raises(TypeError):
+        s.meta[a] = s.meta[b]
+    with pytest.raises(TypeError):
+        del s.meta[a]
+    with pytest.raises(AttributeError):
+        s.meta = {}
+    with pytest.raises(ValueError, match="read-only"):
+        s.meta.speech_frames[0] = 0
+
+
+def test_metadata_table_is_a_mapping_of_uttmeta():
+    meta = {"a": UttMeta(300, 3.5, "s1"), "b": UttMeta(0, 2.0),
+            "c": UttMeta(7, 1.0, "")}
+    s = EmbeddingSet(["c", "b", "a"], np.eye(3), meta)
+    assert s.meta == meta and meta == s.meta
+    assert list(s.meta) == ["a", "b", "c"] and len(s.meta) == 3
+    assert {**s.meta} == meta and list(s.meta.values()) == list(meta.values())
+    assert "a" in s.meta and "x" not in s.meta
+    assert dataclasses.replace(s.meta["a"], speaker="s2") == UttMeta(
+        300, 3.5, "s2")
+    # length_normalize and with_vectors share the table
+    assert length_normalize(s).meta is s.meta
+    assert EmbeddingSet(s.ids, s.vectors, s.meta).meta is s.meta
+
+
+def test_uttmeta_speech_frames_below_2_63():
+    UttMeta(2**63 - 1, 1e17)
+    with pytest.raises(SvkitError, match=r"^speech_frames=9223372036854775808"
+                       r" must be below 2\*\*63$"):
+        UttMeta(2**63, 1e17)
+
+
+@pytest.mark.parametrize("power", [40, 52, 53, 54, 60, 62])
+def test_bulk_frame_check_compares_int_and_float_exactly(power):
+    # UttMeta compares a Python int with a float exactly; a cast of the
+    # frames to float64 would round them above 2**53 and accept 2**53 + 1
+    # against a bound of 2**53
+    from svkit.embeddings import _keeps_meta_rules
+    duration = 2.0**power / 100
+    bound = math.floor(duration * 100 + 0.5)
+    for frames in range(bound - 2, min(bound + 3, 2**63)):
+        try:
+            UttMeta(frames, duration)
+            keeps = True
+        except SvkitError:
+            keeps = False
+        assert _keeps_meta_rules(np.array([frames]),
+                                 np.array([duration])) == keeps, frames
+
+
 def test_uttmeta_frame_consistency():
     UttMeta(speech_frames=600, duration_s=6.0)
     with pytest.raises(SvkitError):
@@ -196,6 +261,21 @@ def test_metadata_round_trip(tmp_path):
     assert back["a"] == meta["a"]
     assert back["b"].speech_frames == 0
     assert back["b"].speaker is None
+
+
+def test_read_metadata_memory_per_row(tmp_path):
+    # one UttMeta object per row held about 300 B a row; the columns and
+    # their id index about 200 (12k ids of 14 characters)
+    path = tmp_path / "m.csv"
+    write_metadata(synth_dataset(6000, 2, 4, 9.0, seed=0).meta, path)
+    tracemalloc.start()
+    try:
+        meta = read_metadata(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(meta) == 12000
+    assert held / len(meta) < 240
 
 
 def test_metadata_duplicate_id(tmp_path):
@@ -344,6 +424,7 @@ def test_synth_durations_in_range():
     (float("nan"), 4.0),
     (2.0, float("inf")),
     (5.0, 3.0),
+    (0.0, 1e17),             # hi * 100 frames exceeds int64
 ])
 def test_synth_duration_range_outside_its_domain_is_named(bounds):
     with pytest.raises(SvkitError, match=r"duration range \["):

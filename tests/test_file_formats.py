@@ -247,6 +247,36 @@ METADATA_CASES = {
     "invalid frame count": (_META_HEAD + b"a,601,6\n", _bad(
         "{path}:2: malformed row (speech_frames=601 inconsistent with "
         "duration_s=6.0 at 100.0 fps)")),
+    "negative frame count": (_META_HEAD + b"a,300,3.5\nb,-1,1\n", _bad(
+        "{path}:3: malformed row (speech_frames=-1 must be a non-negative "
+        "integer)")),
+    # the first failing row, and in one row a duplicate before a bad field
+    "malformed row before a duplicate id": (
+        _META_HEAD + b"a,300,3.5\nb,x,1\na,1,1\n",
+        _bad("{path}:3: malformed row (invalid literal for int() with base "
+             "10: 'x')")),
+    "duplicate id before a malformed row": (
+        _META_HEAD + b"a,300,3.5\na,1,1\nb,x,1\n",
+        _bad("{path}:3: duplicate id 'a'", DuplicateId)),
+    "duplicate id on a malformed row": (
+        _META_HEAD + b"a,300,3.5\na,x,1\n",
+        _bad("{path}:3: duplicate id 'a'", DuplicateId)),
+    # frame counts are int64
+    "frame count of 2**63 - 1": (
+        _META_HEAD + b"a,9223372036854775807,1e17\n",
+        {"a": _meta(2**63 - 1, 1e17)}),
+    "frame count of 2**63": (_META_HEAD + b"a,9223372036854775808,1e17\n",
+                             _bad("{path}:2: malformed row (speech_frames="
+                                  "9223372036854775808 must be below "
+                                  "2**63)")),
+    # 90071992547409.92 * 100 + 0.5 is 2**53 exactly; 2**53 + 1 exceeds it,
+    # though as a float64 it would round to 2**53
+    "frame count one above a bound of 2**53": (
+        _META_HEAD + b"a,9007199254740992,90071992547409.92\n"
+        b"b,9007199254740993,90071992547409.92\n",
+        _bad("{path}:3: malformed row (speech_frames=9007199254740993 "
+             "inconsistent with duration_s=90071992547409.92 at 100.0 "
+             "fps)")),
 }
 
 

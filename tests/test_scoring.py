@@ -308,9 +308,7 @@ def test_cohort_stats_equal_full_matrix_reference(metric, top_n):
 def test_cohort_stats_memory_is_one_block():
     # one reused (_ROW_BLOCK x cohort) score buffer; a fresh block per
     # product plus a partitioned copy would be two. A set with metadata
-    # adds only the scratch rows of the cosine division. At dim 256 the
-    # means' norms take a (cohort x dim) temporary as large as the
-    # buffer, so they must be taken before it exists
+    # adds only the scratch rows of the cosine division
     for emb, ids, cohort in (_stats_inputs(2100, 3000, 32, seed=22),
                              _stats_inputs(300, 3000, 256, seed=26)):
         block = _ROW_BLOCK * len(cohort) * 8
@@ -324,6 +322,21 @@ def test_cohort_stats_memory_is_one_block():
             assert peak <= 1.25 * block
 
 
+def test_cohort_mean_norms_take_no_cohort_by_dim_temporary():
+    # at dim 512 the means (2000 x 512, 8.2 MB) are twice the block
+    # buffer (256 x 2000, 4.1 MB): their norms are taken a row block at a
+    # time, so the peak is the buffer, the gathered rows and their norms'
+    # temporary (256 x 512 each), not a temporary of all the means
+    emb, ids, cohort = _stats_inputs(300, 2000, 512, seed=27)
+    tracemalloc.start()
+    try:
+        _cohort_stats(emb, ids, cohort, 100, "cosine")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(cohort) * cohort.dim * 8
+
+
 def test_cohort_stats_rejects_an_unknown_metric_before_top_n():
     # a misspelt name must not run as the inner product
     emb, ids, cohort = _stats_inputs(5, 10, 4, seed=25)
@@ -334,13 +347,14 @@ def test_cohort_stats_rejects_an_unknown_metric_before_top_n():
 
 
 def test_cohort_mean_norms_once_per_call(monkeypatch):
-    # three row blocks; the cohort means' norms do not change between them
+    # three row blocks; the cohort means' norms do not change between them.
+    # They are taken a row block at a time, so of a view: 50 means, one.
     emb, ids, cohort = _stats_inputs(2 * _ROW_BLOCK + 5, 50, 8, seed=24)
     norm = np.linalg.norm
     calls = []
 
     def counting_norm(x, *args, **kwargs):
-        calls.append(x is cohort.vectors)
+        calls.append(np.shares_memory(x, cohort.vectors))
         return norm(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
@@ -446,7 +460,11 @@ def test_trial_qmfs_after_snorm_recompute_on_a_miss(monkeypatch, miss):
     want = _unshared_qmfs(qmf_trials, data, qmf_cohort, metric, top_n)
     snorm(raw, emb, emb, cohort, 50)
     if miss == "meta":  # the QMFs need it; the snorm pass lacked it
-        emb.meta[lacking] = data.meta[lacking]
+        # what that pass kept goes to a set of the same vectors with all
+        # the metadata, where it would serve the QMF call
+        kept = emb._kept_stats
+        emb = EmbeddingSet(emb.ids, emb.vectors, data.meta)
+        emb._kept_stats = kept
     calls = _count_matmul(monkeypatch)
     got = trial_qmfs(qmf_trials, emb, emb, qmf_cohort, metric, top_n)
     assert len(calls) > 0
