@@ -145,7 +145,7 @@ def gen_calibration_trials(
             enroll += [ids[k] for k in a[rows].tolist()]
             test += [ids[k] for k in b[cols].tolist()]
             labels += [1 if target else 0] * need
-    return TrialList(enroll, test, labels)
+    return TrialList._adopt(enroll, test, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ the cosine metric inside Ward.
 
 from __future__ import annotations
 
-from collections import Counter
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +20,11 @@ from .embeddings import (
     _ROW_BLOCK,
     EmbeddingSet,
     _check_text_ids,
+    _frozen,
     _keyed_rows,
     _normalize_rows,
     _read_header,
+    _read_only,
     _reading,
     _write_header,
 )
@@ -42,21 +44,33 @@ _KM_MAGIC = b"SVKM"
 
 @dataclass
 class KMeansModel:
+    """k-means centers and their assignment counts, both read-only after
+    construction (`_read_only`: a view of an array that can still be
+    written is copied)."""
+
     centers: np.ndarray  # (k, d)
     counts: np.ndarray   # (k,) assignment counts
     inertia: float = 0.0
 
     def __post_init__(self):
-        self.centers = np.asarray(self.centers, dtype=np.float64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.centers.ndim != 2 or 0 in self.centers.shape:
+        centers = np.asarray(self.centers, dtype=np.float64)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if centers.ndim != 2 or 0 in centers.shape:
             raise SvkitError("centers must be a (k, d) matrix with k, d >= 1")
-        if self.counts.shape != (self.centers.shape[0],):
+        if counts.shape != (centers.shape[0],):
             raise SvkitError("counts length mismatch")
-        if np.any(self.counts < 0):
+        if np.any(counts < 0):
             raise SvkitError("counts must be nonnegative")
-        if not np.all(np.isfinite(self.centers)):
+        if not np.all(np.isfinite(centers)):
             raise SvkitError("centers must be finite")
+        self.centers = _read_only(centers)
+        self.counts = _read_only(counts)
+        self._kept_nearest = None
+
+    def __reduce__(self):
+        # rebuilt through the constructor: read-only arrays and no keep,
+        # whose weakrefs do not pickle
+        return KMeansModel, (self.centers, self.counts, self.inertia)
 
     @property
     def k(self):
@@ -78,10 +92,11 @@ class PseudoLabeling:
 _SEARCH_BLOCK = 1024
 
 
-def _nearest(points, centers, rows=None):
-    """Index of each point's nearest center and its squared distance to
-    it, `_SEARCH_BLOCK` points at a time, for points[rows] when `rows` is
-    given. Each block of rows is gathered in turn, so extra memory is
+def _nearest(points, centers, rows=None, distances=False):
+    """Index of each point's nearest center, `_SEARCH_BLOCK` points at a
+    time, for points[rows] when `rows` is given; with `distances`, also
+    each point's squared distance to that center, as (idx, d2). Each block
+    of rows is gathered in turn, so extra memory is
     O(_SEARCH_BLOCK x (k + dim)), one score buffer and one block, for any
     number of points.
 
@@ -89,22 +104,25 @@ def _nearest(points, centers, rows=None):
     the argmax of x.c - ||c||^2 / 2: one gemm into a reused block buffer and
     one in-place subtraction per block. The squared distance
     ||x||^2 - 2 (x.c - ||c||^2 / 2) is formed only at that center, clipped
-    at 0.
+    at 0, and only when `distances` asks for it.
     """
     n = points.shape[0] if rows is None else len(rows)
     half_sq = 0.5 * np.einsum("ij,ij->i", centers, centers)
     buf = np.empty((min(n, _SEARCH_BLOCK), centers.shape[0]))
     idx = np.empty(n, dtype=np.int64)
-    d2 = np.empty(n)
+    d2 = np.empty(n) if distances else None
     for lo in range(0, n, _SEARCH_BLOCK):
         hi = min(lo + _SEARCH_BLOCK, n)
         block = points[lo:hi] if rows is None else points[rows[lo:hi]]
         score = np.matmul(block, centers.T, out=buf[:hi - lo])
         score -= half_sq
         idx[lo:hi] = np.argmax(score, axis=1)
-        best = score[np.arange(hi - lo), idx[lo:hi]]
-        d2[lo:hi] = np.einsum("ij,ij->i", block, block) - 2.0 * best
+        if distances:
+            best = score[np.arange(hi - lo), idx[lo:hi]]
+            d2[lo:hi] = np.einsum("ij,ij->i", block, block) - 2.0 * best
         del block  # else two gathered blocks are alive at the next gather
+    if not distances:
+        return idx
     np.maximum(d2, 0.0, out=d2)
     return idx, d2
 
@@ -152,14 +170,17 @@ def _kmeans(emb_set, k, batch_size, n_batches, seed):
         # a row drawn again has the same nearest center: search each
         # distinct row once and scatter back in batch order
         distinct, inverse = np.unique(rows, return_inverse=True)
-        assign = _nearest(X, centers, distinct)[0][inverse]
+        assign = _nearest(X, centers, distinct)[inverse]
         m = np.bincount(assign, minlength=k)
         hit = np.flatnonzero(m)
-        sums = _group_sums(assign, X, k, rows)[hit]
         prior = counts[hit]
-        centers[hit] = (
-            prior[:, None] * centers[hit] + sums
-        ) / (prior + m[hit])[:, None]
+        # the running mean (prior c + sums) / (prior + m), formed in one
+        # gathered copy of the hit centers
+        moved = centers[hit]
+        moved *= prior[:, None]
+        moved += _group_sums(assign, X, k, rows)[hit]
+        moved /= (prior + m[hit])[:, None]
+        centers[hit] = moved
         counts += m
 
     empty = np.where(counts == 0)[0]
@@ -177,7 +198,7 @@ def _kmeans(emb_set, k, batch_size, n_batches, seed):
             centers[c] = X[rows[order[i]]]
             counts[c] = 1
 
-    nearest, d2 = _nearest(X, centers)
+    nearest, d2 = _nearest(X, centers, distances=True)
     return KMeansModel(centers, counts, float(d2.sum())), nearest
 
 
@@ -215,10 +236,24 @@ def _unit_distances(unit):
     return np.sqrt(y, out=y)
 
 
+# the last linkage `ahc_ward` built, as (weakref to its frozen centers,
+# linkage), for the next `_ward_linkage` call; a race between threads can
+# only lose it, as every entry holds the linkage of its own centers
+_kept_linkage = None
+
+
 def _ward_linkage(centers):
     """scipy's Ward linkage of the length-normalized centers; (0, 4) for a
     single center. The distances come from `_unit_distances`; scipy only
-    runs the merges."""
+    runs the merges.
+
+    Every call takes off the linkage that `ahc_ward` kept, and returns it
+    instead when it was built for this same array and the array is still
+    frozen (`_frozen`): the same array then holds the same values."""
+    global _kept_linkage
+    kept, _kept_linkage = _kept_linkage, None
+    if kept is not None and kept[0]() is centers and _frozen(centers):
+        return kept[1]
     norms = np.linalg.norm(centers, axis=1)
     if np.any(norms == 0):
         raise SvkitError("zero-norm center cannot be normalized")
@@ -246,25 +281,40 @@ def ahc_ward(centers, num_clusters):
     """Ward AHC over length-normalized centers, cut to num_clusters flat
     clusters. Returns (linkage, center_labels), where linkage is scipy's
     (k-1, 4) matrix: row i merges nodes Z[i, 0] and Z[i, 1] at height
-    Z[i, 2] into node k+i of Z[i, 3] centers; leaves are 0..k-1."""
+    Z[i, 2] into node k+i of Z[i, 3] centers; leaves are 0..k-1.
+
+    A copy of the linkage of frozen `centers`, such as a `KMeansModel`'s,
+    is kept for the next `_ward_linkage` call."""
+    global _kept_linkage
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] == 0:
         raise EmptyInput("no centers to cluster")
     Z = _ward_linkage(centers)
-    return Z, _cut(Z, num_clusters)
+    labels = _cut(Z, num_clusters)
+    if _frozen(centers):
+        _kept_linkage = (weakref.ref(centers), Z.copy())
+    return Z, labels
 
 
-def _members(emb_set: EmbeddingSet, kmeans: KMeansModel):
-    """The parts of an assignment that no AHC cut changes: each
-    utterance's nearest k-means center and its length-normalized
-    embedding."""
+def _nearest_centers(emb_set: EmbeddingSet, kmeans: KMeansModel):
+    """Each utterance's nearest k-means center, the part of an assignment
+    that no AHC cut changes.
+
+    Every call takes off the indices that `assign_pseudo_labels` left on
+    the model, and returns them instead of searching when they were found
+    for this same set, vector matrix and center matrix, both matrices
+    still frozen (`_frozen`). The keep holds weakrefs, not the set."""
     if emb_set.dim != kmeans.centers.shape[1]:
         raise DimMismatch(
             f"embeddings are {emb_set.dim}-dim, centers "
             f"{kmeans.centers.shape[1]}-dim"
         )
-    nearest = _nearest(emb_set.vectors, kmeans.centers)[0]
-    return nearest, _normalize_rows(emb_set.vectors, emb_set.ids)
+    kept, kmeans._kept_nearest = kmeans._kept_nearest, None
+    if (kept is not None and kept[0]() is emb_set
+            and kept[1]() is emb_set.vectors and kept[2]() is kmeans.centers
+            and _frozen(emb_set.vectors) and _frozen(kmeans.centers)):
+        return kept[3]
+    return _nearest(emb_set.vectors, kmeans.centers)
 
 
 def _labeling(ids, nearest, unit, center_labels) -> PseudoLabeling:
@@ -283,13 +333,24 @@ def _labeling(ids, nearest, unit, center_labels) -> PseudoLabeling:
 def assign_pseudo_labels(emb_set: EmbeddingSet, kmeans: KMeansModel,
                          center_labels) -> PseudoLabeling:
     """Utterance -> nearest k-means center -> that center's AHC cluster;
-    prototypes are the per-cluster means of the normalized embeddings."""
+    prototypes are the per-cluster means of the normalized embeddings.
+
+    The nearest centers are left on the model for the next
+    `sweep_cluster_count` over this set (`_nearest_centers`)."""
     center_labels = np.asarray(center_labels, dtype=np.int64)
     if center_labels.shape != (kmeans.k,):
         raise SvkitError("center_labels length mismatch")
     if np.any(center_labels < 0):
         raise SvkitError("center_labels must be nonnegative")
-    return _labeling(emb_set.ids, *_members(emb_set, kmeans), center_labels)
+    nearest = _nearest_centers(emb_set, kmeans)
+    labeling = _labeling(emb_set.ids, nearest,
+                         _normalize_rows(emb_set.vectors, emb_set.ids),
+                         center_labels)
+    if _frozen(emb_set.vectors) and _frozen(kmeans.centers):
+        kmeans._kept_nearest = (weakref.ref(emb_set),
+                                weakref.ref(emb_set.vectors),
+                                weakref.ref(kmeans.centers), nearest)
+    return labeling
 
 
 def prototype_scores(labeling: PseudoLabeling, trials):
@@ -310,7 +371,11 @@ def sweep_cluster_count(emb_set: EmbeddingSet, kmeans: KMeansModel,
     ([(K, eer)], best_K) with ties going to the smaller K.
 
     The Ward linkage, the nearest centers and the normalized embeddings
-    are computed once; each cut only relabels and re-averages them.
+    are computed once; each cut only relabels and re-averages them. The
+    linkage that `ahc_ward` kept for this model's centers and the nearest
+    centers that `assign_pseudo_labels` left on it for this set are taken
+    instead of being recomputed; both are one-use, so a second sweep
+    recomputes them.
 
     best_K is biased upward: finer clusters give prototype agreement a
     lower EER even past the true speaker count, so unless the clustering
@@ -322,7 +387,8 @@ def sweep_cluster_count(emb_set: EmbeddingSet, kmeans: KMeansModel,
     if not k_values:
         raise SvkitError("k_values must be nonempty")
     Z = _ward_linkage(kmeans.centers)
-    nearest, unit = _members(emb_set, kmeans)
+    nearest = _nearest_centers(emb_set, kmeans)
+    unit = _normalize_rows(emb_set.vectors, emb_set.ids)
     rows = []
     for K in k_values:
         labeling = _labeling(emb_set.ids, nearest, unit, _cut(Z, K))
@@ -337,20 +403,29 @@ def sweep_cluster_count(emb_set: EmbeddingSet, kmeans: KMeansModel,
 def greedy_label_match(prev: dict, curr: dict):
     """Greedy maximum-overlap matching of current cluster labels onto the
     previous iteration's labels. Returns (mapping curr->prev label,
-    agreement fraction)."""
-    overlap = Counter((c, prev[utt_id]) for utt_id, c in curr.items())
-    order = sorted(overlap.items(), key=lambda kv: (-kv[1], kv[0]))
+    agreement fraction).
+
+    Label pairs are matched by decreasing overlap, ties by (curr, prev)
+    label, from the contingency table of the two labelings
+    (`metrics._contingency`); an utterance agrees when its pair is
+    matched."""
+    c_labels, p_labels, cell_c, cell_p, cells = _metrics._contingency(
+        list(curr.values()), list(map(prev.__getitem__, curr)))
     mapping = {}
     taken = set()
-    for (c, p), _ in order:
+    agree = 0
+    # the cells are in (curr, prev) order, which a stable sort keeps
+    # among equal overlaps
+    order = np.argsort(-cells, kind="stable")
+    for c, p, count in zip(cell_c[order].tolist(), cell_p[order].tolist(),
+                           cells[order].tolist()):
         if c in mapping or p in taken:
             continue
         mapping[c] = p
         taken.add(p)
-    agree = sum(
-        1 for utt_id, c in curr.items() if mapping.get(c) == prev[utt_id]
-    )
-    return mapping, agree / len(curr)
+        agree += count
+    return ({c_labels[c]: p_labels[p] for c, p in mapping.items()},
+            agree / len(curr))
 
 
 @dataclass
@@ -406,7 +481,7 @@ def iterate(emb_set: EmbeddingSet, refresher, k_centers, num_clusters,
     for it in range(max_iters):
         it_seed = np.random.SeedSequence([seed, it]).generate_state(1)[0]
         km, nearest = _kmeans(current, k_centers, batch_size, None, it_seed)
-        _, center_labels = ahc_ward(km.centers, num_clusters)
+        center_labels = _cut(_ward_linkage(km.centers), num_clusters)
         labeling = _labeling(current.ids, nearest,
                              _normalize_rows(current.vectors, current.ids),
                              center_labels)
@@ -486,9 +561,11 @@ def read_kmeans(path) -> KMeansModel:
             raise TruncatedFile(f"{path}: counts truncated")
         if f.read(1):
             raise SvkitError(f"{path}: trailing bytes")
-    centers = np.frombuffer(centers_raw, dtype="<f4").astype(np.float64)
+    # astype after the reshape: the model keeps an array that owns its
+    # data, where a view of a writable array would be copied
+    centers = np.frombuffer(centers_raw, dtype="<f4").reshape(k, d)
     counts = np.frombuffer(counts_raw, dtype="<u8").astype(np.int64)
     try:
-        return KMeansModel(centers.reshape(k, d), counts)
+        return KMeansModel(centers.astype(np.float64), counts)
     except SvkitError as e:
         raise SvkitError(f"{path}: {e}") from None

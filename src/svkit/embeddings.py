@@ -216,13 +216,23 @@ def _frozen(a):
     return a is None
 
 
+def _read_only(a):
+    """`a` made read-only, or a read-only copy of it when it is a view of
+    an array that can still be written, so that writes through that base
+    cannot reach it. A frozen array (`_frozen`) or one that owns its data
+    is kept."""
+    if a.base is not None and not _frozen(a):
+        a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 class EmbeddingSet:
     """Ordered collection of same-dimension embeddings, immutable after load.
 
-    Vectors are stored as a single (n, dim) float64 matrix. A view of an
-    array that can still be written is copied, so writes through its base
-    do not reach the set; a frozen array (`_frozen`) or one that owns its
-    data is kept. `meta` is a read-only mapping from a subset of the ids
+    Vectors are stored as a single read-only (n, dim) float64 matrix
+    (`_read_only`: a view of an array that can still be written is
+    copied). `meta` is a read-only mapping from a subset of the ids
     to UttMeta, stored as columns (`_MetaTable`): a table such as
     `read_metadata` returns is kept as it is, and a mapping of UttMeta is
     converted once.
@@ -254,11 +264,8 @@ class EmbeddingSet:
         unknown = meta.keys() - index.keys()
         if unknown:
             raise SvkitError(f"metadata for unknown ids: {sorted(unknown)[:5]}")
-        if vectors.base is not None and not _frozen(vectors):
-            vectors = vectors.copy()
         self.ids = ids
-        self.vectors = vectors
-        self.vectors.setflags(write=False)
+        self.vectors = _read_only(vectors)
         self._meta = meta
         self._index = index
         # inner-product cohort statistics a cosine pass left for the next

@@ -8,7 +8,6 @@ is linearly interpolated in (P_miss, P_fa).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,25 +98,52 @@ def det_points(score_set):
     return p_fa, p_miss
 
 
+def _codes(labels):
+    """The distinct `labels`, sorted when they compare, and each label's
+    index among them. Labels are told apart as dict keys are, as a
+    `Counter` of them would count them."""
+    distinct = dict.fromkeys(labels)
+    try:
+        table = sorted(distinct)
+    except TypeError:  # labels of types that do not compare
+        table = list(distinct)
+    index = {label: i for i, label in enumerate(table)}
+    return table, np.fromiter(map(index.__getitem__, labels), np.intp,
+                              len(labels))
+
+
+def _contingency(a, b):
+    """The contingency table of two aligned label lists, as its nonzero
+    cells: (labels of a, labels of b, each cell's a-code and b-code into
+    them, each cell's count). Cells are in the order of their (a, b)
+    codes, which is the order of their labels when the labels compare."""
+    a_labels, a_codes = _codes(a)
+    b_labels, b_codes = _codes(b)
+    keys, cells = np.unique(a_codes * len(b_labels) + b_codes,
+                            return_counts=True)
+    cell_a, cell_b = np.divmod(keys, len(b_labels))
+    return a_labels, b_labels, cell_a, cell_b, cells
+
+
 def adjusted_rand_index(labels_a: dict, labels_b: dict) -> float:
     """Chance-corrected partition agreement from the pair-counting
     contingency table. Inputs map item id -> cluster label."""
-    if set(labels_a) != set(labels_b):
+    if labels_a.keys() != labels_b.keys():
         raise IdMismatch("partitions cover different id sets")
     n = len(labels_a)
     if n == 0:
         raise SvkitError("empty partitions")
-    cont = Counter((la, labels_b[i]) for i, la in labels_a.items())
-    a_sizes = Counter(labels_a.values())
-    b_sizes = Counter(labels_b.values())
+    _, _, cell_a, cell_b, cells = _contingency(
+        list(labels_a.values()), list(map(labels_b.__getitem__, labels_a)))
 
     def comb2(x):
-        return x * (x - 1) // 2
+        # x (x - 1) is exact in int64 for every count x <= n < 3e9
+        return int((x * (x - 1) // 2).sum())
 
-    sum_ij = sum(comb2(c) for c in cont.values())
-    sum_a = sum(comb2(c) for c in a_sizes.values())
-    sum_b = sum(comb2(c) for c in b_sizes.values())
-    total = comb2(n)
+    sum_ij = comb2(cells)
+    sum_a = comb2(np.bincount(cell_a, weights=cells).astype(np.int64))
+    sum_b = comb2(np.bincount(cell_b, weights=cells).astype(np.int64))
+    total = n * (n - 1) // 2
     expected = sum_a * sum_b / total if total else 0.0
     max_index = 0.5 * (sum_a + sum_b)
     if max_index == expected:

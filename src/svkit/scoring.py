@@ -42,8 +42,19 @@ class TrialList:
     """Ordered (enroll_id, test_id, label) triples."""
 
     def __init__(self, enroll_ids, test_ids, labels=None):
-        self.enroll_ids = list(enroll_ids)
-        self.test_ids = list(test_ids)
+        self._take(list(enroll_ids), list(test_ids), labels)
+
+    @classmethod
+    def _adopt(cls, enroll_ids, test_ids, labels=None):
+        """A TrialList that holds the two given lists themselves, without
+        the constructor's copies: for fresh lists no caller keeps."""
+        trials = cls.__new__(cls)
+        trials._take(enroll_ids, test_ids, labels)
+        return trials
+
+    def _take(self, enroll_ids, test_ids, labels):
+        self.enroll_ids = enroll_ids
+        self.test_ids = test_ids
         if len(self.enroll_ids) != len(self.test_ids):
             raise SvkitError("enroll/test id lists disagree in length")
         n = len(self.enroll_ids)
@@ -401,7 +412,7 @@ def read_trials(path) -> TrialList:
             enroll.append(one(e, e))
             test.append(one(t, t))
             labels.append(lab)
-    return TrialList(enroll, test, labels)
+    return TrialList._adopt(enroll, test, labels)
 
 
 def write_scores(score_set: ScoreSet, path):

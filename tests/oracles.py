@@ -6,6 +6,7 @@ differences) and never call the code paths they verify.
 """
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -221,3 +222,17 @@ def ari_oracle(labels_a, labels_b):
     if max_index == expected:
         return 1.0
     return (same_both - expected) / (max_index - expected)
+
+
+def greedy_match_oracle(prev, curr):
+    """Greedy maximum-overlap matching from a Counter of (curr, prev)
+    label pairs, taken by decreasing count, ties by (curr, prev) label;
+    agreement counts the utterances whose labels are matched."""
+    overlap = Counter((c, prev[u]) for u, c in curr.items())
+    mapping, taken = {}, set()
+    for (c, p), _ in sorted(overlap.items(), key=lambda kv: (-kv[1], kv[0])):
+        if c not in mapping and p not in taken:
+            mapping[c] = p
+            taken.add(p)
+    agree = sum(1 for u, c in curr.items() if mapping.get(c) == prev[u])
+    return mapping, agree / len(curr)

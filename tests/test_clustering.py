@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import os
+import pickle
 import re
 import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -147,7 +150,7 @@ def test_nearest_matches_brute_force_oracle():
     centers = rng.normal(size=(50, 8))
     centers *= rng.uniform(0.1, 10.0, size=(50, 1))
     points[:50] = centers
-    idx, d2 = _nearest(points, centers)
+    idx, d2 = _nearest(points, centers, distances=True)
     ref_idx, ref_d2 = oracles.nearest_center_oracle(points, centers)
     assert np.array_equal(idx, ref_idx)
     assert np.all(d2 >= 0.0)
@@ -167,8 +170,8 @@ def test_nearest_of_distinct_rows_scatters_to_batch_result():
     rows = rng.integers(0, len(X), size=9000)
     distinct, inverse = np.unique(rows, return_inverse=True)
     assert 4096 < len(distinct) < 0.8 * len(rows)
-    idx, d2 = _nearest(X[rows], centers)
-    idx_u, d2_u = _nearest(X[distinct], centers)
+    idx, d2 = _nearest(X[rows], centers, distances=True)
+    idx_u, d2_u = _nearest(X[distinct], centers, distances=True)
     assert np.array_equal(idx, idx_u[inverse])
     assert np.array_equal(d2, d2_u[inverse])
 
@@ -180,8 +183,8 @@ def test_nearest_of_row_indices_equals_gathered_rows():
     X = rng.normal(size=(3000, 16))
     centers = rng.normal(size=(30, 16))
     rows = rng.integers(0, len(X), size=2 * _SEARCH_BLOCK + 37)
-    idx, d2 = _nearest(X, centers, rows)
-    ref_idx, ref_d2 = _nearest(X[rows], centers)
+    idx, d2 = _nearest(X, centers, rows, distances=True)
+    ref_idx, ref_d2 = _nearest(X[rows], centers, distances=True)
     assert np.array_equal(idx, ref_idx)
     assert np.array_equal(d2, ref_d2)
 
@@ -251,7 +254,7 @@ def test_kmeans_reseed_equals_whole_batch_fit():
     centers = X[rng.choice(n, size=k, replace=False)]
     rows = rng.integers(0, n, size=n)
     distinct, inverse = np.unique(rows, return_inverse=True)
-    assign = _nearest(X, centers, distinct)[0][inverse]
+    assign = _nearest(X, centers, distinct)[inverse]
     m = np.bincount(assign, minlength=k)
     hit = np.flatnonzero(m)
     centers[hit] = _group_sums(assign, X, k, rows)[hit] / m[hit, None]
@@ -574,6 +577,152 @@ def test_sweep_matches_per_cut_ahc_and_assign():
         assert best == min(want, key=lambda r: (r[1], r[0]))[0]
     with pytest.raises(SvkitError):
         sweep_cluster_count(emb, km, [5, 41], trials)
+
+
+def _keep_setup():
+    emb = length_normalize(synth_dataset(10, 8, 16, 6.0, seed=27))
+    km = minibatch_kmeans(emb, 40, batch_size=20, seed=28)
+    return emb, km, _eval_trials(emb, 300, seed=29)
+
+
+def _count_searches(monkeypatch):
+    """Counts of scipy's linkage calls and of full-set nearest-center
+    searches from here on."""
+    import scipy.cluster.hierarchy as hierarchy
+    calls = {"linkage": 0, "nearest": 0}
+    linkage, nearest = hierarchy.linkage, clustering._nearest
+
+    def count_linkage(*args, **kwargs):
+        calls["linkage"] += 1
+        return linkage(*args, **kwargs)
+
+    def count_nearest(points, centers, rows=None, distances=False):
+        calls["nearest"] += rows is None
+        return nearest(points, centers, rows, distances)
+
+    monkeypatch.setattr(hierarchy, "linkage", count_linkage)
+    monkeypatch.setattr(clustering, "_nearest", count_nearest)
+    return calls
+
+
+def test_sweep_takes_the_linkage_and_search_of_ahc_and_assign(monkeypatch):
+    # ahc_ward -> assign_pseudo_labels -> sweep_cluster_count on one model
+    # builds one linkage and searches the whole set once (was 2 each)
+    emb, km, trials = _keep_setup()
+    want = sweep_cluster_count(emb, km, [5, 10, 20], trials)
+    calls = _count_searches(monkeypatch)
+    _, cl = ahc_ward(km.centers, 10)
+    assign_pseudo_labels(emb, km, cl)
+    got = sweep_cluster_count(emb, km, [5, 10, 20], trials)
+    assert calls == {"linkage": 1, "nearest": 1}
+    assert got == want
+
+
+@pytest.mark.parametrize("miss", ["set", "model", "written_centers",
+                                  "thawed_vectors", "second_sweep"])
+def test_sweep_recomputes_on_a_miss(monkeypatch, miss):
+    # each case leaves at least one keep unusable; the sweep then
+    # recomputes that part and gives the rows of a sweep without keeps
+    emb, km, trials = _keep_setup()
+    k_values = [5, 10, 20]
+    model, sweep_set = km, emb
+    if miss == "written_centers":
+        centers = km.centers.copy()  # writable: ahc_ward keeps nothing
+        _, cl = ahc_ward(centers, 10)
+        centers[0] = centers[1]
+        model = KMeansModel(centers, km.counts)
+        assert model.centers is centers  # frozen in place
+    else:
+        _, cl = ahc_ward(km.centers, 10)
+    assign_pseudo_labels(emb, model, cl)
+    if miss == "set":
+        sweep_set = EmbeddingSet(emb.ids, emb.vectors)
+        assert sweep_set.vectors is emb.vectors
+    elif miss == "model":
+        model = KMeansModel(km.centers.copy(), km.counts)
+    elif miss == "thawed_vectors":
+        emb.vectors.setflags(write=True)
+    elif miss == "second_sweep":
+        sweep_cluster_count(sweep_set, model, k_values, trials)
+    want = {"set": (0, 1), "model": (1, 1), "written_centers": (1, 0),
+            "thawed_vectors": (0, 1), "second_sweep": (1, 1)}[miss]
+    calls = _count_searches(monkeypatch)
+    got = sweep_cluster_count(sweep_set, model, k_values, trials)
+    assert (calls["linkage"], calls["nearest"]) == want
+    fresh = KMeansModel(model.centers.copy(), model.counts)
+    assert got == sweep_cluster_count(
+        EmbeddingSet(emb.ids, emb.vectors.copy()), fresh, k_values, trials)
+
+
+def test_keeps_do_not_hold_the_set_or_the_centers_alive():
+    emb, km, _ = _keep_setup()
+    other = EmbeddingSet(emb.ids, emb.vectors.copy())
+    model = KMeansModel(km.centers.copy(), km.counts)
+    _, cl = ahc_ward(model.centers, 10)
+    assign_pseudo_labels(other, model, cl)
+    alive = weakref.ref(other), weakref.ref(other.vectors)
+    del other
+    gc.collect()
+    assert alive[0]() is None and alive[1]() is None
+    centers = weakref.ref(model.centers)
+    del model
+    gc.collect()
+    assert centers() is None
+
+
+def test_kmeans_model_pickles_without_its_keep():
+    emb, km, _ = _keep_setup()
+    _, cl = ahc_ward(km.centers, 10)
+    assign_pseudo_labels(emb, km, cl)
+    back = pickle.loads(pickle.dumps(km))
+    assert back._kept_nearest is None and km._kept_nearest is not None
+    assert not back.centers.flags.writeable
+    assert np.array_equal(back.centers, km.centers)
+    assert np.array_equal(back.counts, km.counts)
+    assert back.inertia == km.inertia
+
+
+def test_iterate_keeps_no_linkage(monkeypatch):
+    emb = length_normalize(synth_dataset(6, 6, 8, 8.0, seed=30))
+    monkeypatch.setattr(clustering, "_kept_linkage", None)
+    iterate(emb, identity_refresher, 12, 6, batch_size=12, max_iters=2,
+            seed=31)
+    assert clustering._kept_linkage is None
+
+
+def test_kmeans_model_arrays_are_read_only():
+    base = np.eye(3)
+    model = KMeansModel(base[:2], np.array([1, 2]))
+    base[0, 0] = 5.0  # the view of a writable array was copied
+    assert model.centers[0, 0] == 1.0
+    for a in (model.centers, model.counts):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    again = KMeansModel(model.centers, model.counts)
+    assert again.centers is model.centers and again.counts is model.counts
+    emb = length_normalize(synth_dataset(4, 3, 8, 5.0, seed=0))
+    km = minibatch_kmeans(emb, 5, batch_size=6, seed=1)
+    assert not km.centers.flags.writeable and not km.counts.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["int", "str", "float", "tuple"])
+def test_greedy_label_match_equals_counter_oracle(kind):
+    # few labels over few utterances, so many overlaps tie and the tie
+    # order by (curr, prev) label decides the mapping
+    rng = np.random.default_rng(32)
+    as_label = {"int": lambda v: 3 - v, "str": lambda v: f"c{v}",
+                "float": lambda v: v / 4.0, "tuple": lambda v: (v % 2, v)}
+    for _ in range(50):
+        n = int(rng.integers(1, 25))
+        ids = [f"u{i}" for i in rng.permutation(n)]
+        prev = {u: as_label[kind](int(v))
+                for u, v in zip(ids, rng.integers(0, 5, n))}
+        curr = {u: int(v) for u, v in zip(ids, rng.integers(0, 4, n))}
+        for a, b in ((prev, curr), (curr, prev)):
+            got = greedy_label_match(a, b)
+            want = oracles.greedy_match_oracle(a, b)
+            assert got == want
+            assert list(got[0].items()) == list(want[0].items())
 
 
 def test_greedy_label_match_permutation():

@@ -162,6 +162,23 @@ def test_ari_symmetric_random():
         assert ab <= 1.0
 
 
+@pytest.mark.parametrize("kind", ["int", "str", "float", "tuple", "mixed"])
+def test_ari_equals_oracle_exactly_for_any_labels(kind):
+    # labels are told apart as dict keys: strings, floats, tuples and a
+    # mix of ints and strings, which do not compare with each other
+    rng = np.random.default_rng(6)
+    as_label = {"int": lambda v: 7 * v - 3, "str": lambda v: f"spk{v}",
+                "float": lambda v: v / 3.0, "tuple": lambda v: (v, "x"),
+                "mixed": lambda v: v if v % 2 else str(v)}[kind]
+    for _ in range(30):
+        n = int(rng.integers(2, 30))
+        ids = [f"i{k}" for k in rng.permutation(n)]
+        a = {i: as_label(int(v)) for i, v in zip(ids, rng.integers(0, 4, n))}
+        b = {i: int(v) for i, v in zip(ids, rng.integers(0, 5, n))}
+        assert adjusted_rand_index(a, b) == oracles.ari_oracle(a, b)
+        assert adjusted_rand_index(b, a) == oracles.ari_oracle(b, a)
+
+
 def test_ari_id_mismatch():
     with pytest.raises(IdMismatch):
         adjusted_rand_index({"a": 0}, {"b": 0})

@@ -694,14 +694,15 @@ def _traced_peak(fn, *args):
 
 
 def test_read_trials_memory_is_one_string_per_distinct_id(tmp_path):
-    # 50k lines over 100 ids: the reader's and the trial list's id lists
-    # are eight-byte pointers and the labels one byte a line; two new
-    # strings per line would add about 100k x 60 B = 6 MB
+    # 50k lines over 100 ids: the trial list holds the reader's two id
+    # lists of eight-byte pointers, not copies of them (which took about
+    # 47 B a line), and the labels one byte a line; two new strings per
+    # line would add about 100k x 60 B = 6 MB
     n = 50_000
     _, _, _, trials = _random_trials(100, n, 4, seed=12)
     path = tmp_path / "trials.txt"
     write_trials(trials, path)
-    assert _traced_peak(read_trials, path) <= 8 * 8 * n
+    assert _traced_peak(read_trials, path) <= 5 * 8 * n
 
 
 def test_read_scores_memory_is_the_scores(tmp_path):
