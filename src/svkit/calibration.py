@@ -10,6 +10,7 @@ Calibrated outputs are on log-likelihood-ratio scale (no sigmoid).
 from __future__ import annotations
 
 import csv
+import decimal
 import json
 import math
 import operator
@@ -152,10 +153,39 @@ def gen_calibration_trials(
 # quality measures
 
 def duration_qmf(meta: UttMeta) -> float:
-    """Speech-duration quality measure: log(1 + speech_frames)."""
+    """Speech-duration quality measure: log(1 + speech_frames), correctly
+    rounded."""
     if meta is None:
         raise MissingMeta("<missing>")
-    return float(np.log1p(meta.speech_frames))
+    return float(_log1p_frames(np.array([meta.speech_frames]))[0])
+
+
+def _log1p_frames(frames):
+    """log(1 + frames) of an int64 array of counts >= 0, each correctly
+    rounded. numpy's float64 log1p is not: its AVX-512 kernel and the libm
+    one it uses without AVX-512 round some counts to different neighbours,
+    so the duration QMFs would depend on the CPU. The log is taken in long
+    double (glibc's x86 log1pl errs by under one unit in the last of its
+    64 bits) and rounded to the nearest double. That is the right double
+    unless moving the long double by 4 to 8 of its units, 2**-61 of it,
+    either way changes the rounding; those counts (under 1 in 128), and
+    all counts where long double has no more bits than double, are taken
+    with 40-digit `decimal` instead."""
+    ext = np.log1p(frames.astype(np.longdouble))
+    tol = ext * 2.0**-61
+    near = np.flatnonzero(((ext - tol).astype(np.float64)
+                           != (ext + tol).astype(np.float64)) | (not _EXTENDED))
+    out = ext.astype(np.float64)
+    if near.size:
+        counts = frames[near].tolist()
+        ln = {c: float(_LN_DIGITS.ln(c + 1)) for c in set(counts)}
+        out[near] = [ln[c] for c in counts]
+    return out
+
+
+_LN_DIGITS = decimal.Context(prec=40)
+# long double with at least 11 bits more than double (x86 extended, quad)
+_EXTENDED = np.finfo(np.longdouble).nmant >= 63
 
 
 @dataclass(frozen=True)
@@ -177,10 +207,10 @@ _QMF_FIELDS = operator.attrgetter(*QA_FEATURE_NAMES[1:])
 
 def _qmf_rows(emb_set, ids, cohort: EmbeddingSet, metric, top_n):
     """(len(ids), 2) rows [dur_q, imp_q] of `ids` in one set: the duration
-    QMF of each utterance's metadata (`duration_qmf`, in one `np.log1p`)
-    and the mean of its top_n cohort scores under the imposter `metric`
-    (top_n=None: the whole cohort)."""
-    dur = np.log1p(emb_set.meta.speech_frames[emb_set.meta.rows(ids)])
+    QMF of each utterance's metadata (`duration_qmf`) and the mean of its
+    top_n cohort scores under the imposter `metric` (top_n=None: the whole
+    cohort)."""
+    dur = _log1p_frames(emb_set.meta.speech_frames[emb_set.meta.rows(ids)])
     imp = _cohort_stats(emb_set, ids, cohort, top_n, metric)[0]
     return np.column_stack([dur, imp])
 

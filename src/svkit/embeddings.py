@@ -141,6 +141,12 @@ class _MetaTable(Mapping):
         for column in (speech_frames, duration_s, speaker_codes):
             column.setflags(write=False)
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so the columns stay read-only
+        return _MetaTable, (list(self._index), self.speech_frames,
+                            self.duration_s, self.speaker_codes,
+                            self.speakers)
+
     @classmethod
     def of(cls, meta):
         """`meta` itself when it is a table; else the table of a mapping
@@ -239,21 +245,8 @@ class EmbeddingSet:
     """
 
     def __init__(self, ids, vectors, meta=None):
-        vectors = np.asarray(vectors, dtype=np.float64)
         ids = list(ids)
-        if vectors.ndim != 2:
-            raise SvkitError(f"vectors must be an (n, dim) matrix, "
-                             f"not of shape {vectors.shape}")
-        if len(ids) != vectors.shape[0]:
-            raise SvkitError("ids and vectors disagree in length")
-        if vectors.shape[0] > 0 and vectors.shape[1] < 1:
-            raise SvkitError("embedding dimension must be >= 1")
-        for lo in range(0, len(vectors), _ROW_BLOCK):  # no n x dim mask
-            bad = np.flatnonzero(
-                ~np.isfinite(vectors[lo:lo + _ROW_BLOCK]).all(axis=1))
-            if bad.size:
-                raise SvkitError(
-                    f"embedding '{ids[lo + bad[0]]}' is not finite")
+        vectors = _checked_vectors(vectors, ids)
         index = {u: i for i, u in enumerate(ids)}
         if not all(index):
             raise SvkitError("utterance id must be non-empty")
@@ -264,6 +257,9 @@ class EmbeddingSet:
         unknown = meta.keys() - index.keys()
         if unknown:
             raise SvkitError(f"metadata for unknown ids: {sorted(unknown)[:5]}")
+        self._take(ids, index, meta, vectors)
+
+    def _take(self, ids, index, meta, vectors):
         self.ids = ids
         self.vectors = _read_only(vectors)
         self._meta = meta
@@ -271,6 +267,11 @@ class EmbeddingSet:
         # inner-product cohort statistics a cosine pass left for the next
         # pass over this set (`scoring._cohort_stats`)
         self._kept_stats = None
+
+    def __reduce__(self):
+        # rebuilt through the constructor: read-only arrays and no keep,
+        # whose weakref does not pickle
+        return EmbeddingSet, (self.ids, self.vectors, self._meta)
 
     @property
     def meta(self):
@@ -293,11 +294,38 @@ class EmbeddingSet:
             raise UnknownId(f"unknown utterance id '{utt_id}'") from None
 
     def with_vectors(self, vectors):
-        """New set with the same ids and replaced vectors; it shares this
-        set's metadata table, which needs no copy and no new check."""
-        new = EmbeddingSet(self.ids, vectors)
-        new._meta = self._meta
+        """New set with the same ids and replaced vectors, which are
+        checked as the constructor checks them. It gets its own copy of
+        this set's ids and shares its id index and metadata table, which
+        are never changed after they are built, with no new check."""
+        return self._with(_checked_vectors(vectors, self.ids))
+
+    def _with(self, vectors):
+        """`with_vectors` for vectors that already passed its checks."""
+        new = object.__new__(EmbeddingSet)
+        new._take(list(self.ids), self._index, self._meta, vectors)
         return new
+
+
+def _checked_vectors(vectors, ids):
+    """`vectors` as a float64 (len(ids), dim) matrix, dim >= 1 unless
+    it has no rows; SvkitError on another shape, or naming the id of
+    the first row that is not finite."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2:
+        raise SvkitError(f"vectors must be an (n, dim) matrix, "
+                         f"not of shape {vectors.shape}")
+    if len(ids) != vectors.shape[0]:
+        raise SvkitError("ids and vectors disagree in length")
+    if vectors.shape[0] > 0 and vectors.shape[1] < 1:
+        raise SvkitError("embedding dimension must be >= 1")
+    for lo in range(0, len(vectors), _ROW_BLOCK):  # no n x dim mask
+        bad = np.flatnonzero(
+            ~np.isfinite(vectors[lo:lo + _ROW_BLOCK]).all(axis=1))
+        if bad.size:
+            raise SvkitError(
+                f"embedding '{ids[lo + bad[0]]}' is not finite")
+    return vectors
 
 
 def _row_norms(vectors):
@@ -326,7 +354,9 @@ def _normalize_rows(vectors, ids, out=None):
 def length_normalize(emb_set: EmbeddingSet) -> EmbeddingSet:
     """Scale every vector to unit Euclidean norm. Raises ZeroVector on a
     zero-norm input (corrupt data)."""
-    return emb_set.with_vectors(_normalize_rows(emb_set.vectors, emb_set.ids))
+    # a finite row divided by its nonzero norm is finite (an overflowed
+    # norm of inf gives zeros), so the rows need no new finiteness scan
+    return emb_set._with(_normalize_rows(emb_set.vectors, emb_set.ids))
 
 
 # ---------------------------------------------------------------------------
@@ -448,32 +478,62 @@ def write_embeddings(emb_set: EmbeddingSet, path):
 
 
 def read_embeddings(path) -> EmbeddingSet:
+    """The set in the .svb file at `path`, read with one call per
+    `_RECORD_BLOCK` records: a read is sized as if each record were as
+    long as the mean of those in the last read, so a block of
+    equal-length ids takes one call, and it stops at the file's end. The
+    records in the buffer are walked by offset, and their vectors
+    converted through one strided view, after they are moved to the
+    buffer's front when the ids differ in length. So a read holds about
+    one block beyond the set it returns."""
     with open(path, "rb") as f:
         # a record is at least a u16 length, a 1-byte id and dim f32s
         dim, count = _read_header(f, path, _MAGIC, 3, "records")
+        size = 4 * dim
+        left = os.fstat(f.fileno()).st_size - f.tell()
         ids = []
         vecs = np.empty((count, dim))
-        for lo in range(0, count, _RECORD_BLOCK):
-            hi = min(lo + _RECORD_BLOCK, count)
-            block = []
-            for r in range(lo, hi):
-                lenbuf = f.read(2)
-                if len(lenbuf) < 2:
-                    raise TruncatedFile(f"{path}: record {r} truncated")
-                (id_len,) = _ID_LEN.unpack(lenbuf)
-                raw = f.read(id_len)
-                vector = f.read(4 * dim)
-                if len(raw) < id_len or len(vector) < 4 * dim:
-                    raise TruncatedFile(f"{path}: record {r} truncated")
-                try:
-                    ids.append(raw.decode("utf-8"))
-                except UnicodeDecodeError:
-                    raise SvkitError(
-                        f"{path}: record {r} id is not UTF-8") from None
-                block.append(vector)
-            vecs[lo:hi] = np.frombuffer(b"".join(block), "<f4").reshape(
-                hi - lo, dim)
-        if f.read(1):
+        buf = bytearray()
+        r = pos = end = 0
+        mean = 2 + size  # mean record bytes of the last read; at first no id
+        while r < count:
+            del buf[:pos]
+            # the record at r lacks `short` bytes beyond the buffer, if any
+            short = end - pos - len(buf)
+            stop = min(r + _RECORD_BLOCK, count)
+            want = min(left, max(0, short, (stop - r) * mean - len(buf)))
+            buf += f.read(want)
+            left -= want
+            first, n, pos, bounds = r, len(buf), 0, [0]
+            try:
+                while r < stop:
+                    end = pos + 2
+                    if end > n:
+                        break
+                    end += (buf[pos] | buf[pos + 1] << 8) + size
+                    if end > n:
+                        break
+                    ids.append(buf[pos + 2:end - size].decode("utf-8"))
+                    pos = end
+                    bounds.append(pos)
+                    r += 1
+            except UnicodeDecodeError:
+                raise SvkitError(
+                    f"{path}: record {r} id is not UTF-8") from None
+            if r > first:
+                mean = -(-pos // (r - first))
+                offset, step = bounds[1] - size, bounds[1]
+                if bounds != list(range(0, pos + 1, step)):
+                    # ids of several lengths: each vector moved to the
+                    # buffer's front, which stays before its record's end
+                    for i, b in enumerate(bounds[1:]):
+                        buf[i * size:(i + 1) * size] = buf[b - size:b]
+                    offset, step = 0, size
+                vecs[first:r] = np.ndarray((r - first, dim), "<f4", buf,
+                                           offset, (step, 4))
+            if r < stop and not left:
+                raise TruncatedFile(f"{path}: record {r} truncated")
+        if pos < len(buf) or f.read(1):
             raise SvkitError(f"{path}: trailing bytes after {count} records")
     try:
         return EmbeddingSet(ids, vecs)

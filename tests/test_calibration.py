@@ -1,6 +1,8 @@
 
+import decimal
 import hashlib
 import json
+import math
 import re
 import tracemalloc
 
@@ -216,6 +218,44 @@ def test_duration_qmf_values():
     assert abs(duration_qmf(UttMeta(599, 6.0)) - np.log(600.0)) < 1e-12
     assert abs(np.log(600.0) - 6.3969) < 1e-4
     assert duration_qmf(UttMeta(42, 1.0)) == duration_qmf(UttMeta(42, 2.0))
+
+
+@pytest.mark.parametrize("frames, want", [
+    (2, "0x1.193ea7aad030bp+0"), (13, "0x1.51cca16d7bba7p+1"),
+    (47, "0x1.ef8383c50bb75p+1"), (19142, "0x1.3b82999ed20cfp+3"),
+    (94868, "0x1.6eba62f8cca24p+3"), (7284, "0x1.1c9825d0638abp+3"),
+    (9169, "0x1.23f54a1c504c1p+3")])
+def test_duration_qmf_is_correctly_rounded_on_any_cpu(frames, want):
+    # libm's log1p (numpy's without AVX-512) takes the other neighbour at
+    # 2, 13, 47 and 19142, numpy's AVX-512 kernel at 19142 and 94868, and
+    # x86 long double rounded to double at 7284, 9169 and 19142
+    want = float.fromhex(want)
+    assert duration_qmf(UttMeta(frames, frames / 100)) == want
+    emb = EmbeddingSet(["a", "b"], [[1.0, 0.0], [0.0, 1.0]], {
+        "a": UttMeta(frames, frames / 100), "b": UttMeta(0, 0.0)})
+    qmfs = calibration.utterance_qmfs(emb, emb, top_n=1)
+    assert qmfs["a"][0] == want and qmfs["b"][0] == 0.0
+
+
+@pytest.mark.parametrize("extended", [True, False])
+def test_duration_qmf_column_equals_decimal(monkeypatch, extended):
+    # without a long double wider than double, every count takes decimal
+    monkeypatch.setattr(calibration, "_EXTENDED",
+                        calibration._EXTENDED and extended)
+    rng = np.random.default_rng(5)
+    frames = np.concatenate([
+        np.arange(3000), [7284, 9169, 11447, 19142, 28885, 94868],
+        rng.integers(0, 2**63 - 1, 500, dtype=np.int64),
+        rng.integers(400, 14500, 500), 2**np.arange(1, 63) - 1]).astype(
+            np.int64)
+    ln = decimal.Context(prec=40).ln
+    want = [float(ln(int(f) + 1)) for f in frames]
+    assert calibration._log1p_frames(frames).tolist() == want
+
+
+def test_duration_qmf_of_the_largest_frame_count():
+    meta = UttMeta(np.int64(2**63 - 1), 2.0**63 / 100)
+    assert duration_qmf(meta) == pytest.approx(63 * math.log(2), rel=1e-15)
 
 
 def _imposter_mean(vec, cohort, metric, top_n):

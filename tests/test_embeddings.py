@@ -69,6 +69,16 @@ def test_length_normalize_preserves_cosine():
             assert abs(out.vectors[i] @ out.vectors[j] - orig) < 1e-12
 
 
+def test_length_normalize_and_with_vectors_copy_the_id_list():
+    # the new set shares the source's id index, but not its public list
+    s = EmbeddingSet(["a", "b"], [[3.0, 4.0], [1.0, 0.0]])
+    for out in (length_normalize(s), s.with_vectors([[1.0, 2.0], [3.0, 4.0]])):
+        assert out.ids == ["a", "b"] and out.ids is not s.ids
+        out.ids.append("c")
+        assert s.ids == ["a", "b"]
+        assert s.index("b") == 1 and out.index("b") == 1
+
+
 def test_length_normalize_zero_vector():
     s = EmbeddingSet(["a", "b"], [[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ZeroVector):
@@ -383,6 +393,111 @@ def test_write_embeddings_memory_is_one_record_block(tmp_path):
     back = read_embeddings(tmp_path / "e.svb")
     assert back.ids == emb.ids
     assert np.array_equal(back.vectors, emb.vectors.astype("<f4"))
+
+
+def _mixed_length_ids(n):
+    """n distinct ids of 1 to 300 UTF-8 bytes, of one- to four-byte
+    characters; the first `_RECORD_BLOCK` are 6 bytes each."""
+    ids = [f"u{i:05d}" for i in range(min(n, _RECORD_BLOCK))]
+    for i in range(len(ids), n):
+        ch = "aé語😀"[i % 4]
+        ids.append(ch * (i * 7 % (296 // len(ch.encode()))) + str(i))
+    for letter, i in zip("bcdefg", range(_RECORD_BLOCK + 5, n, 300)):
+        ids[i] = letter
+    return ids
+
+
+@pytest.mark.parametrize("dim", [3, 64])
+def test_read_embeddings_ids_of_any_length_across_blocks(tmp_path, dim):
+    # a block of equal-length ids, then blocks whose ids grow and shrink
+    # from record to record, so reads are both too short and too long
+    n = 3 * _RECORD_BLOCK + 5
+    ids = _mixed_length_ids(n)
+    lengths = [len(u.encode()) for u in ids]
+    assert min(lengths) == 1 and 290 <= max(lengths) <= 300
+    assert any(len(u.encode()) > len(u) + 2 for u in ids)
+    vecs = np.random.default_rng(3).standard_normal((n, dim))
+    path = tmp_path / "e.svb"
+    write_embeddings(EmbeddingSet(ids, vecs), path)
+    back = read_embeddings(path)
+    assert back.ids == ids
+    assert np.array_equal(back.vectors, vecs.astype("<f4"))
+
+
+def test_read_embeddings_ids_that_shrink_after_long_ones(tmp_path):
+    # reads sized by 290-byte ids reach the file's end while more than a
+    # block of short records is still to be walked: the file is whole
+    n_long, dim = 50, 3
+    n = n_long + 2 * _RECORD_BLOCK + 100
+    ids = ([f"{i:0290d}" for i in range(n_long)]
+           + [f"{i:x}" for i in range(n_long, n)])
+    vecs = np.arange(n * dim, dtype=float).reshape(n, dim)
+    path = tmp_path / "e.svb"
+    write_embeddings(EmbeddingSet(ids, vecs), path)
+    back = read_embeddings(path)
+    assert back.ids == ids
+    assert np.array_equal(back.vectors, vecs)
+
+
+def _record_offsets(ids, dim):
+    """The byte offset of each record of an .svb file of `ids`."""
+    sizes = [2 + len(u.encode()) + 4 * dim for u in ids]
+    return 20 + np.concatenate([[0], np.cumsum(sizes)[:-1]])
+
+
+@pytest.mark.parametrize("into", [1, 2 + 3 + 8])
+def test_read_embeddings_truncation_in_a_later_block_names_its_record(
+        tmp_path, into):
+    # cut 1 byte into record r's length field, or into its vector
+    n, dim = 3 * _RECORD_BLOCK + 10, 4
+    ids = [f"u{i:04d}" for i in range(n)]
+    good = tmp_path / "g.svb"
+    write_embeddings(EmbeddingSet(ids, np.ones((n, dim))), good)
+    r = n - 5
+    bad = tmp_path / "t.svb"
+    bad.write_bytes(good.read_bytes()[:_record_offsets(ids, dim)[r] + into])
+    with pytest.raises(TruncatedFile,
+                       match=re.escape(f"{bad}: record {r} truncated")):
+        read_embeddings(bad)
+
+
+@pytest.mark.parametrize("r", [_RECORD_BLOCK + 1, 2 * _RECORD_BLOCK + 500])
+def test_read_embeddings_non_utf8_id_in_a_later_block_names_its_record(
+        tmp_path, r):
+    n, dim = 3 * _RECORD_BLOCK, 4
+    ids = _mixed_length_ids(n)
+    path = tmp_path / "e.svb"
+    write_embeddings(EmbeddingSet(ids, np.ones((n, dim))), path)
+    raw = bytearray(path.read_bytes())
+    at = _record_offsets(ids, dim)[r] + 2
+    raw[at] = 0xFF  # never a byte of UTF-8
+    path.write_bytes(raw)
+    with pytest.raises(SvkitError, match=re.escape(
+            f"{path}: record {r} id is not UTF-8")):
+        read_embeddings(path)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_read_embeddings_memory_is_one_record_block(tmp_path, mixed):
+    # a read holds one block of the file's records, read with one call,
+    # beyond the set it returns; three reads per record held a bytes
+    # object per vector and their join, and reading the whole file at once
+    # would hold all n records (12.4 MB here)
+    n, dim = 12000, 256
+    ids = (_mixed_length_ids(n) if mixed
+           else [f"utt{i:05d}" for i in range(n)])
+    path = tmp_path / "e.svb"
+    write_embeddings(EmbeddingSet(
+        ids, np.random.default_rng(6).standard_normal((n, dim))), path)
+    block = _RECORD_BLOCK * (path.stat().st_size - 20) / n
+    tracemalloc.start()
+    try:
+        back = read_embeddings(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.ids == ids
+    assert peak - held <= 1.5 * block
 
 
 def test_synth_distinct_seeds_differ():

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import pickle
 import re
 import tracemalloc
 import weakref
@@ -784,3 +785,130 @@ def test_cohort_kernel_outputs_are_frozen():
             update(list(cache.values()))
     assert digest.hexdigest() == (
         "a58185b9f01eb77a8cb076dda998223300dc803209a75fdebfefbc13387a4b8f")
+
+
+def _float_topn_desc(scores, n):
+    """The top-n selection partitioned on the doubles themselves: the
+    reference for the int64-key partition of `scoring._topn_desc`."""
+    m = scores.shape[1]
+    if n < m:
+        scores.partition(m - n, axis=1)
+        scores = scores[:, m - n:]
+    np.negative(scores, out=scores)
+    scores.sort(axis=1)
+    return np.negative(scores, out=scores)
+
+
+def test_topn_desc_keeps_the_n_largest_doubles_with_negative_keys():
+    # -0.0 has the least int64 key and a negative double's key grows with
+    # its magnitude, so an int64 partition alone would keep the wrong
+    # entries in every row below but the first
+    rows = np.array([[0.5, 0.0, -0.0, 0.25, -0.5, -0.125, 1.0],
+                     [-0.0, -0.5, 0.0, -0.125, -0.25, -1.0, -0.0],
+                     [-0.5, -0.25, -1.0, -0.125, -2.0, -0.75, -3.0],
+                     [0.25, -0.0, -0.25, 0.0, -0.5, 0.25, -1.0]])
+    for n in range(1, rows.shape[1] + 1):
+        got = scoring._topn_desc(rows.copy(), n)
+        want = -np.sort(-rows, axis=1)[:, :n]
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, _float_topn_desc(rows.copy(), n))
+
+
+def _opposed_cohort_setup():
+    """(set, cohort, trials): a set with metadata, its rows 1-59 around
+    +e_2 and 60-119 around -e_2, and a cohort of 120 means around -3 e_2,
+    so rows 1-59 have few scores >= +0.0 and rows 60-119 many. Row 0 is
+    e_0: 19 means score positive against it, e_1 scores +0.0, and a mean
+    whose product with e_0 is the least negative subnormal scores -0.0
+    under the cosine (the division by its norm, 3, underflows); every
+    other mean scores negative. So at top 20 its kept scores end in a
+    tie of +0.0 and -0.0, and at top 21 they hold both."""
+    rng = np.random.default_rng(41)
+    dim, eye = 8, np.eye(8)
+    sides = np.repeat([4.0, -4.0], 60)[1:, None] * eye[2]
+    vecs = np.vstack([eye[0], sides + rng.standard_normal((119, dim))])
+    ids = [f"u{i:03d}" for i in range(len(vecs))]
+    data = length_normalize(EmbeddingSet(ids, vecs, {
+        u: UttMeta(100 + i, 5.0, f"s{i % 7}") for i, u in enumerate(ids)}))
+    opposed = -3.0 * eye[2] + 0.5 * rng.standard_normal((120, dim))
+    opposed[:, 0] = -np.abs(opposed[:, 0]) - 0.1
+    toward = eye[0] + 0.5 * rng.standard_normal((19, dim))
+    toward[:, 0] = np.abs(toward[:, 0]) + 0.1
+    minus_zero = 3.0 * eye[dim - 1]
+    minus_zero[0] = -5e-324
+    means = np.vstack([opposed, toward, eye[1], minus_zero])
+    cohort = EmbeddingSet([f"c{i:03d}" for i in range(len(means))], means)
+    e, t = rng.integers(len(ids), size=(2, 300))
+    e[:10] = 0
+    trials = TrialList([ids[i] for i in e], [ids[i] for i in t])
+    return data, cohort, trials
+
+
+def _cosines(data, cohort):
+    # the kernel's order: the product, by the row's norm, by the mean's
+    return (data.vectors @ cohort.vectors.T
+            / np.linalg.norm(data.vectors, axis=1)[:, None]
+            / np.linalg.norm(cohort.vectors, axis=1)[None, :])
+
+
+@pytest.mark.parametrize("top_n", [20, 21, 140])
+def test_int_key_top_n_rows_with_negative_keys_match_float_partition(
+        monkeypatch, top_n):
+    # rows whose kept int64 keys include a negative one are partitioned
+    # again as doubles; the others keep exactly the n largest doubles
+    data, cohort, trials = _opposed_cohort_setup()
+    cos = _cosines(data, cohort)
+    non_negative = (~np.signbit(cos)).sum(axis=1)
+    assert (non_negative < top_n).sum() >= 50
+    assert (non_negative >= top_n).sum() >= (0 if top_n > 100 else 50)
+    # (a float sort need not keep the signs of zeros, so none is used)
+    zeros = np.flatnonzero(cos[0] == 0.0)
+    assert (cos[0] > 0.0).sum() == 19 and (cos[0] < 0.0).sum() == 120
+    assert np.signbit(cos[0, zeros]).tolist() == [False, True]
+
+    def outputs():
+        raw = cosine_score(trials, data)
+        out = [snorm(raw, data, data, cohort, top_n).scores]
+        for metric in ("inner_product", "cosine"):
+            out.append(trial_qmfs(trials, data, data, cohort, metric,
+                                  top_n).values)
+            out.append(np.array(list(
+                utterance_qmfs(data, cohort, metric, top_n).values())))
+        return out
+
+    got = outputs()
+    monkeypatch.setattr(scoring, "_topn_desc", _float_topn_desc)
+    want = outputs()
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+    raw = cosine_score(trials, data)
+    scores = {u: [oracles.cosine_oracle(data.vector(u), c)
+                  for c in cohort.vectors] for u in data.ids}
+    for i, (e, t, _) in enumerate(trials):
+        want_score = oracles.snorm_oracle(raw.scores[i], scores[e],
+                                          scores[t], top_n)
+        assert abs(got[0][i] - want_score) < 1e-10
+    unit_means = cohort.vectors / np.linalg.norm(cohort.vectors, axis=1,
+                                                 keepdims=True)
+    for k, u in enumerate(data.ids):
+        for means, qmfs in ((cohort.vectors, got[2]), (unit_means, got[4])):
+            want_mean = oracles.imposter_mean_oracle(data.vector(u), means,
+                                                     top_n)
+            assert abs(qmfs[k, 1] - want_mean) <= 1e-15
+
+
+def test_embedding_set_pickles_after_snorm_without_its_keep():
+    data = length_normalize(synth_dataset(10, 8, 16, 6.0))
+    cohort = build_cohort(data)
+    trials = TrialList(data.ids[:40], data.ids[40:])
+    snorm(cosine_score(trials, data), data, data, cohort, 5)
+    assert data._kept_stats is not None
+    back = pickle.loads(pickle.dumps(data))
+    assert back.ids == data.ids
+    assert np.array_equal(back.vectors, data.vectors)
+    assert back.meta == data.meta
+    assert back._kept_stats is None
+    for column in (back.vectors, back.meta.speech_frames,
+                   back.meta.duration_s, back.meta.speaker_codes):
+        assert not column.flags.writeable
