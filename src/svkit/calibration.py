@@ -39,8 +39,9 @@ from .scoring import (
     TrialList,
     _cohort_stats,
     _intern,
-    _rows,
     _side_rows,
+    _trial_rows,
+    _used,
 )
 
 SHORT_MIN_S = 2.0
@@ -92,14 +93,14 @@ def gen_calibration_trials(
     rows = meta.rows(ids)
     speaker = meta.speakers_at(rows, ids)[1]
     dur = meta.duration_s[rows]
-    rank = _intern(ids)[1]  # lexicographic id rank
+    table, rank = _intern(ids)  # each row's lexicographic id rank
     buckets = {
         "short": np.flatnonzero((dur >= SHORT_MIN_S) & (dur < LONG_MIN_S)),
         "long": np.flatnonzero(dur >= LONG_MIN_S),
     }
 
     need = per_class // 2
-    enroll, test, labels = [], [], []
+    enroll, test, labels = [], [], []  # each side's set rows, the labels
     # Every unordered pair is a candidate in exactly one (class, label)
     # pass: the class fixes which side is in which bucket, a within-bucket
     # pair is only taken in id order, and the label is fixed by the
@@ -143,10 +144,14 @@ def gen_calibration_trials(
                 flat = np.flatnonzero(candidates(block, target))
                 start = np.cumsum(count[block]) - count[block]
                 cols[at] = flat[start[inv[at] - lo] + offset[at]] % len(b)
-            enroll += [ids[k] for k in a[rows].tolist()]
-            test += [ids[k] for k in b[cols].tolist()]
+            enroll.append(a[rows])
+            test.append(b[cols])
             labels += [1 if target else 0] * need
-    return TrialList._adopt(enroll, test, labels)
+    # the trials' table: the ranks they use, renumbered in order
+    enroll, test = rank[np.concatenate(enroll)], rank[np.concatenate(test)]
+    used, codes = _used(table, np.concatenate([enroll, test]))
+    return TrialList._coded(used, codes[:len(enroll)], codes[len(enroll):],
+                            labels)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +289,9 @@ def trial_qmfs_from_cache(trials: TrialList, cache: dict):
     {utt_id: (dur_q, imp_q)} cache (`utterance_qmfs`, `read_qmf_cache`)."""
     index = {u: i for i, u in enumerate(cache)}
     values = np.array(list(cache.values()), dtype=np.float64).reshape(-1, 2)
-    e, t = (values[_rows(index, ids, "no QMF cache entry for")]
-            for ids in (trials.enroll_ids, trials.test_ids))
+    e, t = (values[_trial_rows(index, trials, codes,
+                               "no QMF cache entry for")]
+            for codes in (trials._enroll, trials._test))
     return _minmax_pairs(e, t)
 
 
@@ -353,6 +359,7 @@ def fit_logreg(features, labels, l2=1e-6, max_iter=100,
     n, f = X.shape
     w = np.zeros(f)
     b = 0.0
+    Xa = np.hstack([X, np.ones((n, 1))])
 
     def objective(w, b):
         return _bce(X @ w + b, y) + 0.5 * l2 * float(w @ w)
@@ -368,7 +375,6 @@ def fit_logreg(features, labels, l2=1e-6, max_iter=100,
             break
         steps += 1
         r = p * (1.0 - p)
-        Xa = np.hstack([X, np.ones((n, 1))])
         H = (Xa * r[:, None]).T @ Xa / n
         H[:f, :f] += l2 * np.eye(f)
         H += 1e-12 * np.eye(f + 1)

@@ -316,8 +316,10 @@ def _cmd_metrics(args):
     params = metrics.DcfParams(p_target=args.p_target)
     trials = scoring.read_trials(args.trials)
     scores = scoring.read_scores(args.scores, trials)
-    e = metrics.eer(scores)
-    m = metrics.min_dcf(scores, params)
+    # the scores are sorted once, for all three operating-point metrics
+    p_miss, p_fa = metrics._operating_points(scores)
+    e = metrics._eer(p_miss, p_fa)
+    m = metrics._min_dcf(p_miss, p_fa, params)
     payload = {"eer_pct": e * 100.0, "min_dcf": m, "p_target": args.p_target}
     line = f"EER(%) {e * 100.0:.4f} MinDCF_{args.p_target:g} {m:.4f}"
     if args.actual:
@@ -325,8 +327,6 @@ def _cmd_metrics(args):
         payload["act_dcf"] = a
         line += f" ActDCF_{args.p_target:g} {a:.4f}"
     if args.det_out:
-        p_fa, p_miss = metrics.det_points(scores)
-
         def block(lo, hi):
             return (("%.9g,%.9g\n" * (hi - lo)) % tuple(scoring._flat(
                 p_fa[lo:hi].tolist(), p_miss[lo:hi].tolist())))

@@ -37,7 +37,7 @@ from .errors import (
     TruncatedFile,
     check_seed,
 )
-from .scoring import ScoreSet, _group_sums, _row_dots, _rows
+from .scoring import ScoreSet, _group_sums, _row_dots, _rows, _trial_rows
 
 _KM_MAGIC = b"SVKM"
 
@@ -361,8 +361,8 @@ def prototype_scores(labeling: PseudoLabeling, trials):
     unit = np.divide(protos, norms, out=np.zeros_like(protos),
                      where=norms > 0)
     return ScoreSet(trials, _row_dots(
-        unit, _rows(labeling.assignment, trials.enroll_ids),
-        unit, _rows(labeling.assignment, trials.test_ids)))
+        unit, _trial_rows(labeling.assignment, trials, trials._enroll),
+        unit, _trial_rows(labeling.assignment, trials, trials._test)))
 
 
 def sweep_cluster_count(emb_set: EmbeddingSet, kmeans: KMeansModel,

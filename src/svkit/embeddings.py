@@ -13,6 +13,7 @@ header with magic "SVKM".
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import itertools
@@ -57,6 +58,9 @@ _ROW_BLOCK = 256
 # blocks. A block of up to 2^18 values stays in cache (2 MB of float64),
 # and memory is O(_PAIR_BLOCK) beyond the loop's own result.
 _PAIR_BLOCK = 1 << 18
+# bytes per read when a text file is decoded again to name the offset of
+# a byte that does not decode
+_DECODE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,12 +369,46 @@ def length_normalize(emb_set: EmbeddingSet) -> EmbeddingSet:
 @contextlib.contextmanager
 def _reading(path, newline=None):
     """Open the text file at `path`; bytes that do not decode, or CSV the
-    csv module cannot parse, raise SvkitError naming the path."""
+    csv module cannot parse, raise SvkitError naming the path. A byte that
+    does not decode is named by its offset in the file (`_undecodable`)."""
     try:
         with open(path, encoding="utf-8", newline=newline) as f:
             yield f
-    except (UnicodeDecodeError, csv.Error) as e:
+    except UnicodeDecodeError as e:
+        raise SvkitError(
+            f"{path}: unreadable text ({_undecodable(path) or e})") from None
+    except csv.Error as e:
         raise SvkitError(f"{path}: unreadable text ({e})") from None
+
+
+def _undecodable(path):
+    """The UnicodeDecodeError text for the first byte of the file at
+    `path` that does not decode as UTF-8, with the byte's offset in the
+    file, or None if the whole file decodes. A text file is decoded a
+    chunk at a time, and its error gives the position in the chunk; here
+    the bytes are decoded again `_DECODE_CHUNK` at a time, counting the
+    bytes before each chunk, so memory stays at one chunk."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    done = 0  # bytes read before the current chunk
+    with open(path, "rb") as f:
+        while True:
+            chunk = f.read(_DECODE_CHUNK)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as e:
+                # e.object is the chunk behind a partial character the
+                # last chunk left pending
+                at = done + len(chunk) - len(e.object)
+                if e.end - e.start == 1:
+                    return (f"'{e.encoding}' codec can't decode byte "
+                            f"0x{e.object[e.start]:02x} in position "
+                            f"{at + e.start}: {e.reason}")
+                return (f"'{e.encoding}' codec can't decode bytes in "
+                        f"position {at + e.start}-{at + e.end - 1}: "
+                        f"{e.reason}")
+            if not chunk:
+                return None
+            done += len(chunk)
 
 
 def _write_blocks(path, n, block, header=""):

@@ -56,7 +56,11 @@ def _operating_points(score_set):
 
 def eer(score_set) -> float:
     """Equal error rate in [0, 1]."""
-    p_miss, p_fa = _operating_points(score_set)
+    return _eer(*_operating_points(score_set))
+
+
+def _eer(p_miss, p_fa):
+    """`eer` from the operating points `_operating_points` returns."""
     diff = p_miss - p_fa
     # diff runs from -1 (accept all) to +1 (reject all)
     i = int(np.argmax(diff >= 0.0))
@@ -77,7 +81,12 @@ def _dcf(p_miss, p_fa, params):
 
 def min_dcf(score_set, params: DcfParams) -> float:
     """Minimum normalized detection cost over all thresholds."""
-    return float(_dcf(*_operating_points(score_set), params).min())
+    return _min_dcf(*_operating_points(score_set), params)
+
+
+def _min_dcf(p_miss, p_fa, params):
+    """`min_dcf` from the operating points `_operating_points` returns."""
+    return float(_dcf(p_miss, p_fa, params).min())
 
 
 def bayes_threshold(params: DcfParams) -> float:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-import math
+import functools
 import weakref
 from array import array
+from collections import defaultdict
+from itertools import compress, count, islice, repeat
 
 import numpy as np
 
@@ -39,25 +41,20 @@ _SCRATCH_ROWS = 16
 
 
 class TrialList:
-    """Ordered (enroll_id, test_id, label) triples."""
+    """Ordered (enroll_id, test_id, label) triples.
+
+    Each distinct id is held once: `_ids` is the sorted table of the ids
+    of both sides, and `_enroll` / `_test` hold each trial's two codes,
+    its ids' positions in that table (read-only int32). `enroll_ids` and
+    `test_ids` are lists built from them on first use, holding one string
+    object per distinct id.
+    """
 
     def __init__(self, enroll_ids, test_ids, labels=None):
-        self._take(list(enroll_ids), list(test_ids), labels)
-
-    @classmethod
-    def _adopt(cls, enroll_ids, test_ids, labels=None):
-        """A TrialList that holds the two given lists themselves, without
-        the constructor's copies: for fresh lists no caller keeps."""
-        trials = cls.__new__(cls)
-        trials._take(enroll_ids, test_ids, labels)
-        return trials
-
-    def _take(self, enroll_ids, test_ids, labels):
-        self.enroll_ids = enroll_ids
-        self.test_ids = test_ids
-        if len(self.enroll_ids) != len(self.test_ids):
+        enroll_ids, test_ids = list(enroll_ids), list(test_ids)
+        if len(enroll_ids) != len(test_ids):
             raise SvkitError("enroll/test id lists disagree in length")
-        n = len(self.enroll_ids)
+        n = len(enroll_ids)
         if labels is None:
             labels = np.full(n, UNKNOWN, dtype=np.int8)
         else:
@@ -69,20 +66,79 @@ class TrialList:
                 raise SvkitError(f"label {labels[bad][0].item()!r} is not -1 "
                                  "(unknown), 0 or 1")
             labels = labels.astype(np.int8)
-        self.labels = labels
-        self.labels.setflags(write=False)
+        ids, codes = _intern(enroll_ids + test_ids)
+        self._take(ids, codes[:n], codes[n:], labels)
+
+    @classmethod
+    def _coded(cls, ids, enroll, test, labels):
+        """The TrialList of the int32 codes `enroll` and `test` into `ids`,
+        the sorted table of the distinct ids they use, and of the valid
+        `labels`; the arrays are held as they are."""
+        trials = cls.__new__(cls)
+        trials._take(ids, enroll, test, labels)
+        return trials
+
+    def _take(self, ids, enroll, test, labels):
+        self._ids, self._enroll, self._test = ids, enroll, test
+        self.labels = np.asarray(labels, dtype=np.int8)
+        for a in (enroll, test, self.labels):
+            a.setflags(write=False)
+
+    @functools.cached_property
+    def enroll_ids(self):
+        return _id_array(self._ids)[self._enroll].tolist()
+
+    @functools.cached_property
+    def test_ids(self):
+        return _id_array(self._ids)[self._test].tolist()
 
     def __len__(self):
-        return len(self.enroll_ids)
+        return len(self._enroll)
 
     def __iter__(self):
         return zip(self.enroll_ids, self.test_ids, self.labels)
 
     def same_trials(self, other):
-        return (
-            self.enroll_ids == other.enroll_ids
-            and self.test_ids == other.test_ids
-        )
+        return (self._ids == other._ids
+                and np.array_equal(self._enroll, other._enroll)
+                and np.array_equal(self._test, other._test))
+
+
+def _id_array(ids):
+    """The id list `ids` as an object array, whose gather at an array of
+    codes gives their id strings."""
+    table = np.empty(len(ids), dtype=object)
+    table[:] = ids
+    return table
+
+
+def _intern(ids):
+    """Sorted unique `ids` and each id's position in that table (int32)."""
+    code = defaultdict(count().__next__)  # id -> first-seen code
+    return _sorted_codes(code, np.fromiter(map(code.__getitem__, ids),
+                                           np.int32, len(ids)))
+
+
+def _sorted_codes(code, codes):
+    """The sorted table of the ids of `code`, an id -> first-seen code
+    dict, and the int32 `codes` into it renumbered into that table, in
+    place, a block of `_TEXT_BLOCK` codes at a time."""
+    table = sorted(code)
+    rank = np.empty(len(table), dtype=np.int32)
+    rank[np.fromiter(map(code.__getitem__, table), np.intp, len(table))] = (
+        np.arange(len(table), dtype=np.int32))
+    for lo in range(0, len(codes), _TEXT_BLOCK):
+        codes[lo:lo + _TEXT_BLOCK] = rank[codes[lo:lo + _TEXT_BLOCK]]
+    return table, codes
+
+
+def _used(ids, codes):
+    """The ids of the table `ids` that `codes` use, in table order, and
+    each code's position among them."""
+    used = np.zeros(len(ids), dtype=bool)
+    used[codes] = True
+    return (_id_array(ids)[used].tolist(),
+            (np.cumsum(used, dtype=np.int32) - 1)[codes])
 
 
 class ScoreSet:
@@ -121,12 +177,25 @@ def build_cohort(emb_set: EmbeddingSet) -> EmbeddingSet:
     return EmbeddingSet(table, means)
 
 
-def _rows(index, ids, missing="unknown utterance id"):
+def _rows(index, ids):
     """Rows of `ids` in the id -> row dict `index`, in one C-level pass."""
     try:
         return np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
     except KeyError as e:
-        raise UnknownId(f"{missing} '{e.args[0]}'") from None
+        raise UnknownId(f"unknown utterance id '{e.args[0]}'") from None
+
+
+def _trial_rows(index, trials, codes, missing="unknown utterance id"):
+    """index[u] (a row >= 0) for the id u of each code in `codes`, one
+    side of `trials`, looked up once per id of its table; UnknownId names
+    the first trial whose id `index` lacks."""
+    ids = trials._ids
+    rows = np.fromiter(map(index.get, ids, repeat(-1)), np.intp,
+                       len(ids))[codes]
+    bad = np.flatnonzero(rows < 0)
+    if bad.size:
+        raise UnknownId(f"{missing} '{ids[codes[bad[0]]]}'")
+    return rows
 
 
 def _row_dots(a, a_rows, b, b_rows):
@@ -177,8 +246,8 @@ def cosine_score(
         test = enroll
     _check_same_dim(enroll, test)
     return ScoreSet(trials, _row_dots(
-        enroll.vectors, _rows(enroll._index, trials.enroll_ids),
-        test.vectors, _rows(test._index, trials.test_ids)))
+        enroll.vectors, _trial_rows(enroll._index, trials, trials._enroll),
+        test.vectors, _trial_rows(test._index, trials, trials._test)))
 
 
 def _topn_desc(scores, n):
@@ -293,26 +362,18 @@ def _cohort_stats(emb_set, ids, cohort: EmbeddingSet, top_n, metric):
     return mu, sigma
 
 
-def _intern(ids):
-    """Sorted unique `ids` and each id's position in that table."""
-    table = sorted(dict.fromkeys(ids))
-    return table, _rows({u: i for i, u in enumerate(table)}, ids)
-
-
 def _side_rows(trials, enroll, test, per_utt):
     """Per-trial enroll and test rows of `per_utt(emb_set, ids)` (one row
-    per id), run once per unique utterance of each side, or once over the
-    union of both sides when enroll is test, then gathered by trial. Sets
+    per id), run once over the ids of each side in sorted order, or once
+    over the trials' table when enroll is test, then gathered by code. Sets
     of different dims raise DimMismatch naming both, before any row is
     computed."""
     _check_same_dim(enroll, test)
     if enroll is test:
-        ids, inv = _intern(trials.enroll_ids + trials.test_ids)
-        rows = per_utt(enroll, ids)
-        n = len(trials)
-        return rows[inv[:n]], rows[inv[n:]]
-    e_ids, inv_e = _intern(trials.enroll_ids)
-    t_ids, inv_t = _intern(trials.test_ids)
+        rows = per_utt(enroll, trials._ids)
+        return rows[trials._enroll], rows[trials._test]
+    e_ids, inv_e = _used(trials._ids, trials._enroll)
+    t_ids, inv_t = _used(trials._ids, trials._test)
     return per_utt(enroll, e_ids)[inv_e], per_utt(test, t_ids)[inv_t]
 
 
@@ -378,101 +439,262 @@ def mean_fuse(score_sets) -> ScoreSet:
 # trial / score files
 
 def _flat(*columns):
-    """The columns interleaved row by row into one flat list, for one `%`
-    format over a block of lines."""
-    flat = [None] * sum(map(len, columns))
+    """The columns (sequences or arrays of one length) interleaved row by
+    row into one flat list, for one `%` format over a block of lines; an
+    array's values become Python objects, as `tolist` makes them."""
+    flat = np.empty((len(columns[0]), len(columns)), dtype=object)
     for i, column in enumerate(columns):
-        flat[i::len(columns)] = column
-    return flat
+        flat[:, i] = column
+    return flat.ravel().tolist()
+
+
+def _check_trial_ids(path, trials):
+    """`_check_text_ids` over the trials' ids in line order, testing each
+    id of their table once."""
+    if not all(u.split() == [u] for u in trials._ids):
+        _check_text_ids(path, trials.enroll_ids, trials.test_ids)
 
 
 def write_trials(trials: TrialList, path):
     """Text, one per line: `enroll_id test_id [1|0]` (label omitted when
     unknown), `_RECORD_BLOCK` lines at a time; each id must be one field."""
-    _check_text_ids(path, trials.enroll_ids, trials.test_ids)
+    _check_trial_ids(path, trials)
     labels = trials.labels
     line = {lab: f"%s %s {lab}\n" for lab in np.unique(labels).tolist()}
     line[UNKNOWN] = "%s %s\n"
-    e, t = trials.enroll_ids, trials.test_ids
+    ids, e, t = _id_array(trials._ids), trials._enroll, trials._test
 
     def block(lo, hi):
         return ("".join(map(line.__getitem__, labels[lo:hi].tolist()))
-                % tuple(_flat(e[lo:hi], t[lo:hi])))
+                % tuple(_flat(ids[e[lo:hi]], ids[t[lo:hi]])))
 
     _write_blocks(path, len(labels), block)
 
 
+# characters of text a trial or score reader takes at a time, cut back to
+# the last whole line: a block's fields and their temporaries stay in
+# cache, and the readers hold one block beyond their result
+_TEXT_BLOCK = 8192
+# ASCII whitespace but the newline, mapped to a space, and every other
+# byte, deleted, leave a block's whitespace skeleton
+_SPACES = bytes.maketrans(b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f", b" " * 8)
+_NOT_SPACE = bytes(b for b in range(256) if b > 127 or not chr(b).isspace())
+# a block's bytes to 2 for a newline, 0 for other whitespace, 1 for the
+# bytes of fields
+_CLASSES = bytes(2 if b == 10 else int(b > 127 or not chr(b).isspace())
+                 for b in range(256))
+# the whitespace beyond ASCII that `str.split` splits on
+_WIDE_SPACE = ("\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
+               "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+
+
+def _line_blocks(f):
+    """(lines before it, block) for the text of file `f` in blocks of whole
+    lines, each `_TEXT_BLOCK` characters or a little less (more for a
+    longer line), each ending in a newline, which a last line that lacks
+    one is given."""
+    lineno, rest = 0, ""
+    while text := f.read(_TEXT_BLOCK):
+        cut = text.rfind("\n") + 1
+        if cut:
+            block, rest = rest + text[:cut], text[cut:]
+            yield lineno, block
+            lineno += block.count("\n")
+        else:
+            rest += text
+    if rest:
+        yield lineno, rest + "\n"
+
+
+def _fields(block):
+    """(fields, sizes): the fields of `block`, which are those of its lines
+    in turn, and a byte a line giving its number of fields where that is
+    0, 2 or 3, the sizes of blank, trial and score lines; a line of any
+    other size gives at least one byte outside those.
+
+    The block's whitespace skeleton (each separator a space, each line
+    end a newline) gives the sizes when the block is tight, as the
+    writers write: each field parted from the next on its line by one
+    whitespace character, and no line blank or starting or ending in
+    whitespace. A line of f fields holds at least f - 1 separators and
+    its line end, so as many skeleton characters as fields means a tight
+    block, whose line of f fields is f - 1 spaces and its newline. Any
+    other block counts each line's field starts. Whitespace beyond ASCII
+    is made a space first, which splits the lines as before."""
+    if not block.isascii():
+        for space in filter(block.__contains__, _WIDE_SPACE):
+            block = block.replace(space, " ")
+    fields = block.split()
+    raw = block.encode()
+    lines = block.count("\n")
+    skeleton = raw.translate(_SPACES, _NOT_SPACE)
+    if len(skeleton) == len(fields):
+        k = len(fields) // lines
+        if skeleton == (b" " * (k - 1) + b"\n") * lines:
+            return fields, bytes([min(k, 255)]) * lines
+        # a line of one field leaves its newline, one of four or more a
+        # space
+        return fields, skeleton.replace(b"  \n", b"\x03").replace(
+            b" \n", b"\x02")
+    # after a newline put first, each line's field starts, from the
+    # newline before it
+    classes = np.frombuffer((b"\n" + raw).translate(_CLASSES), np.uint8)
+    field = classes == 1
+    sizes = np.add.reduceat(field[1:] > field[:-1],
+                            np.flatnonzero(classes[:-1] == 2), dtype=np.intp)
+    return fields, np.minimum(sizes, 255).astype(np.uint8).tobytes()
+
+
+def _malformed(path, lineno, block, kind, valid):
+    """The SvkitError naming the first nonblank line of `block`, after
+    `lineno` lines, whose fields `valid` rejects: a malformed `kind`
+    line."""
+    for lineno, parts in enumerate(map(str.split, block.split("\n")),
+                                   lineno + 1):
+        if parts and not valid(parts):
+            return SvkitError(f"{path}:{lineno}: malformed {kind} line")
+
+
 _LABELS = {"0": 0, "1": 1}
+# a block's label fields, joined, to their int8 labels
+_LABEL_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+# a block's field kinds (`_trial_fields`) to true for its labels, or ids
+_LABEL_FIELD = bytes.maketrans(b"\x00\x01\x02", b"\x01\x00\x00")
+_ID_FIELD = bytes.maketrans(b"\x02", b"\x01")
+
+
+def _trial_line(parts):
+    return len(parts) == 2 or len(parts) == 3 and parts[2] in _LABELS
+
+
+def _trial_fields(block):
+    """(ids, labels) of the trial lines of `block`: the enroll and test id
+    of each trial in turn, and an int8 array of the labels, taken with
+    C-level calls; None if a line is malformed (`_trial_line`)."""
+    fields, sizes = _fields(block)
+    n = len(fields)
+    if sizes == b"\x03" * len(sizes):
+        labels = "".join(fields[2::3])
+        # one character a label, and each a 0 or a 1
+        if len(labels) * 3 != n or labels.strip("01"):
+            return None
+        del fields[2::3]
+        return fields, array("b", labels.encode().translate(_LABEL_BYTES))
+    if sizes == b"\x02" * len(sizes):
+        return fields, array("b", [UNKNOWN]) * (n // 2)
+    if sizes.translate(None, b"\x00\x02\x03"):
+        return None  # a line of one field, or of four or more
+    # one character a field: \x01 for an id, or for the last id of a line
+    # of two \x02, for a label \x00
+    kinds = sizes.translate(None, b"\x00").replace(
+        b"\x02", b"\x01\x02").replace(b"\x03", b"\x01\x01\x00")
+    labels = "".join(compress(fields, kinds.translate(_LABEL_FIELD)))
+    ends = kinds.translate(None, b"\x01")  # a line's last field
+    if len(labels) != ends.count(0) or labels.strip("01"):
+        return None
+    out = np.full(len(ends), UNKNOWN, dtype=np.int8)
+    out[np.frombuffer(ends, np.uint8) == 0] = np.frombuffer(
+        labels.encode().translate(_LABEL_BYTES), np.int8)
+    return list(compress(fields, kinds.translate(_ID_FIELD))), array(
+        "b", out.tobytes())
 
 
 def read_trials(path) -> TrialList:
-    """Read a trial file. A repeated id is kept as one `str` object, so the
-    lists hold one string per distinct id, not two per line; the labels
-    take one byte a line."""
-    enroll, test, labels = [], [], array("b")
-    one = {}.setdefault
+    """Read a trial file a block of lines at a time (`_line_blocks`), each
+    split, coded and label-checked with C-level calls (`_trial_fields`).
+    The results and `path:lineno` errors are those of a reader that
+    takes one line at a time. Each id gets a code when first
+    seen and is kept as one `str` object, and the codes are renumbered in
+    sorted id order at the end (`_sorted_codes`). So the list holds two
+    int32 codes and a label byte a line beyond its distinct ids."""
+    code = defaultdict(count().__next__)
+    pairs, labels = array("i"), array("b")
     with _reading(path) as f:
-        for lineno, parts in enumerate(map(str.split, f), 1):
-            if len(parts) == 3 and parts[2] in _LABELS:
-                e, t, lab = parts
-                lab = _LABELS[lab]
-            elif len(parts) == 2:
-                e, t = parts
-                lab = UNKNOWN
-            elif not parts:
-                continue
-            else:
-                raise SvkitError(f"{path}:{lineno}: malformed trial line")
-            enroll.append(one(e, e))
-            test.append(one(t, t))
-            labels.append(lab)
-    return TrialList._adopt(enroll, test, labels)
+        for lineno, block in _line_blocks(f):
+            parsed = _trial_fields(block)
+            if parsed is None:
+                raise _malformed(path, lineno, block, "trial", _trial_line)
+            ids, labs = parsed
+            pairs.fromlist(list(map(code.__getitem__, ids)))
+            labels += labs
+    ids, codes = _sorted_codes(code, np.frombuffer(pairs, np.int32))
+    return TrialList._coded(ids, codes[0::2], codes[1::2], labels)
 
 
 def write_scores(score_set: ScoreSet, path):
     """Text `enroll_id test_id score` at 9 significant digits, written
     `_RECORD_BLOCK` lines at a time; each id must be one field."""
-    e, t = score_set.trials.enroll_ids, score_set.trials.test_ids
-    _check_text_ids(path, e, t)
+    trials = score_set.trials
+    _check_trial_ids(path, trials)
+    ids, e, t = _id_array(trials._ids), trials._enroll, trials._test
     s = score_set.scores
 
     def block(lo, hi):
         return (("%s %s %.9g\n" * (hi - lo))
-                % tuple(_flat(e[lo:hi], t[lo:hi], s[lo:hi].tolist())))
+                % tuple(_flat(ids[e[lo:hi]], ids[t[lo:hi]], s[lo:hi])))
 
     _write_blocks(path, len(s), block)
 
 
+def _score_line(parts):
+    if len(parts) != 3:
+        return False
+    try:
+        float(parts[2])
+    except ValueError:
+        return False
+    return True
+
+
+def _score_fields(block):
+    """(enroll ids, test ids, scores) of the score lines of `block`, taken
+    with C-level calls; None if a line is malformed (`_score_line`)."""
+    fields, sizes = _fields(block)
+    if sizes.translate(None, b"\x00\x03"):
+        return None
+    try:
+        return fields[0::3], fields[1::3], list(map(float, fields[2::3]))
+    except ValueError:
+        return None
+
+
+def _not_finite(path, i):
+    """The SvkitError naming score line i (from 0) of the file at `path`,
+    whose score is not finite: found by reading the file again, line by
+    line, on this error path only."""
+    with _reading(path) as f:
+        lines = ((n, p) for n, p in enumerate(map(str.split, f), 1) if p)
+        lineno, parts = next(islice(lines, i, None))
+    return SvkitError(f"{path}:{lineno}: score '{parts[2]}' is not finite")
+
+
 def read_scores(path, trials: TrialList) -> ScoreSet:
     """Read a score file that must align with `trials` (labels are taken
-    from the trial list), in one pass that checks each line's ids against
-    its trial and keeps only the scores. The first malformed line raises
-    SvkitError naming `path:lineno`; else a file whose lines do not match
-    the trial list raises MisalignedTrials; else the first score that is
-    not finite raises SvkitError naming its line."""
-    enroll, test = trials.enroll_ids, trials.test_ids
-    n = len(enroll)
+    from the trial list), a block of lines at a time as `read_trials`
+    reads, checking each block's ids against those of its trials,
+    gathered from the list's id table, and keeping only the scores. The
+    first malformed line raises SvkitError naming `path:lineno`; else a
+    file whose lines do not match the trial list raises MisalignedTrials;
+    else the first score that is not finite raises SvkitError naming its
+    line."""
+    ids, n = _id_array(trials._ids), len(trials)
     vals = array("d")
-    append, isfinite = vals.append, math.isfinite
-    aligned, not_finite = True, None
+    aligned = True
     with _reading(path) as f:
-        for lineno, parts in enumerate(map(str.split, f), 1):
-            if not parts:
-                continue
-            try:
-                e, t, text = parts
-                v = float(text)
-            except ValueError:
-                raise SvkitError(
-                    f"{path}:{lineno}: malformed score line") from None
+        for lineno, block in _line_blocks(f):
+            parsed = _score_fields(block)
+            if parsed is None:
+                raise _malformed(path, lineno, block, "score", _score_line)
+            e, t, values = parsed
             if aligned:
-                i = len(vals)
-                aligned = i < n and e == enroll[i] and t == test[i]
-            if not_finite is None and not isfinite(v):
-                not_finite = f"{path}:{lineno}: score '{text}' is not finite"
-            append(v)
+                lo, hi = len(vals), len(vals) + len(values)
+                aligned = (hi <= n
+                           and e == ids[trials._enroll[lo:hi]].tolist()
+                           and t == ids[trials._test[lo:hi]].tolist())
+            vals.fromlist(values)
     if not aligned or len(vals) != n:
         raise MisalignedTrials(f"{path} does not match the trial list")
-    if not_finite is not None:
-        raise SvkitError(not_finite)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise _not_finite(path, bad[0])
     return ScoreSet(trials, vals)

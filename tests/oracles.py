@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from svkit.errors import InsufficientData
+from svkit.errors import InsufficientData, MisalignedTrials, SvkitError
 
 
 def _sweep_points(tar, non):
@@ -236,3 +236,50 @@ def greedy_match_oracle(prev, curr):
             taken.add(p)
     agree = sum(1 for u, c in curr.items() if mapping.get(c) == prev[u])
     return mapping, agree / len(curr)
+
+
+def read_trials_oracle(path):
+    """(enroll ids, test ids, labels) of a trial file, read one line at a
+    time with universal newlines and fields split by `str.split`, or the
+    SvkitError of its first malformed line."""
+    enroll, test, labels = [], [], []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            parts = line.split()
+            if len(parts) == 3 and parts[2] in ("0", "1"):
+                label = int(parts[2])
+            elif len(parts) == 2:
+                label = -1
+            elif not parts:
+                continue
+            else:
+                raise SvkitError(f"{path}:{lineno}: malformed trial line")
+            enroll.append(parts[0])
+            test.append(parts[1])
+            labels.append(label)
+    return enroll, test, labels
+
+
+def read_scores_oracle(path, enroll, test):
+    """The scores of a score file read one line at a time against the
+    trials (enroll[i], test[i]); errors in the order: the first malformed
+    line, then MisalignedTrials, then the first score that is not
+    finite."""
+    rows = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            parts = line.split()
+            if not parts:
+                continue
+            try:
+                e, t, text = parts
+                rows.append((e, t, text, float(text), lineno))
+            except ValueError:
+                raise SvkitError(
+                    f"{path}:{lineno}: malformed score line") from None
+    if [(e, t) for e, t, *_ in rows] != list(zip(enroll, test)):
+        raise MisalignedTrials(f"{path} does not match the trial list")
+    for _, _, text, value, lineno in rows:
+        if not math.isfinite(value):
+            raise SvkitError(f"{path}:{lineno}: score '{text}' is not finite")
+    return [value for *_, value, _ in rows]

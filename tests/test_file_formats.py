@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 import svkit
 from svkit import (
     EmbeddingSet,
@@ -29,9 +30,9 @@ from svkit import (
 )
 from svkit.calibration import read_qmf_cache
 from svkit.clustering import read_labels, write_labels
-from svkit.embeddings import _RECORD_BLOCK
+from svkit.embeddings import _DECODE_CHUNK, _RECORD_BLOCK
 from svkit.errors import DuplicateId, MisalignedTrials, SvkitError
-from svkit.scoring import ScoreSet
+from svkit.scoring import _TEXT_BLOCK, ScoreSet
 
 
 def _trial_result(t):
@@ -500,3 +501,311 @@ def test_text_files_are_utf8_under_an_ascii_locale(tmp_path):
                          capture_output=True, env=env)
     assert out.returncode == 0, out.stderr.decode()
     assert out.stdout.decode("utf-8") == "caf\u00e9 \u8a71\u8005 1\n"
+
+
+# ---------------------------------------------------------------------------
+# block reads: files of several text blocks, each read with C-level calls
+# when in the writers' layout and line by line otherwise, give the results
+# and errors of a line-by-line reader (`oracles.read_*_oracle`)
+
+N_LINES = 2000  # about nine text blocks of the lines below
+
+
+def _block_trials(seed=5):
+    rng = np.random.default_rng(seed)
+    ids = [f"spk{i:04d}_utt{i % 7:03d}" for i in range(300)]
+    e, t = rng.integers(0, len(ids), (2, N_LINES))
+    return TrialList([ids[i] for i in e], [ids[i] for i in t],
+                     rng.integers(0, 2, N_LINES))
+
+
+def _written_lines(tmp_path, write, obj):
+    path = tmp_path / "written.txt"
+    write(obj, path)
+    return path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+def _replace(j, old, new):
+    return lambda lines: (lines[:j] + [lines[j].replace(old, new)]
+                          + lines[j + 1:])
+
+
+def _insert(j, line):
+    return lambda lines: lines[:j] + [line] + lines[j:]
+
+
+def _last_field(j, text):
+    """Line j's last field replaced by `text`."""
+    return lambda lines: (lines[:j] + [lines[j].rsplit(" ", 1)[0]
+                                       + f" {text}\n"] + lines[j + 1:])
+
+
+def _each(*edits):
+    def edit(lines):
+        for one in edits:
+            lines = one(lines)
+        return lines
+    return edit
+
+
+def _crlf_from(j):
+    return lambda lines: (lines[:j]
+                          + [u.replace("\n", "\r\n") for u in lines[j:]])
+
+
+def _drop_last_newline(lines):
+    return lines[:-1] + [lines[-1].rstrip("\n")]
+
+
+# edits after the first block that every line-by-line reader reads as the
+# writers' layout
+LAYOUT_EDITS = {
+    "crlf from a later line on": _crlf_from(700),
+    "lone cr": _replace(900, "\n", "\r"),
+    "tabs": _replace(777, " ", "\t"),
+    "runs of spaces": _replace(1200, " ", "   "),
+    "trailing spaces": _replace(450, "\n", "  \n"),
+    "leading spaces": _replace(451, "spk", "  spk"),
+    "blank line": _insert(640, "\n"),
+    "whitespace-only line": _insert(1500, " \t \n"),
+    "u2028 inside a line": _replace(333, " ", "\u2028 "),
+    "x1c inside a line": _replace(1999, " ", " \x1c"),
+    "no final newline": _drop_last_newline,
+    "a line longer than a block": _replace(1000, " ", " " * 2 * _TEXT_BLOCK),
+    "all at once": _each(_crlf_from(1700), _replace(777, " ", "\t"),
+                         _insert(640, "\n"), _replace(333, " ", "\u2028 ")),
+}
+
+TRIAL_EDITS = {
+    **LAYOUT_EDITS,
+    "an id longer than a block": _replace(
+        1000, "spk", "x" * (2 * _TEXT_BLOCK) + "spk"),
+    "unlabeled line among labeled ones": lambda lines: (
+        lines[:800] + [lines[800].rsplit(" ", 1)[0] + "\n"] + lines[801:]),
+    "label 2": _last_field(1300, "2"),
+    "label 01": _last_field(1300, "01"),
+    "one field": _replace(1300, " ", "_"),
+    "four fields": _replace(1300, "\n", " x\n"),
+    "first bad line wins": _each(_replace(600, "\n", " x\n"),
+                                 _replace(1300, " ", "_")),
+    "bad line in the last block": _replace(1999, "\n", " x\n"),
+}
+
+
+def _outcome(reader, path):
+    try:
+        return reader(path)
+    except SvkitError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("case", list(TRIAL_EDITS))
+def test_read_trials_of_several_blocks_equals_line_by_line(tmp_path, case):
+    lines = _written_lines(tmp_path, write_trials, _block_trials())
+    edited = TRIAL_EDITS[case](lines)
+    assert edited != lines
+    path = tmp_path / "t.txt"
+    path.write_text("".join(edited), encoding="utf-8", newline="")
+    assert len(path.read_bytes()) > 4 * _TEXT_BLOCK
+    want = _outcome(oracles.read_trials_oracle, path)
+    got = _outcome(read_trials, path)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    else:
+        assert _trial_result(got) == want
+
+
+SCORE_EDITS = {
+    **LAYOUT_EDITS,
+    "float spellings": _each(_last_field(500, "+1"), _last_field(501, "1_0"),
+                             _last_field(502, "1E3"), _last_field(503, "01")),
+    "bad number": _last_field(1300, "0.5x"),
+    "two fields": _replace(1300, " ", "_"),
+    "nan": _last_field(1100, "nan"),
+    "first non-finite line wins": _each(_last_field(1100, "-inf"),
+                                        _last_field(1600, "nan")),
+    "misaligned id": _replace(1200, "spk", "spq"),
+    "a line too many": lambda lines: lines + [lines[0]],
+    "a line too few": lambda lines: lines[:-1],
+    "malformed beats an earlier misaligned line": _each(
+        _replace(500, "spk", "spq"), _last_field(1500, "0.5x")),
+    "misaligned beats an earlier non-finite score": _each(
+        _last_field(500, "1e400"), _replace(1500, "spk", "spq")),
+}
+
+
+@pytest.mark.parametrize("case", list(SCORE_EDITS))
+def test_read_scores_of_several_blocks_equals_line_by_line(tmp_path, case):
+    trials = _block_trials()
+    values = np.random.default_rng(6).standard_normal(N_LINES)
+    lines = _written_lines(tmp_path, write_scores, ScoreSet(trials, values))
+    edited = SCORE_EDITS[case](lines)
+    assert edited != lines
+    path = tmp_path / "s.txt"
+    path.write_text("".join(edited), encoding="utf-8", newline="")
+    want = _outcome(lambda p: oracles.read_scores_oracle(
+        p, trials.enroll_ids, trials.test_ids), path)
+    got = _outcome(lambda p: read_scores(p, trials), path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.scores.tolist() == want
+
+
+def test_non_ascii_ids_past_the_first_block_read_back(tmp_path):
+    # a block holding a non-ASCII id is read line by line
+    trials = _block_trials()
+    enroll = list(trials.enroll_ids)
+    enroll[1500] = "caf\u00e9"
+    trials = TrialList(enroll, trials.test_ids, trials.labels)
+    values = np.random.default_rng(7).standard_normal(N_LINES)
+    write_trials(trials, tmp_path / "t.txt")
+    write_scores(ScoreSet(trials, values), tmp_path / "s.txt")
+    back = read_trials(tmp_path / "t.txt")
+    assert _trial_result(back) == oracles.read_trials_oracle(
+        tmp_path / "t.txt")
+    assert back.enroll_ids[1500] == "caf\u00e9"
+    scores = read_scores(tmp_path / "s.txt", back).scores
+    assert scores.tolist() == [float(f"{v:.9g}") for v in values]
+
+
+# ids that look like labels or numbers, hold characters beyond ASCII or
+# control characters that are not whitespace
+_RANDOM_IDS = ["a", "spk0001_utt002", "0", "1", "1e3", "caf\u00e9",
+               "\u30ab\u30ca", "x\x00y", "z\x7f", "id" * 20]
+_RANDOM_SEPARATORS = {"space": [" "],
+                      "any": [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f",
+                              "\x85", "\xa0", "\u2028", "\u3000"]}
+
+
+def _random_line(rng, fields, separators, odd, bad):
+    """`fields` parted by separators drawn from `separators`. With chance
+    `odd` each: a run of separators, whitespace at either end, a blank or
+    whitespace-only line before it; with chance `bad`, a field dropped or
+    added."""
+    fields = list(fields)
+    if rng.random() < bad:
+        fields.pop()
+    if rng.random() < bad:
+        fields.append("x")
+
+    def gap():
+        return "".join(rng.choice(separators, 1 + (rng.random() < odd)))
+
+    line = gap().join(fields)
+    if rng.random() < odd:
+        line = gap() + line
+    if rng.random() < odd:
+        line += gap()
+    if rng.random() < odd:
+        line = ["\n", " \t\n"][rng.integers(2)] + line
+    return line + "\n"
+
+
+@pytest.mark.parametrize("odd, bad", [(0.0, 0.0), (0.01, 0.0), (0.3, 0.0),
+                                      (0.01, 0.001)])
+@pytest.mark.parametrize("separators", list(_RANDOM_SEPARATORS))
+@pytest.mark.parametrize("labels", ["all", "some", "none"])
+def test_random_layouts_read_as_line_by_line(tmp_path, odd, bad, separators,
+                                             labels):
+    # blocks of every kind the readers take apart: the writers' layout,
+    # other single separators, labeled and unlabeled lines together, lines
+    # off that layout at several rates, and malformed lines; each file is
+    # read as the line-by-line oracles read it
+    rng = np.random.default_rng([int(odd * 1000), int(bad * 1000),
+                                 len(separators), len(labels)])
+    seps = _RANDOM_SEPARATORS[separators]
+    pairs = [[str(u) for u in rng.choice(_RANDOM_IDS, 2)]
+             for _ in range(1500)]
+    label = {"all": lambda: [str(rng.integers(2))],
+             "some": lambda: [str(rng.integers(2))] * rng.integers(2),
+             "none": lambda: []}[labels]
+    path = tmp_path / "t.txt"
+    path.write_text("".join(_random_line(rng, p + label(), seps, odd, bad)
+                            for p in pairs), encoding="utf-8", newline="")
+    assert len(path.read_bytes()) > 3 * _TEXT_BLOCK
+    want = _outcome(oracles.read_trials_oracle, path)
+    got = _outcome(read_trials, path)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    else:
+        assert _trial_result(got) == want
+    if labels != "all":
+        return
+    scores = rng.standard_normal(len(pairs))
+    path = tmp_path / "s.txt"
+    path.write_text("".join(_random_line(rng, p + [f"{v:.9g}"], seps, odd,
+                                         bad)
+                            for p, v in zip(pairs, scores)),
+                    encoding="utf-8", newline="")
+    trials = TrialList(*zip(*pairs))
+    want = _outcome(lambda p: oracles.read_scores_oracle(
+        p, trials.enroll_ids, trials.test_ids), path)
+    got = _outcome(lambda p: read_scores(p, trials), path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.scores.tolist() == want
+
+
+def test_score_lines_of_two_fields_are_malformed_where_fields_regroup(
+        tmp_path):
+    # the six fields would regroup into two aligned triples that parse
+    path = tmp_path / "s.txt"
+    path.write_text("0 1\n0 1\n0 1\n")
+    with pytest.raises(SvkitError) as err:
+        read_scores(path, TrialList(["0", "1"], ["1", "0"]))
+    assert str(err.value) == f"{path}:1: malformed score line"
+
+
+def test_the_wide_spaces_are_those_str_split_splits_on():
+    # the readers make these spaces before telling a block's fields apart
+    from svkit.scoring import _WIDE_SPACE
+    assert _WIDE_SPACE == "".join(c for c in map(chr, range(128, 0x110000))
+                                  if c.isspace())
+
+
+@pytest.mark.parametrize("name, head", [
+    ("trials", b"a b 1\n"),
+    ("scores", b"a b 0.5\n"),
+    ("metadata", b"utt_id,speech_frames,duration_s\n"),
+])
+@pytest.mark.parametrize("offset", [20000, 30000])
+def test_undecodable_byte_past_the_first_chunk_names_its_file_offset(
+        tmp_path, name, head, offset):
+    # the text is decoded a chunk at a time; the error names the byte's
+    # offset in the file, not in its chunk
+    body = {"trials": b"a b 1\n", "scores": b"a b 0.5\n",
+            "metadata": b"a,300,3.5\n"}[name]
+    raw = bytearray(head + body * (offset // len(body)))
+    raw[offset] = 0xFF
+    path = tmp_path / "f.txt"
+    path.write_bytes(bytes(raw))
+    reader = {"trials": read_trials,
+              "scores": lambda p: read_scores(p, TrialList(["a"], ["b"])),
+              "metadata": read_metadata}[name]
+    with pytest.raises(SvkitError) as err:
+        reader(path)
+    assert str(err.value) == (
+        f"{path}: unreadable text ('utf-8' codec can't decode byte 0xff in "
+        f"position {offset}: invalid start byte)")
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x41", b"\xe2\x82",
+                                 b"\xf0\x9f\x98", b"\xc3"])
+@pytest.mark.parametrize("shift", [-3, -2, -1, 0, 1, 2])
+def test_undecodable_bytes_near_a_decode_chunk_edge(tmp_path, bad, shift):
+    # multibyte ids straddle the edges of the chunks the file is decoded
+    # again in; a bad byte or a character cut short (at the file's end
+    # too) is named as a decode of the whole file names it
+    good = "caf\u00e9 \u20ac\U0001f600 1\n".encode()
+    for at in (3 * _DECODE_CHUNK + shift, 3 * _DECODE_CHUNK + 2 + shift):
+        head = (good * (at // len(good) + 1))[:at]
+        for raw in (head + bad + good * 3, head + bad):
+            path = tmp_path / "t.txt"
+            path.write_bytes(raw)
+            with pytest.raises(UnicodeDecodeError) as want:
+                raw.decode("utf-8")
+            with pytest.raises(SvkitError) as err:
+                read_trials(path)
+            assert str(err.value) == f"{path}: unreadable text ({want.value})"

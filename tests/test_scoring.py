@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import pickle
 import re
 import tracemalloc
@@ -42,6 +43,7 @@ from svkit.calibration import (
 )
 from svkit.scoring import (
     _ROW_BLOCK,
+    _TEXT_BLOCK,
     ScoreSet,
     _cohort_stats,
 )
@@ -306,12 +308,25 @@ def test_cohort_stats_equal_full_matrix_reference(metric, top_n):
         assert np.array_equal(sigma, top.std(axis=1))
 
 
+def _opposed_stats_inputs(n, m, dim, seed):
+    """`_stats_inputs` moved so that every utterance scores below 0
+    against every cohort mean: each row of a top-N keeps negative keys and
+    is partitioned again as doubles."""
+    emb, ids, cohort = _stats_inputs(n, m, dim, seed)
+    shift = np.zeros(dim)
+    shift[0] = 10.0
+    return (EmbeddingSet(ids, 0.1 * emb.vectors + shift), ids,
+            EmbeddingSet(cohort.ids, 0.1 * cohort.vectors - shift))
+
+
 def test_cohort_stats_memory_is_one_block():
     # one reused (_ROW_BLOCK x cohort) score buffer; a fresh block per
     # product plus a partitioned copy would be two. A set with metadata
-    # adds only the scratch rows of the cosine division
+    # adds only the scratch rows of the cosine division. Under an opposed
+    # cohort every row is partitioned again, in place
     for emb, ids, cohort in (_stats_inputs(2100, 3000, 32, seed=22),
-                             _stats_inputs(300, 3000, 256, seed=26)):
+                             _stats_inputs(300, 3000, 256, seed=26),
+                             _opposed_stats_inputs(300, 3000, 32, seed=28)):
         block = _ROW_BLOCK * len(cohort) * 8
         for emb_set in (emb, _with_meta(emb)):
             tracemalloc.start()
@@ -716,6 +731,26 @@ def test_read_scores_memory_is_the_scores(tmp_path):
     assert _traced_peak(read_scores, path, trials) <= 16 * n
 
 
+def test_read_trials_memory_is_two_codes_and_a_label_a_line(tmp_path):
+    # 300k lines over 1000 ids: the list holds two int32 codes and a label
+    # byte a line (arrays that grow by 1/16) beyond its distinct ids, and
+    # the read one text block of lines at a time. A block's fields are str
+    # objects, about 60 B for each of these ids of 2-4 characters, so
+    # its working set is the peak of reading a file of that block alone
+    # (about 24 blocks of text here); a list of id strings would take
+    # 16 B a line, and a read holding two blocks would add another
+    n, n_ids = 300_000, 1000
+    _, _, _, trials = _random_trials(n_ids, n, 4, seed=15)
+    path = tmp_path / "trials.txt"
+    write_trials(trials, path)
+    text = path.read_text()
+    one = tmp_path / "one.txt"
+    one.write_text(text[:text.rfind("\n", 0, _TEXT_BLOCK) + 1])
+    block = _traced_peak(read_trials, one)
+    peak = _traced_peak(read_trials, path)
+    assert peak <= 9 * n * 17 // 16 + 200 * n_ids + block
+
+
 def test_write_scores_memory_does_not_grow_with_lines(tmp_path):
     # one block of lines is formatted per write, so a 4x longer file
     # needs no more memory; the whole file at once took about 110 B a line
@@ -754,12 +789,9 @@ def test_read_trials_mixed_labeled_and_unlabeled_lines(tmp_path):
     assert trials.labels.tolist() == [1, -1, 0]
 
 
-def test_cohort_kernel_outputs_are_frozen():
-    # one digest over every output of the cohort kernel: s-norm at top-100
-    # and over the whole cohort, the trial QMFs and the cached utterance
-    # QMFs under both metrics, with enroll as test (one pass over the
-    # union of ids) and with a separate test set over the same ids; so a
-    # change of the kernel that is meant to be bit-identical is checked
+def _cohort_kernel_inputs():
+    """(data, test, cohort, trials) of the cohort-kernel digest: a set,
+    a second set over the same ids, a 3000-speaker cohort, 24k trials."""
     data = length_normalize(synth_dataset(100, 20, 128, 5.0, seed=11))
     test = data.with_vectors(length_normalize(
         synth_dataset(100, 20, 128, 5.0, seed=12)).vectors)
@@ -767,6 +799,22 @@ def test_cohort_kernel_outputs_are_frozen():
         synth_dataset(3000, 2, 128, 3.0, seed=13)))
     e, t = np.random.default_rng(14).integers(len(data), size=(2, 24000))
     trials = TrialList([data.ids[i] for i in e], [data.ids[i] for i in t])
+    return data, test, cohort, trials
+
+
+def test_cohort_kernel_outputs_are_frozen():
+    # one digest over every output of the cohort kernel: s-norm at top-100
+    # and over the whole cohort, the trial QMFs and the cached utterance
+    # QMFs under both metrics, with enroll as test (one pass over the
+    # union of ids) and with a separate test set over the same ids; so a
+    # change of the kernel that is meant to be bit-identical is checked.
+    # The bits are those of OpenBLAS's FMA gemm kernels (its default
+    # dispatch on x86-64 with AVX2, and OPENBLAS_CORETYPE Haswell, Zen,
+    # SkylakeX, Cooperlake or SapphireRapids); a pre-FMA kernel
+    # (SandyBridge, Prescott) rounds the cohort products otherwise, and
+    # the digest differs. The test below checks the same outputs on any
+    # kernel, against the oracles at 1e-10.
+    data, test, cohort, trials = _cohort_kernel_inputs()
     digest = hashlib.sha256()
 
     def update(values):
@@ -785,6 +833,60 @@ def test_cohort_kernel_outputs_are_frozen():
             update(list(cache.values()))
     assert digest.hexdigest() == (
         "a58185b9f01eb77a8cb076dda998223300dc803209a75fdebfefbc13387a4b8f")
+
+
+def test_cohort_kernel_outputs_match_the_oracles():
+    # the digest's outputs, on sampled trials and utterances, against
+    # explicit per-utterance cohort scores (elementwise products, no
+    # gemm) and `oracles.snorm_side_stats`, at aim 2's 1e-10: a change of
+    # BLAS kernel moves them by about 1e-14, a change of logic far more
+    data, test, cohort, trials = _cohort_kernel_inputs()
+    means = cohort.vectors
+    mean_norms = np.sqrt((means * means).sum(axis=1))
+    rng = np.random.default_rng(15)
+    idx = rng.choice(len(trials), 12, replace=False)
+    utts = rng.choice(len(data), 12, replace=False)
+
+    def scores(v, metric):
+        dots = (means * v).sum(axis=1)
+        if metric == "cosine":
+            dots = dots / (mean_norms * np.sqrt((v * v).sum()))
+        return dots.tolist()
+
+    def stats(v, metric, top_n):
+        return oracles.snorm_side_stats(scores(v, metric),
+                                        top_n or len(cohort))
+
+    def qmf(emb_set, u, metric, top_n):
+        frames = emb_set.meta[u].speech_frames
+        return math.log1p(frames), stats(emb_set.vector(u), metric, top_n)[0]
+
+    for test_set in (data, test):
+        raw = cosine_score(trials, data, test_set)
+        pairs = [(data.vector(e), test_set.vector(t), e, t) for e, t in
+                 ((trials.enroll_ids[i], trials.test_ids[i]) for i in idx)]
+        for top_n in (100, None):
+            normed = snorm(raw, data, test_set, cohort, top_n).scores[idx]
+            want = [oracles.snorm_oracle(s, scores(ve, "cosine"),
+                                         scores(vt, "cosine"),
+                                         top_n or len(cohort))
+                    for s, (ve, vt, _, _) in zip(raw.scores[idx], pairs)]
+            assert np.abs(normed - want).max() <= 1e-10
+        for metric in ("cosine", "inner_product"):
+            got = trial_qmfs(trials, data, test_set, cohort, metric,
+                             100).values[idx]
+            for row, (_, _, e, t) in zip(got, pairs):
+                qe, qt = qmf(data, e, metric, 100), qmf(test_set, t,
+                                                        metric, 100)
+                want = [min(qe[0], qt[0]), max(qe[0], qt[0]),
+                        min(qe[1], qt[1]), max(qe[1], qt[1])]
+                assert np.abs(row - want).max() <= 1e-10
+    for metric in ("cosine", "inner_product"):
+        for top_n in (100, None):
+            cache = utterance_qmfs(test, cohort, metric, top_n)
+            for u in (test.ids[i] for i in utts):
+                want = qmf(test, u, metric, top_n)
+                assert np.abs(np.subtract(cache[u], want)).max() <= 1e-10
 
 
 def _float_topn_desc(scores, n):
@@ -812,6 +914,27 @@ def test_topn_desc_keeps_the_n_largest_doubles_with_negative_keys():
         want = -np.sort(-rows, axis=1)[:, :n]
         assert np.array_equal(got, want)
         assert np.array_equal(got, _float_topn_desc(rows.copy(), n))
+
+
+def test_topn_desc_when_most_rows_fall_back():
+    # most rows hold fewer than n scores >= +0.0, zeros of both signs
+    # among them; each of those rows is partitioned again as doubles, and
+    # the block keeps the values of a partition of the doubles alone (a
+    # tie of +0.0 and -0.0 may keep either) and the bits of their stats
+    rng = np.random.default_rng(45)
+    rows = -np.abs(rng.standard_normal((_ROW_BLOCK, 600)))
+    few = rng.random(rows.shape) < 0.05
+    rows[few] = -rows[few]
+    rows[:, :3] = [0.0, -0.0, 0.0]
+    rows[-20:] = np.abs(rows[-20:])  # rows that need no second partition
+    n = 100
+    assert ((~np.signbit(rows)).sum(axis=1) < n).sum() == _ROW_BLOCK - 20
+    want = _float_topn_desc(rows.copy(), n)
+    got = scoring._topn_desc(rows.copy(), n)
+    assert np.array_equal(got, want)
+    assert got.mean(axis=1).tobytes() == want.mean(axis=1).tobytes()
+    assert got.std(axis=1).tobytes() == want.std(axis=1).tobytes()
+    assert np.array_equal(got, -np.sort(-rows, axis=1)[:, :n])
 
 
 def _opposed_cohort_setup():

@@ -352,12 +352,59 @@ def test_loss_kernels_check_every_stacked_row():
 
 
 def test_run_suite_frozen_errors():
-    # frozen from the scalar loop of one loss call per perturbation
+    # frozen from the scalar loop of one loss call per perturbation. The
+    # bits are those of OpenBLAS's FMA gemm kernels (its default dispatch
+    # on x86-64 with AVX2, and OPENBLAS_CORETYPE Haswell, Zen, SkylakeX,
+    # Cooperlake or SapphireRapids); under a pre-FMA kernel (SandyBridge,
+    # Prescott) the moco error reads 6.251596579e-10. The test below
+    # checks the same errors on any kernel.
     assert run_suite(100, 0) == {
         "aam_softmax_k1": 3.626418550190228e-10,
         "aam_softmax_k2": 1.1764005708444485e-09,
         "moco": 6.251596719763458e-10,
     }
+
+
+def _oracle_errors(instances, seed):
+    """run_suite's errors recomputed instance by instance, as its checks
+    draw them, from the public losses and `oracles.fd_gradient`."""
+    cfg = AamConfig(0.2, 5.0)
+    errors = {}
+    for name, k, s in (("aam_softmax_k1", 1, seed),
+                       ("aam_softmax_k2", 2, seed + 1)):
+        rng, worst = np.random.default_rng(s), 0.0
+        for _ in range(instances):
+            u, W = _unit(rng, (8,)), _unit(rng, (5, k, 8))
+            t = int(rng.integers(5))
+            _, gu, gW = aam_softmax_loss(u, W, t, cfg)
+            nu = oracles.fd_gradient(
+                lambda v: aam_softmax_loss(v, W, t, cfg)[0], u)
+            nW = oracles.fd_gradient(
+                lambda M: aam_softmax_loss(u, M, t, cfg)[0], W)
+            worst = max(worst, oracles.max_rel_err(gu, nu),
+                        oracles.max_rel_err(gW, nW))
+        errors[name] = worst
+    rng, worst = np.random.default_rng(seed + 2), 0.0
+    for _ in range(instances):
+        X, P = _unit(rng, (4, 8)), _unit(rng, (4, 8))
+        queue = NegativeQueue(16, _unit(rng, (16, 8)))
+        _, grad = moco_loss(ContrastiveBatch(X, P, 10.0), queue)
+        num = oracles.fd_gradient(
+            lambda V: moco_loss(ContrastiveBatch(V, P, 10.0), queue)[0], X)
+        worst = max(worst, oracles.max_rel_err(grad, num))
+    errors["moco"] = worst
+    return errors
+
+
+def test_run_suite_errors_match_the_oracle_on_any_kernel():
+    # the frozen errors' companion: a BLAS kernel moves them by about 2e-8
+    # of their value, in the library and the oracle alike, and a change of
+    # logic by far more than 1e-10
+    got, want = run_suite(100, 0), _oracle_errors(100, 0)
+    assert got.keys() == want.keys()
+    for name in got:
+        assert abs(got[name] - want[name]) <= 1e-6 * want[name], name
+        assert want[name] < 1e-6
 
 
 @pytest.mark.parametrize("instances", [0, -3])
