@@ -23,7 +23,7 @@ from .embeddings import (
     _PAIR_BLOCK,
     EmbeddingSet,
     UttMeta,
-    _csv_rows,
+    _csv_records,
     _keyed_rows,
     _reading,
 )
@@ -495,7 +495,6 @@ def _qmf_row(fields):
 
 
 def read_qmf_cache(path) -> dict:
-    lines, ids, *fields = _csv_rows(
+    return _keyed_rows(path, _csv_records(
         path, lambda names: names == ["utt_id", "dur_q", "imp_q"],
-        ("dur_q", "imp_q"))
-    return _keyed_rows(path, zip(lines, ids, zip(*fields)), _qmf_row)
+        ("dur_q", "imp_q")), _qmf_row)

@@ -16,11 +16,13 @@ from __future__ import annotations
 import codecs
 import contextlib
 import csv
+import io
 import itertools
 import math
 import operator
 import os
 import struct
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -58,6 +60,10 @@ _ROW_BLOCK = 256
 # blocks. A block of up to 2^18 values stays in cache (2 MB of float64),
 # and memory is O(_PAIR_BLOCK) beyond the loop's own result.
 _PAIR_BLOCK = 1 << 18
+# characters of text a text reader takes at a time, cut back to the last
+# whole line: a block's fields and their temporaries stay in cache, and
+# the readers hold one block beyond their result
+_TEXT_BLOCK = 8192
 # bytes per read when a text file is decoded again to name the offset of
 # a byte that does not decode
 _DECODE_CHUNK = 1 << 16
@@ -130,14 +136,15 @@ class _MetaTable(Mapping):
     each row's position in `speakers`, which holds one entry per distinct
     speaker (None for no speaker). A lookup builds that row's UttMeta;
     gathers read the columns, whose write flags are cleared, at `rows`.
-    The columns given must keep UttMeta's rules and the ids be unique."""
+    It is given its {id: row} index, and columns that keep UttMeta's
+    rules."""
 
     __slots__ = ("_index", "speech_frames", "duration_s", "speaker_codes",
                  "speakers")
 
-    def __init__(self, ids, speech_frames, duration_s, speaker_codes,
+    def __init__(self, index, speech_frames, duration_s, speaker_codes,
                  speakers):
-        self._index = dict(zip(ids, range(len(speech_frames))))
+        self._index = index
         self.speech_frames = speech_frames
         self.duration_s = duration_s
         self.speaker_codes = speaker_codes
@@ -147,7 +154,7 @@ class _MetaTable(Mapping):
 
     def __reduce__(self):
         # rebuilt through the constructor, so the columns stay read-only
-        return _MetaTable, (list(self._index), self.speech_frames,
+        return _MetaTable, (self._index, self.speech_frames,
                             self.duration_s, self.speaker_codes,
                             self.speakers)
 
@@ -168,7 +175,8 @@ class _MetaTable(Mapping):
         def column(name):
             return list(map(operator.attrgetter(name), metas))
 
-        return cls(meta, np.array(column("speech_frames"), dtype=np.int64),
+        return cls(dict(zip(meta, range(len(meta)))),
+                   np.array(column("speech_frames"), dtype=np.int64),
                    np.array(column("duration_s"), dtype=np.float64),
                    *_interned(column("speaker")))
 
@@ -251,16 +259,11 @@ class EmbeddingSet:
     def __init__(self, ids, vectors, meta=None):
         ids = list(ids)
         vectors = _checked_vectors(vectors, ids)
-        index = {u: i for i, u in enumerate(ids)}
-        if not all(index):
-            raise SvkitError("utterance id must be non-empty")
-        if len(index) < len(ids):
-            dup = next(u for i, u in enumerate(ids) if index[u] != i)
-            raise DuplicateId(f"duplicate utterance id '{dup}'")
+        index = _id_index(ids)
         meta = _MetaTable.of(meta)
-        unknown = meta.keys() - index.keys()
-        if unknown:
-            raise SvkitError(f"metadata for unknown ids: {sorted(unknown)[:5]}")
+        if not meta.keys() <= index.keys():
+            unknown = sorted(meta.keys() - index.keys())
+            raise SvkitError(f"metadata for unknown ids: {unknown[:5]}")
         self._take(ids, index, meta, vectors)
 
     def _take(self, ids, index, meta, vectors):
@@ -309,6 +312,18 @@ class EmbeddingSet:
         new = object.__new__(EmbeddingSet)
         new._take(list(self.ids), self._index, self._meta, vectors)
         return new
+
+
+def _id_index(ids):
+    """{id: row} of `ids`; SvkitError on an empty id, else DuplicateId
+    naming the first id that is repeated."""
+    index = dict(zip(ids, range(len(ids))))
+    if not all(index):
+        raise SvkitError("utterance id must be non-empty")
+    if len(index) < len(ids):
+        dup = next(u for i, u in enumerate(ids) if index[u] != i)
+        raise DuplicateId(f"duplicate utterance id '{dup}'")
+    return index
 
 
 def _checked_vectors(vectors, ids):
@@ -411,6 +426,24 @@ def _undecodable(path):
             done += len(chunk)
 
 
+def _line_blocks(f, end="\n"):
+    """The text of file `f` in blocks of whole lines, each `_TEXT_BLOCK`
+    characters or a little less (more for a longer line). A block ends in
+    a newline, or in a carriage return that is not the last character
+    read, so a CRLF is never parted; a last line that lacks either is
+    given `end`."""
+    rest = ""
+    while text := f.read(_TEXT_BLOCK):
+        cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
+        if cut:
+            yield rest + text[:cut]
+            rest = text[cut:]
+        else:
+            rest += text
+    if rest:
+        yield rest + end
+
+
 def _write_blocks(path, n, block, header=""):
     """Write the UTF-8 text file at `path`: `header`, then the text
     block(lo, hi) of lines lo .. hi-1 for each `_RECORD_BLOCK` of the n
@@ -448,14 +481,55 @@ def _keyed_rows(path, rows, parse):
     return out
 
 
+# a block's bytes to those of its skeleton: its commas and newlines
+_NOT_COMMA = bytes(b for b in range(256) if b not in b",\n")
+
+
+def _split_block(block, lineno, at):
+    """(line numbers, then a column for each position in `at`) of
+    `block`, whole CSV lines after `lineno` lines, split with one
+    `str.split` once its line ends are made newlines; None when that would
+    not read as `csv.reader` reads. So it is None if the block holds a
+    '"' (a quoted field may span lines), a NUL (which `csv.reader`
+    rejects before Python 3.11) or more characters than the csv field
+    size limit (which `csv.reader` enforces), or if its skeleton
+    (`_NOT_COMMA`) does not show the same k >= 2 fields on every line, as
+    for a blank, short or long row (with one field a line, a blank line
+    would not show). Each column is a slice of the fields."""
+    if '"' in block or "\0" in block or len(block) > csv.field_size_limit():
+        return None
+    text = block.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):
+        text += "\n"  # the last line
+    lines = text.count("\n")
+    fields = text.replace("\n", ",").split(",")
+    k = (len(fields) - 1) // lines
+    if k < 2 or (text.encode().translate(None, _NOT_COMMA)
+                 != (b"," * (k - 1) + b"\n") * lines):
+        return None
+    del fields[-1]  # after the last newline
+    return (range(lineno + 1, lineno + 1 + lines),
+            *(fields[p::k] if p is not None and p < k else [""] * lines
+              for p in at))
+
+
 def _csv_rows(path, header_ok, columns):
-    """The data rows of the CSV file at `path` as columns, each a tuple:
-    their line numbers, their utt_id values, then their values of each of
-    `columns` in that order. A header row that fails `header_ok` raises
-    SvkitError; one that passes names utt_id and one of `columns` at
-    least. Rows follow `csv.DictReader`'s rules: blank rows are skipped, a
-    column the header or a short row lacks reads "", a repeated header
-    name means its last column, and extra fields are ignored."""
+    """The data rows of the CSV file at `path`, a block at a time, each
+    block as columns: its rows' line numbers, their utt_id values, then
+    their values of each of `columns` in that order. A header row that
+    fails `header_ok` raises SvkitError; one that passes names utt_id and
+    one of `columns` at least. Rows follow `csv.DictReader`'s rules:
+    blank rows are skipped, a column the header or a short row lacks
+    reads "", a repeated header name means its last column, and extra
+    fields are ignored. Lines end as `csv.reader` ends them in a file
+    opened with newline="": at a CRLF, a lone CR or a newline.
+
+    The header row is read by `csv.reader`, the data rows in blocks of
+    whole lines (`_line_blocks`), each split by `_split_block`.
+    `csv.reader` reads the rest of the file from the first block that
+    `_split_block` cannot split, `_RECORD_BLOCK` rows at a time; the line
+    numbers run on. So the reader holds one block beyond what its caller
+    keeps of the rows."""
     with _reading(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -463,17 +537,45 @@ def _csv_rows(path, header_ok, columns):
             raise SvkitError(f"{path}: bad header {header}")
         position = {name: i for i, name in enumerate(header)}
         at = [position["utt_id"], *(position.get(c) for c in columns)]
-        present = [i for i in at if i is not None]
-        pick = operator.itemgetter(*present)
-        # only a row too short for a picked field is padded, with ""
-        top = max(present)
+        lineno = reader.line_num
+        blocks = _line_blocks(f, end="")
+        for block in blocks:
+            split = _split_block(block, lineno, at)
+            if split is None:
+                break
+            yield split
+            lineno += len(split[0])
+        else:
+            return
+        reader = csv.reader(itertools.chain.from_iterable(
+            io.StringIO(b, newline="") for b in itertools.chain([block],
+                                                                 blocks)))
+        # only a block with a row too short for a wanted field is padded
+        top = max(i for i in at if i is not None)
         pad = [""] * (top + 1)
-        rows = [(reader.line_num, *pick(row if len(row) > top else row + pad))
-                for row in reader if row]
-    lines, *picked = zip(*rows) if rows else [()] * (1 + len(present))
-    picked = iter(picked)
-    return (lines, *(("",) * len(rows) if i is None else next(picked)
-                     for i in at))
+        while True:
+            before = reader.line_num
+            rows = [(lineno + reader.line_num, row)
+                    for row in itertools.islice(reader, _RECORD_BLOCK) if row]
+            if rows:
+                lines, rows = zip(*rows)
+                if min(map(len, rows)) <= top:
+                    rows = [row if len(row) > top else row + pad
+                            for row in rows]
+                fields = list(zip(*rows))
+                yield (lines, *(("",) * len(rows) if i is None else fields[i]
+                                for i in at))
+            elif reader.line_num == before:  # no row left, blank or not
+                return
+
+
+def _csv_records(path, header_ok, columns):
+    """(lineno, utt_id, values of `columns`) of each data row of the CSV
+    file at `path` (`_csv_rows`), read to its end first, so that an
+    error of the text comes before any of its rows."""
+    return [(lineno, utt_id, values)
+            for lines, ids, *fields in _csv_rows(path, header_ok, columns)
+            for lineno, utt_id, values in zip(lines, ids, zip(*fields))]
 
 
 def _write_header(f, magic, dim, count):
@@ -515,15 +617,59 @@ def write_embeddings(emb_set: EmbeddingSet, path):
                 np.ascontiguousarray(emb_set.vectors[lo:hi], dtype="<f4"))))
 
 
+def _run_length(buf, pos, step, most, length):
+    """How many of the `most` records of `step` bytes from `pos` in `buf`
+    have ids of `length` bytes, counted from the first in one strided
+    view of their u16 lengths."""
+    other = np.flatnonzero(
+        np.ndarray((most,), "<u2", buf, pos, (step,)) != length)
+    return int(other[0]) if other.size else most
+
+
+def _run_ids(path, r, run):
+    """The ids of the records from record r whose equal-length ids are the
+    rows of the uint8 matrix `run`. Each row is given a newline and the
+    rows decoded with one call: ASCII rows are split at the newlines (or
+    sliced, when an id holds one), others decoded one id at a time. An
+    id that is not UTF-8 raises SvkitError naming its record."""
+    k, length = run.shape
+    rows = np.empty((k, length + 1), np.uint8)
+    rows[:, :length] = run
+    rows[:, length] = ord("\n")
+    raw = rows.tobytes()
+    if not raw.isascii():
+        ids = []
+        for i in range(0, len(raw), length + 1):
+            try:
+                ids.append(raw[i:i + length].decode("utf-8"))
+            except UnicodeDecodeError:
+                raise SvkitError(f"{path}: record {r + i // (length + 1)} "
+                                 "id is not UTF-8") from None
+        return ids
+    text = raw.decode("ascii")
+    ids = text.split("\n")
+    if len(ids) == k + 1:
+        ids.pop()  # after the last newline
+        return ids
+    return [text[i:i + length] for i in range(0, len(text), length + 1)]
+
+
 def read_embeddings(path) -> EmbeddingSet:
     """The set in the .svb file at `path`, read with one call per
     `_RECORD_BLOCK` records: a read is sized as if each record were as
     long as the mean of those in the last read, so a block of
     equal-length ids takes one call, and it stops at the file's end. The
-    records in the buffer are walked by offset, and their vectors
-    converted through one strided view, after they are moved to the
-    buffer's front when the ids differ in length. So a read holds about
-    one block beyond the set it returns."""
+    records in the buffer are taken in runs of equal id length: a record
+    whose id is as long as the last one's starts a run, whose length one
+    strided view of the u16 lengths finds (`_run_length`); its ids are
+    decoded with one call (`_run_ids`) and its vectors converted through
+    one strided view. The vectors of records taken alone are gathered at
+    the buffer's front and converted together. Each block's rows are
+    checked to be finite while in cache, so the set is built with no
+    second scan of its matrix, and a read holds about one block beyond
+    the set it returns.
+    Errors come in the order: a truncated record or a non-UTF-8 id, then
+    the first row that is not finite, an empty id, a repeated id."""
     with open(path, "rb") as f:
         # a record is at least a u16 length, a 1-byte id and dim f32s
         dim, count = _read_header(f, path, _MAGIC, 3, "records")
@@ -531,8 +677,10 @@ def read_embeddings(path) -> EmbeddingSet:
         left = os.fstat(f.fileno()).st_size - f.tell()
         ids = []
         vecs = np.empty((count, dim))
+        bad = None  # the first row that is not finite
         buf = bytearray()
         r = pos = end = 0
+        last = -1  # the id length of the last record taken alone
         mean = 2 + size  # mean record bytes of the last read; at first no id
         while r < count:
             del buf[:pos]
@@ -542,41 +690,64 @@ def read_embeddings(path) -> EmbeddingSet:
             want = min(left, max(0, short, (stop - r) * mean - len(buf)))
             buf += f.read(want)
             left -= want
-            first, n, pos, bounds = r, len(buf), 0, [0]
+            first, n, pos = r, len(buf), 0
+            moved = []  # rows whose vectors were moved to the buffer's front
             try:
                 while r < stop:
                     end = pos + 2
                     if end > n:
                         break
-                    end += (buf[pos] | buf[pos + 1] << 8) + size
+                    length = buf[pos] | buf[pos + 1] << 8
+                    step = 2 + length + size
+                    end = pos + step
                     if end > n:
                         break
-                    ids.append(buf[pos + 2:end - size].decode("utf-8"))
-                    pos = end
-                    bounds.append(pos)
-                    r += 1
+                    if length == last:
+                        # a run: the records from this one whose ids have
+                        # the last one's length, whole in the buffer and at
+                        # most to the block's end
+                        k = _run_length(buf, pos, step, min(
+                            stop - r, (n - pos) // step), length)
+                        ids += _run_ids(path, r, np.ndarray(
+                            (k, length), "u1", buf, pos + 2, (step, 1)))
+                        vecs[r:r + k] = np.ndarray((k, dim), "<f4", buf,
+                                                   end - size, (step, 4))
+                    else:
+                        # a record taken alone: its vector is moved to the
+                        # buffer's front, over records already taken, which
+                        # stays before this record's end
+                        k, last = 1, length
+                        ids.append(buf[pos + 2:end - size].decode("utf-8"))
+                        front = len(moved) * size
+                        buf[front:front + size] = buf[end - size:end]
+                        moved.append(r)
+                    pos += k * step
+                    r += k
             except UnicodeDecodeError:
                 raise SvkitError(
                     f"{path}: record {r} id is not UTF-8") from None
+            if moved:
+                vecs[moved] = np.ndarray((len(moved), dim), "<f4", buf)
             if r > first:
                 mean = -(-pos // (r - first))
-                offset, step = bounds[1] - size, bounds[1]
-                if bounds != list(range(0, pos + 1, step)):
-                    # ids of several lengths: each vector moved to the
-                    # buffer's front, which stays before its record's end
-                    for i, b in enumerate(bounds[1:]):
-                        buf[i * size:(i + 1) * size] = buf[b - size:b]
-                    offset, step = 0, size
-                vecs[first:r] = np.ndarray((r - first, dim), "<f4", buf,
-                                           offset, (step, 4))
+                if bad is None and not np.isfinite(vecs[first:r]).all():
+                    bad = first + int(np.flatnonzero(
+                        ~np.isfinite(vecs[first:r]).all(axis=1))[0])
             if r < stop and not left:
                 raise TruncatedFile(f"{path}: record {r} truncated")
         if pos < len(buf) or f.read(1):
             raise SvkitError(f"{path}: trailing bytes after {count} records")
+    if count and not dim:
+        raise SvkitError(f"{path}: embedding dimension must be >= 1")
+    if bad is not None:
+        raise SvkitError(f"{path}: embedding '{ids[bad]}' is not finite")
     try:
-        return EmbeddingSet(ids, vecs)
+        index = _id_index(ids)
     except SvkitError as e:
         raise type(e)(f"{path}: {e}") from None
+    emb = object.__new__(EmbeddingSet)
+    emb._take(ids, index, _MetaTable.of(None), vecs)
+    return emb
 
 
 def write_metadata(meta, path):
@@ -605,42 +776,51 @@ def _meta_row(fields):
                    speaker=fields[2] or None)
 
 
-def _meta_columns(ids, frames, durations, speakers):
-    """The table of the text columns of a metadata file, parsed as
-    `_meta_row` parses a row and checked in bulk (`_keeps_meta_rules`).
-    A field that does not parse, a row that breaks a rule, or a repeated
-    id raises ValueError, OverflowError or SvkitError, naming no row."""
-    n = len(ids)
-    frames = np.fromiter(map(int, frames), np.int64, n)
-    durations = np.fromiter(map(float, durations), np.float64, n)
+def _meta_blocks(blocks):
+    """The table of the text columns of a metadata file, given a block at
+    a time (`_csv_rows`). Each block's fields are parsed as `_meta_row`
+    parses a row and its ids and speakers are interned as they come; the
+    whole columns are then checked in bulk (`_keeps_meta_rules`). So
+    only a block of text is held beyond the table. A field that does not
+    parse, a row that breaks a rule, or a repeated id raises ValueError,
+    OverflowError or SvkitError, naming no row."""
+    index = {}
+    speaker = defaultdict(itertools.count().__next__)
+    frames, durations, codes = ([np.empty(0, t)]
+                                for t in (np.int64, np.float64, np.intp))
+    for _, ids, fr, du, sp in blocks:
+        n = len(index)
+        index.update(zip(ids, itertools.count(n)))
+        if len(index) < n + len(ids):
+            raise DuplicateId("a repeated utterance id")
+        frames.append(np.fromiter(map(int, fr), np.int64, len(fr)))
+        durations.append(np.fromiter(map(float, du), np.float64, len(du)))
+        codes.append(np.fromiter(map(speaker.__getitem__, sp), np.intp,
+                                 len(sp)))
+    frames, durations = np.concatenate(frames), np.concatenate(durations)
     if not _keeps_meta_rules(frames, durations):
         raise SvkitError("a row breaks UttMeta's rules")
-    codes, names = _interned(speakers)
-    table = _MetaTable(ids, frames, durations, codes,
-                       [s or None for s in names])
-    if len(table) < n:
-        raise DuplicateId("a repeated utterance id")
-    return table
+    return _MetaTable(index, frames, durations, np.concatenate(codes),
+                      [s or None for s in speaker])
 
 
 def read_metadata(path):
     """The metadata CSV at `path` (`write_metadata`'s columns, in any
     order, with or without a speaker column) as a read-only table of
     UttMeta, stored as columns (`_MetaTable`). The rows are parsed and
-    checked against UttMeta's rules in bulk. When one fails, the file's
-    rows are read again one at a time, as `_keyed_rows` reads them and
-    UttMeta checks them, to raise the first failing row's error naming
-    `path:lineno`; within a row a repeated id comes before a parse error.
-    A frame count of 2**63 or more is such an error (int64 column)."""
-    required = {"utt_id", "speech_frames", "duration_s"}
-    lines, ids, *fields = _csv_rows(path, required.issubset,
-                                    ("speech_frames", "duration_s",
-                                     "speaker"))
+    checked against UttMeta's rules in bulk, a block at a time
+    (`_meta_blocks`). When one fails, the file's rows are read again one
+    at a time, as `_keyed_rows` reads them and UttMeta checks them, to
+    raise the first failing row's error naming `path:lineno`; within a
+    row a repeated id comes before a parse error. A frame count of 2**63
+    or more is such an error (int64 column)."""
+    required = {"utt_id", "speech_frames", "duration_s"}.issubset
+    columns = ("speech_frames", "duration_s", "speaker")
     try:
-        return _meta_columns(ids, *fields)
+        return _meta_blocks(_csv_rows(path, required, columns))
     except (ValueError, OverflowError, SvkitError) as e:
         error = e
-    _keyed_rows(path, zip(lines, ids, zip(*fields)), _meta_row)
+    _keyed_rows(path, _csv_records(path, required, columns), _meta_row)
     raise error  # only if the bulk check and UttMeta disagree
 
 
@@ -704,7 +884,8 @@ def synth_dataset(
     ids = [name + suffix for name in names for suffix in suffixes]
     _normalize_rows(vecs, ids, out=vecs)
     # int(dur * FRAME_RATE) per utterance: truncation, below 2**63
-    meta = _MetaTable(ids, (durations * FRAME_RATE).astype(np.int64),
+    meta = _MetaTable(dict(zip(ids, range(n))),
+                      (durations * FRAME_RATE).astype(np.int64),
                       durations,
                       np.repeat(np.arange(num_speakers), utts_per_speaker),
                       names)

@@ -12,9 +12,11 @@ import numpy as np
 
 from .embeddings import (
     _ROW_BLOCK,
+    _TEXT_BLOCK,
     EmbeddingSet,
     _check_text_ids,
     _frozen,
+    _line_blocks,
     _reading,
     _row_norms,
     _write_blocks,
@@ -471,10 +473,6 @@ def write_trials(trials: TrialList, path):
     _write_blocks(path, len(labels), block)
 
 
-# characters of text a trial or score reader takes at a time, cut back to
-# the last whole line: a block's fields and their temporaries stay in
-# cache, and the readers hold one block beyond their result
-_TEXT_BLOCK = 8192
 # ASCII whitespace but the newline, mapped to a space, and every other
 # byte, deleted, leave a block's whitespace skeleton
 _SPACES = bytes.maketrans(b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f", b" " * 8)
@@ -486,24 +484,6 @@ _CLASSES = bytes(2 if b == 10 else int(b > 127 or not chr(b).isspace())
 # the whitespace beyond ASCII that `str.split` splits on
 _WIDE_SPACE = ("\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
                "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
-
-
-def _line_blocks(f):
-    """(lines before it, block) for the text of file `f` in blocks of whole
-    lines, each `_TEXT_BLOCK` characters or a little less (more for a
-    longer line), each ending in a newline, which a last line that lacks
-    one is given."""
-    lineno, rest = 0, ""
-    while text := f.read(_TEXT_BLOCK):
-        cut = text.rfind("\n") + 1
-        if cut:
-            block, rest = rest + text[:cut], text[cut:]
-            yield lineno, block
-            lineno += block.count("\n")
-        else:
-            rest += text
-    if rest:
-        yield lineno, rest + "\n"
 
 
 def _fields(block):
@@ -609,14 +589,16 @@ def read_trials(path) -> TrialList:
     int32 codes and a label byte a line beyond its distinct ids."""
     code = defaultdict(count().__next__)
     pairs, labels = array("i"), array("b")
+    lineno = 0
     with _reading(path) as f:
-        for lineno, block in _line_blocks(f):
+        for block in _line_blocks(f):
             parsed = _trial_fields(block)
             if parsed is None:
                 raise _malformed(path, lineno, block, "trial", _trial_line)
             ids, labs = parsed
             pairs.fromlist(list(map(code.__getitem__, ids)))
             labels += labs
+            lineno += block.count("\n")
     ids, codes = _sorted_codes(code, np.frombuffer(pairs, np.int32))
     return TrialList._coded(ids, codes[0::2], codes[1::2], labels)
 
@@ -680,11 +662,13 @@ def read_scores(path, trials: TrialList) -> ScoreSet:
     ids, n = _id_array(trials._ids), len(trials)
     vals = array("d")
     aligned = True
+    lineno = 0
     with _reading(path) as f:
-        for lineno, block in _line_blocks(f):
+        for block in _line_blocks(f):
             parsed = _score_fields(block)
             if parsed is None:
                 raise _malformed(path, lineno, block, "score", _score_line)
+            lineno += block.count("\n")
             e, t, values = parsed
             if aligned:
                 lo, hi = len(vals), len(vals) + len(values)

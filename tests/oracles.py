@@ -5,13 +5,20 @@ These deliberately recompute everything from the mathematical definitions
 differences) and never call the code paths they verify.
 """
 
+import csv
 import math
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 
-from svkit.errors import InsufficientData, MisalignedTrials, SvkitError
+from svkit.embeddings import UttMeta
+from svkit.errors import (
+    DuplicateId,
+    InsufficientData,
+    MisalignedTrials,
+    SvkitError,
+)
 
 
 def _sweep_points(tar, non):
@@ -283,3 +290,77 @@ def read_scores_oracle(path, enroll, test):
         if not math.isfinite(value):
             raise SvkitError(f"{path}:{lineno}: score '{text}' is not finite")
     return [value for *_, value, _ in rows]
+
+
+def csv_rows_oracle(path, header_ok, columns):
+    """(lineno, utt_id, values of `columns`) of each data row of a CSV
+    file, read by `csv.reader` one line at a time from the file opened
+    with newline="", as `csv.DictReader` would pick them: blank rows
+    skipped, "" for a column the header or a short row lacks, the last
+    column of a repeated header name. A header row failing `header_ok`,
+    or text that does not decode (named by its file offset), raises
+    SvkitError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if not header_ok(header or []):
+                raise SvkitError(f"{path}: bad header {header}")
+            position = {name: i for i, name in enumerate(header)}
+            at = [position["utt_id"], *(position.get(c) for c in columns)]
+            rows = []
+            for row in reader:
+                if row:
+                    picked = ["" if p is None or p >= len(row) else row[p]
+                              for p in at]
+                    rows.append((reader.line_num, picked[0],
+                                 tuple(picked[1:])))
+    except csv.Error as e:
+        raise SvkitError(f"{path}: unreadable text ({e})") from None
+    except UnicodeDecodeError:
+        with open(path, "rb") as f:
+            try:
+                f.read().decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise SvkitError(f"{path}: unreadable text ({e})") from None
+    return rows
+
+
+def _keyed_oracle(path, rows, parse):
+    out = {}
+    for lineno, key, values in rows:
+        if key in out:
+            raise DuplicateId(f"{path}:{lineno}: duplicate id '{key}'")
+        try:
+            out[key] = parse(*values)
+        except (ValueError, SvkitError) as e:
+            raise SvkitError(
+                f"{path}:{lineno}: malformed row ({e})") from None
+    return out
+
+
+def read_metadata_oracle(path):
+    """{utt_id: UttMeta} of a metadata CSV, each row parsed and checked
+    by UttMeta in line order (`csv_rows_oracle`); the first repeated id
+    or bad row raises, naming `path:lineno`."""
+    rows = csv_rows_oracle(
+        path, {"utt_id", "speech_frames", "duration_s"}.issubset,
+        ("speech_frames", "duration_s", "speaker"))
+    return _keyed_oracle(path, rows, lambda frames, duration, speaker:
+                         UttMeta(int(frames), float(duration),
+                                 speaker or None))
+
+
+def read_qmf_cache_oracle(path):
+    """{utt_id: (dur_q, imp_q)} of a QMF cache CSV, read as
+    `read_metadata_oracle` reads; both values must be finite."""
+    def parse(dur_q, imp_q):
+        q = float(dur_q), float(imp_q)
+        if not all(map(math.isfinite, q)):
+            raise SvkitError("qmf values must be finite")
+        return q
+
+    rows = csv_rows_oracle(
+        path, lambda names: names == ["utt_id", "dur_q", "imp_q"],
+        ("dur_q", "imp_q"))
+    return _keyed_oracle(path, rows, parse)

@@ -23,7 +23,7 @@ from svkit import (
     write_embeddings,
     write_metadata,
 )
-from svkit.embeddings import _RECORD_BLOCK, _ROW_BLOCK
+from svkit.embeddings import _RECORD_BLOCK, _ROW_BLOCK, _TEXT_BLOCK
 from svkit.errors import (
     BadMagic,
     DuplicateId,
@@ -498,6 +498,118 @@ def test_read_embeddings_memory_is_one_record_block(tmp_path, mixed):
         tracemalloc.stop()
     assert back.ids == ids
     assert peak - held <= 1.5 * block
+
+
+def _write_raw(path, ids, vecs):
+    """An .svb file of `ids` (str or raw bytes) and `vecs`, written byte by
+    byte, so that ids need not be valid or distinct."""
+    vecs = np.asarray(vecs, dtype="<f4")
+    raw = [b"SVEB", np.array([1, vecs.shape[1]], "<u4").tobytes(),
+           np.array([len(ids)], "<u8").tobytes()]
+    for u, v in zip(ids, vecs):
+        u = u.encode() if isinstance(u, str) else u
+        raw += [np.array([len(u)], "<u2").tobytes(), u, v.tobytes()]
+    path.write_bytes(b"".join(raw))
+
+
+@pytest.mark.parametrize("before, after", [(5, 6), (6, 5), (5, 200)])
+def test_read_embeddings_id_length_changes_around_a_block_edge(
+        tmp_path, before, after):
+    # ids of one length before record c and of another from c on, or only
+    # at c, for every c around the first block's edge: runs of equal
+    # length end at every offset from the edge
+    n, dim = 2 * _RECORD_BLOCK + 8, 3
+    vecs = np.arange(n * dim, dtype=float).reshape(n, dim)
+    path = tmp_path / "e.svb"
+    for c in range(_RECORD_BLOCK - 6, _RECORD_BLOCK + 7):
+        for switch in (lambda i: i >= c, lambda i: i == c):
+            ids = [f"{i:0{after if switch(i) else before}d}"
+                   for i in range(n)]
+            _write_raw(path, ids, vecs)
+            back = read_embeddings(path)
+            assert back.ids == ids
+            assert np.array_equal(back.vectors, vecs)
+
+
+def test_read_embeddings_non_ascii_ids_inside_a_run(tmp_path):
+    # ids of one byte length, some ASCII and some not, in one run
+    n, dim = _RECORD_BLOCK + 300, 4
+    ids = [f"é{i:05d}" if i % 3 else f"ab{i:05d}" for i in range(n)]
+    ids[700] = "語" + "x" * 4
+    assert len({len(u.encode()) for u in ids}) == 1
+    vecs = np.random.default_rng(4).standard_normal((n, dim))
+    path = tmp_path / "e.svb"
+    write_embeddings(EmbeddingSet(ids, vecs), path)
+    back = read_embeddings(path)
+    assert back.ids == ids
+    assert np.array_equal(back.vectors, vecs.astype("<f4"))
+
+
+@pytest.mark.parametrize("r", [5, _RECORD_BLOCK - 1, _RECORD_BLOCK + 37])
+@pytest.mark.parametrize("ascii_run", [True, False])
+def test_read_embeddings_undecodable_id_inside_a_run_names_its_record(
+        tmp_path, r, ascii_run):
+    n, dim = 2 * _RECORD_BLOCK, 2
+    ids = [(f"u{i:05d}" if ascii_run else f"é{i:04d}").encode()
+           for i in range(n)]
+    ids[r] = ids[r][:-1] + b"\xff"
+    path = tmp_path / "e.svb"
+    _write_raw(path, ids, np.ones((n, dim)))
+    with pytest.raises(SvkitError) as err:
+        read_embeddings(path)
+    assert type(err.value) is SvkitError
+    assert str(err.value) == f"{path}: record {r} id is not UTF-8"
+
+
+def test_read_embeddings_non_finite_row_comes_before_an_earlier_duplicate(
+        tmp_path):
+    # the repeated id is in the first block, the NaN in the third: the set's
+    # checks come in the constructor's order, not in the file's
+    n, dim = 3 * _RECORD_BLOCK, 4
+    ids = [f"u{i:05d}" for i in range(n)]
+    ids[10] = ids[3]
+    ids[20] = ""
+    vecs = np.ones((n, dim))
+    vecs[2 * _RECORD_BLOCK + 9, 2] = np.nan
+    vecs[2 * _RECORD_BLOCK + 50, 0] = np.inf
+    path = tmp_path / "e.svb"
+    _write_raw(path, ids, vecs)
+    with pytest.raises(SvkitError) as err:
+        read_embeddings(path)
+    assert type(err.value) is SvkitError
+    assert str(err.value) == (f"{path}: embedding "
+                              f"'u{2 * _RECORD_BLOCK + 9:05d}' is not finite")
+    vecs[2 * _RECORD_BLOCK + 9, 2] = vecs[2 * _RECORD_BLOCK + 50, 0] = 0
+    _write_raw(path, ids, vecs)
+    with pytest.raises(SvkitError) as err:
+        read_embeddings(path)
+    assert str(err.value) == f"{path}: utterance id must be non-empty"
+    ids[20] = "x"
+    _write_raw(path, ids, vecs)
+    with pytest.raises(DuplicateId) as err:
+        read_embeddings(path)
+    assert str(err.value) == f"{path}: duplicate utterance id 'u00003'"
+
+
+def test_read_metadata_memory_is_the_table_and_some_text_blocks(tmp_path):
+    # the rows are parsed a block of text at a time into the table's
+    # columns. Beyond the table, a read holds a block's text and fields
+    # (about 20 blocks of text as Python strings, two blocks in turn) and
+    # the id index's old table as it grows (about 22 blocks at this size).
+    # A reader holding every row as a tuple of strings first took 3.3 MB
+    # here, 405 blocks, above a 2.0 MB table.
+    meta = synth_dataset(600, 20, 4, 6.0, seed=1).meta
+    path = tmp_path / "m.csv"
+    write_metadata(meta, path)
+    tracemalloc.start()
+    try:
+        back = read_metadata(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back) == 12000
+    assert back.speakers == meta.speakers
+    assert peak - held <= 64 * _TEXT_BLOCK
 
 
 def test_synth_distinct_seeds_differ():

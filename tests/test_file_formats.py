@@ -7,6 +7,7 @@ iterator does not treat as line breaks, undecodable bytes, near-miss
 labels and numbers, and CSV rows that are short, long, quoted or empty.
 Each writer case pins the exact bytes written."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -204,6 +205,8 @@ METADATA_CASES = {
     "quoted fields": (_META_HEAD + b'"a,b",300,"3.5"\n',
                       {"a,b": _meta(300, 3.5)}),
     "quote inside a field": (_META_HEAD + b'"a"b,1,1\n', {"ab": _meta(1, 1.0)}),
+    "quoted header": (b'"utt_id","speech_frames",duration_s\na,1,1\n',
+                      {"a": _meta(1, 1.0)}),
     "unterminated quote": (_META_HEAD + b'"a,1,1\n', _bad(
         "{path}:2: malformed row (invalid literal for int() with base 10: "
         "'')")),
@@ -223,6 +226,10 @@ METADATA_CASES = {
     "blank rows count their lines": (_META_HEAD + b"\n\na,x,3.5\n", _bad(
         "{path}:4: malformed row (invalid literal for int() with base 10: "
         "'x')")),
+    # one field a line: a blank line has the same skeleton as a row
+    "blank rows among one-field rows": (_META_HEAD + b"\na\n", _bad(
+        "{path}:3: malformed row (invalid literal for int() with base 10: "
+        "'')")),
     "whitespace is kept in ids": (_META_HEAD + b"  a , 300 , 3.5 \n",
                                   {"  a ": _meta(300, 3.5)}),
     "short row with a speaker column": (
@@ -239,7 +246,18 @@ METADATA_CASES = {
                        _bad("{path}: bad header ['utt_id', 'speech_frames']")),
     "blank first line": (b"\n" + _META_HEAD + b"a,1,1\n",
                          _bad("{path}: bad header []")),
+    # the header line is checked once it is decoded, before the rest
+    "bad header before an undecodable byte past the first 8 KB": (
+        b"utt_id,frames\n" + "\u00e9".encode() * 4500 + b"\n\xff\n",
+        _bad("{path}: bad header ['utt_id', 'frames']")),
     "empty file": (b"", _bad("{path}: bad header None")),
+    # csv.reader's field size limit holds on quote-free lines too
+    "a field at the csv field limit": (
+        _META_HEAD + b"a" * 131072 + b",1,1\n", {"a" * 131072: _meta(1, 1.0)}),
+    "a field past the csv field limit": (
+        _META_HEAD + b"b,1,1\n" + b"a" * 131073 + b",1,1\n",
+        _bad("{path}: unreadable text (field larger than field limit "
+             "(131072))")),
     "duplicate id": (_META_HEAD + b"a,300,3.5\na,1,1\n",
                      _bad("{path}:3: duplicate id 'a'", DuplicateId)),
     "non-utf-8 byte": (_META_HEAD + b"a,300,3.5\n\xff,1,1\n", _bad(
@@ -809,3 +827,190 @@ def test_undecodable_bytes_near_a_decode_chunk_edge(tmp_path, bad, shift):
             with pytest.raises(SvkitError) as err:
                 read_trials(path)
             assert str(err.value) == f"{path}: unreadable text ({want.value})"
+
+
+# ---------------------------------------------------------------------------
+# CSV readers against csv.reader, on random files of several blocks
+
+_CSV_EOLS = {"lf": ["\n"], "crlf": ["\r\n"], "cr": ["\r"],
+             "mixed": ["\n", "\r\n", "\r"]}
+# field text with non-ASCII characters and characters that
+# `str.splitlines` (but neither the file iterator nor csv) ends lines at
+_CSV_TEXT = ["", "t", "café", "語", " ", "\x85", " s p ", "\x0b\x1c"]
+_NUL_TEXT = ["n\x00ul", "\x00"]
+_QUOTED = '"q{pad},1""2{eol}x"'  # a comma, a doubled quote, a line break
+
+
+def _text(rng, i, start):
+    """Random field text for row i: from row `start` on, NULs too."""
+    return str(rng.choice(_CSV_TEXT + _NUL_TEXT if i >= start else _CSV_TEXT))
+
+
+def _csv_lines(rng, header, rows, eols, keep, start):
+    """The lines of a CSV file, each with its line end from `eols`: the
+    header, then `rows` (lists of fields). From row `start` on, a row is
+    cut short at `keep` fields or more, or given extra fields, or
+    preceded by a blank line, each at rate 0.1."""
+    def end():
+        return eols[rng.integers(len(eols))]
+
+    lines = [",".join(header) + end()]
+    for i, fields in enumerate(rows):
+        odd = 0.1 if i >= start else 0
+        if rng.random() < odd:
+            fields = fields[:rng.integers(min(keep, len(fields)),
+                                          len(fields) + 1)]
+        if rng.random() < odd:
+            fields = fields + [_text(rng, i, start)
+                               for _ in range(rng.integers(1, 4))]
+        if rng.random() < odd:
+            lines.append(end())
+        lines.append(",".join(fields) + end())
+    return lines
+
+
+def _with_quoted(lines, fields, col, quote, eol):
+    """`lines` with a row of `fields` whose field `col` is `_QUOTED`: as
+    the first data row, halfway, or with its line break 3 characters
+    before the end of the file's third `_TEXT_BLOCK` of characters, so
+    that the quoted field spans the edge of the text blocks it is read
+    in."""
+    marker = "\x01"
+    line = ",".join(fields[:col] + [_QUOTED.format(pad=marker, eol=eol)]
+                    + fields[col + 1:]) + eol
+    if quote == "first":
+        at = 1
+    elif quote == "later":
+        at = len(lines) // 2
+    else:
+        at = int(np.searchsorted(np.cumsum([len(s) for s in lines]),
+                                 3 * _TEXT_BLOCK - 200))
+    lines = lines[:at] + [line] + lines[at:]
+    text = "".join(lines)
+    pad = 0
+    if quote == "edge":
+        pad = 3 * _TEXT_BLOCK - 3 - text.index(marker) - len(',1""2')
+        assert 0 <= pad < 400
+    return text.replace(marker, "z" * pad)
+
+
+def _random_metadata(rng, n, eol, quote, bad, start):
+    names = ["utt_id", "speech_frames", "duration_s"]
+    names += [c for c in ("speaker", "x") if rng.random() < 0.5]
+    names = list(rng.permutation(names))
+    if rng.random() < 0.5:  # a repeated name: its last column counts
+        names.insert(int(rng.integers(len(names) + 1)),
+                     str(rng.choice(names)))
+    last = {name: i for i, name in enumerate(names)}
+    keep = max(last[c] for c in ("utt_id", "speech_frames", "duration_s"))
+    rows = []
+    for i in range(n):
+        dur = float(rng.uniform(0, 20))
+        cell = {"utt_id": f"u{i}" + _text(rng, i, start),
+                "speech_frames": str(int(dur * 100)), "duration_s": repr(dur),
+                "speaker": str(rng.choice(["s1", "sé", ""])) + _text(
+                    rng, i, start)[:1],
+                "x": _text(rng, i, start)}
+        rows.append([cell[name] if last[name] == j else "junk"
+                     for j, name in enumerate(names)])
+    for _ in range(bad):
+        fields = rows[rng.integers(n)]
+        kind = rng.integers(4)
+        if kind == 0:
+            fields[last["speech_frames"]] = "x"
+        elif kind == 1:
+            fields[last["utt_id"]] = rows[rng.integers(n)][last["utt_id"]]
+        elif kind == 2:
+            fields[last["speech_frames"]] = str(
+                int(fields[last["speech_frames"]]) + 2)
+        else:
+            del fields[last["duration_s"]:]
+    eols = _CSV_EOLS[eol]
+    lines = _csv_lines(rng, names, rows, eols, keep + 1, start)
+    if not quote:
+        return "".join(lines)
+    return _with_quoted(lines, list(rows[0]), last["utt_id"], quote,
+                        eols[-1])
+
+
+def _random_qmf_cache(rng, n, eol, quote, bad, start):
+    rows = [[f"u{i}" + _text(rng, i, start),
+             *(repr(float(v)) for v in rng.standard_normal(2))]
+            for i in range(n)]
+    for _ in range(bad):
+        rows[rng.integers(n)][1 + rng.integers(2)] = str(
+            rng.choice(["nan", "-inf", "x", ""]))
+    eols = _CSV_EOLS[eol]
+    lines = _csv_lines(rng, ["utt_id", "dur_q", "imp_q"], rows, eols, 3,
+                       start)
+    if not quote:
+        return "".join(lines)
+    return _with_quoted(lines, list(rows[0]), 0, quote, eols[-1])
+
+
+def _meta_items(table):
+    return [(u, m.speech_frames, m.duration_s, m.speaker)
+            for u, m in table.items()]
+
+
+_QUOTES = [None, "first", "later", "edge"]
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+@pytest.mark.parametrize("regular", [0, 800])
+@pytest.mark.parametrize("quote", _QUOTES)
+@pytest.mark.parametrize("eol", list(_CSV_EOLS))
+def test_random_csv_files_read_as_csv_reader_reads_them(tmp_path, eol, quote,
+                                                        regular, bad):
+    # blocks split with str.split until one that cannot be (a quoted
+    # field, a blank, short or long row, a NUL), csv.reader from there on:
+    # the results and exact errors (with path:lineno) are those of a
+    # reader taking one csv.reader row at a time. The first `regular`
+    # rows are neither blank, short, long nor hold a NUL.
+    rng = np.random.default_rng([list(_CSV_EOLS).index(eol),
+                                 _QUOTES.index(quote), regular, bad])
+    path = tmp_path / "m.csv"
+    cases = [(_random_metadata, read_metadata, oracles.read_metadata_oracle,
+              _meta_items),
+             (_random_qmf_cache, read_qmf_cache,
+              oracles.read_qmf_cache_oracle, lambda d: list(d.items()))]
+    for make, reader, oracle, items in cases:
+        for _ in range(3):
+            path.write_text(make(rng, 1200, eol, quote, bad, regular),
+                            encoding="utf-8", newline="")
+            assert len(path.read_bytes()) > 4 * _TEXT_BLOCK
+            want = _outcome(oracle, path)
+            got = _outcome(reader, path)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert items(got) == items(want)
+
+
+def test_a_nul_is_read_by_csv_reader(tmp_path, monkeypatch):
+    # csv.reader rejects a NUL before Python 3.11 and reads it from 3.11
+    # on. With a csv.reader that rejects it as the older ones do, a NUL in
+    # a block of rows that str.split could split still raises csv's error,
+    # as a reader taking one csv.reader row at a time raises it
+    reader = csv.reader
+
+    def rejecting(lines, *args, **kwargs):
+        def checked():
+            for line in lines:
+                if "\0" in line:
+                    raise csv.Error("line contains NUL")
+                yield line
+        return reader(checked(), *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", rejecting)
+    rows = [f"u{i},{i},{i / 100!r},s{i % 7}\r\n" for i in range(1200)]
+    rows[900] = rows[900].replace(",s", ",s\x00")
+    path = tmp_path / "m.csv"
+    path.write_text("utt_id,speech_frames,duration_s,speaker\r\n"
+                    + "".join(rows), encoding="utf-8", newline="")
+    assert path.read_text(encoding="utf-8").index("\0") > _TEXT_BLOCK
+    want = (SvkitError, f"{path}: unreadable text (line contains NUL)")
+    assert _outcome(oracles.read_metadata_oracle, path) == want
+    assert _outcome(read_metadata, path) == want
+    monkeypatch.undo()
+    assert read_metadata(path)["u900"].speaker == "s\x004"
