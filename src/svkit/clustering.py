@@ -9,7 +9,6 @@ the cosine metric inside Ward.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ from .embeddings import (
     _ROW_BLOCK,
     EmbeddingSet,
     _check_text_ids,
-    _frozen,
     _keyed_rows,
     _normalize_rows,
     _read_header,
@@ -65,11 +63,11 @@ class KMeansModel:
             raise SvkitError("centers must be finite")
         self.centers = _read_only(centers)
         self.counts = _read_only(counts)
-        self._kept_nearest = None
 
     def __reduce__(self):
-        # rebuilt through the constructor: read-only arrays and no keep,
-        # whose weakrefs do not pickle
+        # rebuilt through the constructor, so that a pickled or copied
+        # model's arrays are read-only too: numpy unpickles and deep-copies
+        # an array as writable
         return KMeansModel, (self.centers, self.counts, self.inertia)
 
     @property
@@ -236,24 +234,10 @@ def _unit_distances(unit):
     return np.sqrt(y, out=y)
 
 
-# the last linkage `ahc_ward` built, as (weakref to its frozen centers,
-# linkage), for the next `_ward_linkage` call; a race between threads can
-# only lose it, as every entry holds the linkage of its own centers
-_kept_linkage = None
-
-
 def _ward_linkage(centers):
     """scipy's Ward linkage of the length-normalized centers; (0, 4) for a
     single center. The distances come from `_unit_distances`; scipy only
-    runs the merges.
-
-    Every call takes off the linkage that `ahc_ward` kept, and returns it
-    instead when it was built for this same array and the array is still
-    frozen (`_frozen`): the same array then holds the same values."""
-    global _kept_linkage
-    kept, _kept_linkage = _kept_linkage, None
-    if kept is not None and kept[0]() is centers and _frozen(centers):
-        return kept[1]
+    runs the merges."""
     norms = np.linalg.norm(centers, axis=1)
     if np.any(norms == 0):
         raise SvkitError("zero-norm center cannot be normalized")
@@ -268,8 +252,9 @@ def _cut(Z, num_clusters):
     """Center labels in [0, num_clusters) of the maxclust cut of linkage Z
     over len(Z) + 1 centers."""
     k = len(Z) + 1
-    if not 1 <= num_clusters <= k:
-        raise SvkitError(f"num_clusters={num_clusters} must be in [1, {k}]")
+    if not (hasattr(num_clusters, "__index__") and 1 <= num_clusters <= k):
+        raise SvkitError(
+            f"num_clusters={num_clusters} must be an integer in [1, {k}]")
     if k == 1:
         return np.zeros(1, dtype=np.int64)
     from scipy.cluster.hierarchy import fcluster
@@ -281,39 +266,24 @@ def ahc_ward(centers, num_clusters):
     """Ward AHC over length-normalized centers, cut to num_clusters flat
     clusters. Returns (linkage, center_labels), where linkage is scipy's
     (k-1, 4) matrix: row i merges nodes Z[i, 0] and Z[i, 1] at height
-    Z[i, 2] into node k+i of Z[i, 3] centers; leaves are 0..k-1.
-
-    A copy of the linkage of frozen `centers`, such as a `KMeansModel`'s,
-    is kept for the next `_ward_linkage` call."""
-    global _kept_linkage
+    Z[i, 2] into node k+i of Z[i, 3] centers; leaves are 0..k-1."""
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] == 0:
         raise EmptyInput("no centers to cluster")
+    if not np.all(np.isfinite(centers)):
+        raise SvkitError("centers must be finite")
     Z = _ward_linkage(centers)
-    labels = _cut(Z, num_clusters)
-    if _frozen(centers):
-        _kept_linkage = (weakref.ref(centers), Z.copy())
-    return Z, labels
+    return Z, _cut(Z, num_clusters)
 
 
 def _nearest_centers(emb_set: EmbeddingSet, kmeans: KMeansModel):
     """Each utterance's nearest k-means center, the part of an assignment
-    that no AHC cut changes.
-
-    Every call takes off the indices that `assign_pseudo_labels` left on
-    the model, and returns them instead of searching when they were found
-    for this same set, vector matrix and center matrix, both matrices
-    still frozen (`_frozen`). The keep holds weakrefs, not the set."""
+    that no AHC cut changes."""
     if emb_set.dim != kmeans.centers.shape[1]:
         raise DimMismatch(
             f"embeddings are {emb_set.dim}-dim, centers "
             f"{kmeans.centers.shape[1]}-dim"
         )
-    kept, kmeans._kept_nearest = kmeans._kept_nearest, None
-    if (kept is not None and kept[0]() is emb_set
-            and kept[1]() is emb_set.vectors and kept[2]() is kmeans.centers
-            and _frozen(emb_set.vectors) and _frozen(kmeans.centers)):
-        return kept[3]
     return _nearest(emb_set.vectors, kmeans.centers)
 
 
@@ -333,24 +303,15 @@ def _labeling(ids, nearest, unit, center_labels) -> PseudoLabeling:
 def assign_pseudo_labels(emb_set: EmbeddingSet, kmeans: KMeansModel,
                          center_labels) -> PseudoLabeling:
     """Utterance -> nearest k-means center -> that center's AHC cluster;
-    prototypes are the per-cluster means of the normalized embeddings.
-
-    The nearest centers are left on the model for the next
-    `sweep_cluster_count` over this set (`_nearest_centers`)."""
+    prototypes are the per-cluster means of the normalized embeddings."""
     center_labels = np.asarray(center_labels, dtype=np.int64)
     if center_labels.shape != (kmeans.k,):
         raise SvkitError("center_labels length mismatch")
     if np.any(center_labels < 0):
         raise SvkitError("center_labels must be nonnegative")
-    nearest = _nearest_centers(emb_set, kmeans)
-    labeling = _labeling(emb_set.ids, nearest,
-                         _normalize_rows(emb_set.vectors, emb_set.ids),
-                         center_labels)
-    if _frozen(emb_set.vectors) and _frozen(kmeans.centers):
-        kmeans._kept_nearest = (weakref.ref(emb_set),
-                                weakref.ref(emb_set.vectors),
-                                weakref.ref(kmeans.centers), nearest)
-    return labeling
+    return _labeling(emb_set.ids, _nearest_centers(emb_set, kmeans),
+                     _normalize_rows(emb_set.vectors, emb_set.ids),
+                     center_labels)
 
 
 def prototype_scores(labeling: PseudoLabeling, trials):
@@ -371,11 +332,8 @@ def sweep_cluster_count(emb_set: EmbeddingSet, kmeans: KMeansModel,
     ([(K, eer)], best_K) with ties going to the smaller K.
 
     The Ward linkage, the nearest centers and the normalized embeddings
-    are computed once; each cut only relabels and re-averages them. The
-    linkage that `ahc_ward` kept for this model's centers and the nearest
-    centers that `assign_pseudo_labels` left on it for this set are taken
-    instead of being recomputed; both are one-use, so a second sweep
-    recomputes them.
+    are computed once per call; each cut only relabels and re-averages
+    them.
 
     best_K is biased upward: finer clusters give prototype agreement a
     lower EER even past the true speaker count, so unless the clustering

@@ -1,4 +1,4 @@
-import gc
+import copy
 import hashlib
 import os
 import pickle
@@ -7,7 +7,6 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -380,6 +379,14 @@ def test_ahc_validation():
         ahc_ward(np.empty((0, 3)), 1)
     with pytest.raises(SvkitError):
         ahc_ward(np.eye(3), 4)
+    # rejected before the normalization, which warns on an inf center
+    for bad in (np.nan, np.inf, -np.inf):
+        centers = np.eye(3)
+        centers[1, 0] = bad
+        with pytest.raises(SvkitError, match="finite"):
+            ahc_ward(centers, 2)
+    with pytest.raises(SvkitError, match="integer"):
+        ahc_ward(np.eye(3), 2.5)
 
 
 def _unit(x):
@@ -579,7 +586,7 @@ def test_sweep_matches_per_cut_ahc_and_assign():
         sweep_cluster_count(emb, km, [5, 41], trials)
 
 
-def _keep_setup():
+def _fitted():
     emb = length_normalize(synth_dataset(10, 8, 16, 6.0, seed=27))
     km = minibatch_kmeans(emb, 40, batch_size=20, seed=28)
     return emb, km, _eval_trials(emb, 300, seed=29)
@@ -605,89 +612,31 @@ def _count_searches(monkeypatch):
     return calls
 
 
-def test_sweep_takes_the_linkage_and_search_of_ahc_and_assign(monkeypatch):
-    # ahc_ward -> assign_pseudo_labels -> sweep_cluster_count on one model
-    # builds one linkage and searches the whole set once (was 2 each)
-    emb, km, trials = _keep_setup()
-    want = sweep_cluster_count(emb, km, [5, 10, 20], trials)
+def test_sweep_makes_one_linkage_and_one_search(monkeypatch):
+    # whether or not ahc_ward and assign_pseudo_labels ran on the same
+    # model and set before it, a sweep builds one linkage and searches the
+    # whole set once, and gives the same rows
+    emb, km, trials = _fitted()
     calls = _count_searches(monkeypatch)
+    want = sweep_cluster_count(emb, km, [5, 10, 20], trials)
+    assert calls == {"linkage": 1, "nearest": 1}
     _, cl = ahc_ward(km.centers, 10)
     assign_pseudo_labels(emb, km, cl)
-    got = sweep_cluster_count(emb, km, [5, 10, 20], trials)
+    calls.update(linkage=0, nearest=0)
+    assert sweep_cluster_count(emb, km, [5, 10, 20], trials) == want
     assert calls == {"linkage": 1, "nearest": 1}
-    assert got == want
-
-
-@pytest.mark.parametrize("miss", ["set", "model", "written_centers",
-                                  "thawed_vectors", "second_sweep"])
-def test_sweep_recomputes_on_a_miss(monkeypatch, miss):
-    # each case leaves at least one keep unusable; the sweep then
-    # recomputes that part and gives the rows of a sweep without keeps
-    emb, km, trials = _keep_setup()
-    k_values = [5, 10, 20]
-    model, sweep_set = km, emb
-    if miss == "written_centers":
-        centers = km.centers.copy()  # writable: ahc_ward keeps nothing
-        _, cl = ahc_ward(centers, 10)
-        centers[0] = centers[1]
-        model = KMeansModel(centers, km.counts)
-        assert model.centers is centers  # frozen in place
-    else:
-        _, cl = ahc_ward(km.centers, 10)
-    assign_pseudo_labels(emb, model, cl)
-    if miss == "set":
-        sweep_set = EmbeddingSet(emb.ids, emb.vectors)
-        assert sweep_set.vectors is emb.vectors
-    elif miss == "model":
-        model = KMeansModel(km.centers.copy(), km.counts)
-    elif miss == "thawed_vectors":
-        emb.vectors.setflags(write=True)
-    elif miss == "second_sweep":
-        sweep_cluster_count(sweep_set, model, k_values, trials)
-    want = {"set": (0, 1), "model": (1, 1), "written_centers": (1, 0),
-            "thawed_vectors": (0, 1), "second_sweep": (1, 1)}[miss]
-    calls = _count_searches(monkeypatch)
-    got = sweep_cluster_count(sweep_set, model, k_values, trials)
-    assert (calls["linkage"], calls["nearest"]) == want
-    fresh = KMeansModel(model.centers.copy(), model.counts)
-    assert got == sweep_cluster_count(
-        EmbeddingSet(emb.ids, emb.vectors.copy()), fresh, k_values, trials)
-
-
-def test_keeps_do_not_hold_the_set_or_the_centers_alive():
-    emb, km, _ = _keep_setup()
-    other = EmbeddingSet(emb.ids, emb.vectors.copy())
-    model = KMeansModel(km.centers.copy(), km.counts)
-    _, cl = ahc_ward(model.centers, 10)
-    assign_pseudo_labels(other, model, cl)
-    alive = weakref.ref(other), weakref.ref(other.vectors)
-    del other
-    gc.collect()
-    assert alive[0]() is None and alive[1]() is None
-    centers = weakref.ref(model.centers)
-    del model
-    gc.collect()
-    assert centers() is None
 
 
 def test_kmeans_model_pickles_without_its_keep():
-    emb, km, _ = _keep_setup()
-    _, cl = ahc_ward(km.centers, 10)
-    assign_pseudo_labels(emb, km, cl)
-    back = pickle.loads(pickle.dumps(km))
-    assert back._kept_nearest is None and km._kept_nearest is not None
-    assert not back.centers.flags.writeable
-    assert np.array_equal(back.centers, km.centers)
-    assert np.array_equal(back.counts, km.counts)
-    assert back.inertia == km.inertia
-
-
-def test_iterate_keeps_no_linkage(monkeypatch):
-    emb = length_normalize(synth_dataset(6, 6, 8, 8.0, seed=30))
-    monkeypatch.setattr(clustering, "_kept_linkage", None)
-    iterate(emb, identity_refresher, 12, 6, batch_size=12, max_iters=2,
-            seed=31)
-    assert clustering._kept_linkage is None
+    # numpy unpickles and deep-copies an array as writable; the model is
+    # rebuilt through its constructor, so both copies stay read-only
+    _, km, _ = _fitted()
+    for back in (pickle.loads(pickle.dumps(km)), copy.deepcopy(km)):
+        assert not back.centers.flags.writeable
+        assert not back.counts.flags.writeable
+        assert np.array_equal(back.centers, km.centers)
+        assert np.array_equal(back.counts, km.counts)
+        assert back.inertia == km.inertia
 
 
 def test_kmeans_model_arrays_are_read_only():
@@ -700,6 +649,9 @@ def test_kmeans_model_arrays_are_read_only():
             a[0] = 0
     again = KMeansModel(model.centers, model.counts)
     assert again.centers is model.centers and again.counts is model.counts
+    centers = np.eye(3)  # owns its data: frozen in place, not copied
+    assert KMeansModel(centers, [1, 1, 1]).centers is centers
+    assert not centers.flags.writeable
     emb = length_normalize(synth_dataset(4, 3, 8, 5.0, seed=0))
     km = minibatch_kmeans(emb, 5, batch_size=6, seed=1)
     assert not km.centers.flags.writeable and not km.counts.flags.writeable
