@@ -24,8 +24,10 @@ from .embeddings import (
     EmbeddingSet,
     UttMeta,
     _csv_records,
+    _intern,
     _keyed_rows,
     _reading,
+    _used,
 )
 from .errors import (
     ArityMismatch,
@@ -38,10 +40,8 @@ from .scoring import (
     ScoreSet,
     TrialList,
     _cohort_stats,
-    _intern,
     _side_rows,
     _trial_rows,
-    _used,
 )
 
 SHORT_MIN_S = 2.0

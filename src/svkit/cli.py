@@ -317,7 +317,7 @@ def _cmd_metrics(args):
     trials = scoring.read_trials(args.trials)
     scores = scoring.read_scores(args.scores, trials)
     # the scores are sorted once, for all three operating-point metrics
-    p_miss, p_fa = metrics._operating_points(scores)
+    p_fa, p_miss = metrics.det_points(scores)
     e = metrics._eer(p_miss, p_fa)
     m = metrics._min_dcf(p_miss, p_fa, params)
     payload = {"eer_pct": e * 100.0, "min_dcf": m, "p_target": args.p_target}

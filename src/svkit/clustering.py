@@ -249,16 +249,19 @@ def _ward_linkage(centers):
 
 
 def _cut(Z, num_clusters):
-    """Center labels in [0, num_clusters) of the maxclust cut of linkage Z
-    over len(Z) + 1 centers."""
+    """Center labels in [0, num_clusters) of linkage Z over k = len(Z) + 1
+    centers after its first k - num_clusters merges: exactly num_clusters
+    clusters where heights tie, else the labels of a maxclust cut."""
     k = len(Z) + 1
     if not (hasattr(num_clusters, "__index__") and 1 <= num_clusters <= k):
         raise SvkitError(
             f"num_clusters={num_clusters} must be an integer in [1, {k}]")
-    if k == 1:
-        return np.zeros(1, dtype=np.int64)
+    if num_clusters == k:
+        return np.arange(k, dtype=np.int64)
     from scipy.cluster.hierarchy import fcluster
-    labels = fcluster(Z, t=num_clusters, criterion="maxclust") - 1
+    # merge i is taken when i <= t
+    labels = fcluster(Z, t=k - num_clusters - 1, criterion="monocrit",
+                      monocrit=np.arange(k - 1.0)) - 1
     return labels.astype(np.int64)
 
 

@@ -121,23 +121,59 @@ def _keeps_meta_rules(frames, durations):
     return not (frames[small] > bound[small].astype(np.int64)).any()
 
 
-def _interned(speakers):
-    """(codes, names): the distinct `speakers` in first-seen order, and
-    each row's position in them."""
-    names = list(dict.fromkeys(speakers))
-    position = {s: i for i, s in enumerate(names)}
-    return (np.fromiter(map(position.__getitem__, speakers), np.intp,
-                        len(speakers)), names)
+def _id_array(ids):
+    """The id list `ids` as an object array, whose gather at an array of
+    codes gives their id strings."""
+    table = np.empty(len(ids), dtype=object)
+    table[:] = ids
+    return table
+
+
+def _intern(values):
+    """The table of the distinct `values` (`_sorted_codes`) and each
+    value's position in it (int32): the one interning step of trial ids,
+    speakers and cluster labels. Values are told apart as dict keys are."""
+    code = defaultdict(itertools.count().__next__)  # value -> first-seen code
+    return _sorted_codes(code, np.fromiter(map(code.__getitem__, values),
+                                           np.int32, len(values)))
+
+
+def _sorted_codes(code, codes):
+    """The table of the values of `code`, a value -> first-seen code dict,
+    and the int32 `codes` into it renumbered into that table, in place, a
+    block of `_TEXT_BLOCK` codes at a time. The table is sorted, None
+    (no speaker) first; when its values do not compare (ints among strs,
+    say) it keeps their first-seen order."""
+    try:
+        table = sorted(code, key=(lambda v: (v is not None, v))
+                       if None in code else None)
+    except TypeError:  # values of types that do not compare
+        return list(code), codes
+    rank = np.empty(len(table), dtype=np.int32)
+    rank[np.fromiter(map(code.__getitem__, table), np.intp, len(table))] = (
+        np.arange(len(table), dtype=np.int32))
+    for lo in range(0, len(codes), _TEXT_BLOCK):
+        codes[lo:lo + _TEXT_BLOCK] = rank[codes[lo:lo + _TEXT_BLOCK]]
+    return table, codes
+
+
+def _used(table, codes):
+    """The values of `table` that `codes` use, in table order, and each
+    code's position among them (int32)."""
+    used = np.zeros(len(table), dtype=bool)
+    used[codes] = True
+    return (_id_array(table)[used].tolist(),
+            (np.cumsum(used, dtype=np.int32) - 1)[codes])
 
 
 class _MetaTable(Mapping):
     """Read-only {utt_id: UttMeta} stored as columns aligned with its ids:
     `speech_frames` (int64), `duration_s` (float64) and `speaker_codes`,
-    each row's position in `speakers`, which holds one entry per distinct
-    speaker (None for no speaker). A lookup builds that row's UttMeta;
-    gathers read the columns, whose write flags are cleared, at `rows`.
-    It is given its {id: row} index, and columns that keep UttMeta's
-    rules."""
+    each row's position in `speakers`, the table of the distinct speakers
+    (None for no speaker), sorted with None first (`_sorted_codes`). A
+    lookup builds that row's UttMeta; gathers read the columns, whose
+    write flags are cleared, at `rows`. It is given its {id: row} index,
+    and columns that keep UttMeta's rules."""
 
     __slots__ = ("_index", "speech_frames", "duration_s", "speaker_codes",
                  "speakers")
@@ -175,10 +211,11 @@ class _MetaTable(Mapping):
         def column(name):
             return list(map(operator.attrgetter(name), metas))
 
+        speakers, codes = _intern(column("speaker"))
         return cls(dict(zip(meta, range(len(meta)))),
                    np.array(column("speech_frames"), dtype=np.int64),
                    np.array(column("duration_s"), dtype=np.float64),
-                   *_interned(column("speaker")))
+                   codes, speakers)
 
     def __getitem__(self, utt_id):
         i = self._index[utt_id]
@@ -211,19 +248,15 @@ class _MetaTable(Mapping):
 
     def speakers_at(self, rows, ids):
         """(table, codes): the distinct speakers of `rows` in
-        lexicographic order, and each row's position in that table.
-        MissingLabel names the first of `ids`, the rows' ids, whose row
-        has no (or an empty) speaker."""
+        lexicographic order, and each row's position in that table
+        (`_used`). MissingLabel names the first of `ids`, the rows' ids,
+        whose row has no (or an empty) speaker."""
         codes = self.speaker_codes[rows]
         unlabeled = np.array([not s for s in self.speakers], dtype=bool)
         bad = np.flatnonzero(unlabeled[codes])
         if bad.size:
             raise MissingLabel(ids[bad[0]])
-        used = np.bincount(codes, minlength=len(self.speakers)).nonzero()[0]
-        order = sorted(used.tolist(), key=self.speakers.__getitem__)
-        rank = np.empty(len(self.speakers), dtype=np.intp)
-        rank[order] = np.arange(len(order))
-        return [self.speakers[c] for c in order], rank[codes]
+        return _used(self.speakers, codes)
 
 
 def _frozen(a):
@@ -359,15 +392,20 @@ def _row_norms(vectors):
 
 
 def _normalize_rows(vectors, ids, out=None):
-    """Each row of `vectors` divided by its Euclidean norm (`_row_norms`),
-    written into `out` (a new array when None; `vectors` itself to
-    normalize in place). Raises ZeroVector naming the id of the first
-    zero-norm row."""
-    norms = _row_norms(vectors)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ZeroVector(ids[int(zero[0])])
-    return np.divide(vectors, norms[:, None], out=out)
+    """Each row of `vectors` divided by its Euclidean norm, into `out` (a
+    new array when None; `vectors` itself to normalize in place). Each
+    `_ROW_BLOCK` of rows is divided right after its norms are taken, while
+    in cache. Raises ZeroVector naming the id of the first zero-norm row."""
+    if out is None:
+        out = np.empty_like(vectors)
+    for lo in range(0, len(vectors), _ROW_BLOCK):
+        block = vectors[lo:lo + _ROW_BLOCK]
+        norms = np.linalg.norm(block, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise ZeroVector(ids[lo + int(zero[0])])
+        np.divide(block, norms[:, None], out=out[lo:lo + _ROW_BLOCK])
+    return out
 
 
 def length_normalize(emb_set: EmbeddingSet) -> EmbeddingSet:
@@ -780,14 +818,15 @@ def _meta_blocks(blocks):
     """The table of the text columns of a metadata file, given a block at
     a time (`_csv_rows`). Each block's fields are parsed as `_meta_row`
     parses a row and its ids and speakers are interned as they come; the
-    whole columns are then checked in bulk (`_keeps_meta_rules`). So
+    whole columns are then checked in bulk (`_keeps_meta_rules`) and the
+    speakers sorted (`_sorted_codes`; "", none, first). So
     only a block of text is held beyond the table. A field that does not
     parse, a row that breaks a rule, or a repeated id raises ValueError,
     OverflowError or SvkitError, naming no row."""
     index = {}
     speaker = defaultdict(itertools.count().__next__)
     frames, durations, codes = ([np.empty(0, t)]
-                                for t in (np.int64, np.float64, np.intp))
+                                for t in (np.int64, np.float64, np.int32))
     for _, ids, fr, du, sp in blocks:
         n = len(index)
         index.update(zip(ids, itertools.count(n)))
@@ -795,13 +834,14 @@ def _meta_blocks(blocks):
             raise DuplicateId("a repeated utterance id")
         frames.append(np.fromiter(map(int, fr), np.int64, len(fr)))
         durations.append(np.fromiter(map(float, du), np.float64, len(du)))
-        codes.append(np.fromiter(map(speaker.__getitem__, sp), np.intp,
+        codes.append(np.fromiter(map(speaker.__getitem__, sp), np.int32,
                                  len(sp)))
     frames, durations = np.concatenate(frames), np.concatenate(durations)
     if not _keeps_meta_rules(frames, durations):
         raise SvkitError("a row breaks UttMeta's rules")
-    return _MetaTable(index, frames, durations, np.concatenate(codes),
-                      [s or None for s in speaker])
+    speakers, codes = _sorted_codes(speaker, np.concatenate(codes))
+    return _MetaTable(index, frames, durations, codes,
+                      [s or None for s in speakers])
 
 
 def read_metadata(path):
@@ -884,9 +924,8 @@ def synth_dataset(
     ids = [name + suffix for name in names for suffix in suffixes]
     _normalize_rows(vecs, ids, out=vecs)
     # int(dur * FRAME_RATE) per utterance: truncation, below 2**63
+    speakers, codes = _intern(names)
     meta = _MetaTable(dict(zip(ids, range(n))),
                       (durations * FRAME_RATE).astype(np.int64),
-                      durations,
-                      np.repeat(np.arange(num_speakers), utts_per_speaker),
-                      names)
+                      durations, np.repeat(codes, utts_per_speaker), speakers)
     return EmbeddingSet(ids, vecs, meta)

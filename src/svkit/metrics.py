@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embeddings import _intern
 from .errors import IdMismatch, OneClassOnly, SvkitError
 
 
@@ -107,29 +108,16 @@ def det_points(score_set):
     return p_fa, p_miss
 
 
-def _codes(labels):
-    """The distinct `labels`, sorted when they compare, and each label's
-    index among them. Labels are told apart as dict keys are, as a
-    `Counter` of them would count them."""
-    distinct = dict.fromkeys(labels)
-    try:
-        table = sorted(distinct)
-    except TypeError:  # labels of types that do not compare
-        table = list(distinct)
-    index = {label: i for i, label in enumerate(table)}
-    return table, np.fromiter(map(index.__getitem__, labels), np.intp,
-                              len(labels))
-
-
 def _contingency(a, b):
     """The contingency table of two aligned label lists, as its nonzero
     cells: (labels of a, labels of b, each cell's a-code and b-code into
     them, each cell's count). Cells are in the order of their (a, b)
-    codes, which is the order of their labels when the labels compare."""
-    a_labels, a_codes = _codes(a)
-    b_labels, b_codes = _codes(b)
-    keys, cells = np.unique(a_codes * len(b_labels) + b_codes,
-                            return_counts=True)
+    codes (`_intern`), which is the order of their labels when the labels
+    compare; their keys are int64, as a product of int32 codes overflows."""
+    a_labels, a_codes = _intern(a)
+    b_labels, b_codes = _intern(b)
+    keys, cells = np.unique(a_codes.astype(np.int64) * len(b_labels)
+                            + b_codes, return_counts=True)
     cell_a, cell_b = np.divmod(keys, len(b_labels))
     return a_labels, b_labels, cell_a, cell_b, cells
 

@@ -12,13 +12,16 @@ import numpy as np
 
 from .embeddings import (
     _ROW_BLOCK,
-    _TEXT_BLOCK,
     EmbeddingSet,
     _check_text_ids,
     _frozen,
+    _id_array,
+    _intern,
     _line_blocks,
     _reading,
     _row_norms,
+    _sorted_codes,
+    _used,
     _write_blocks,
 )
 from .errors import (
@@ -104,43 +107,6 @@ class TrialList:
         return (self._ids == other._ids
                 and np.array_equal(self._enroll, other._enroll)
                 and np.array_equal(self._test, other._test))
-
-
-def _id_array(ids):
-    """The id list `ids` as an object array, whose gather at an array of
-    codes gives their id strings."""
-    table = np.empty(len(ids), dtype=object)
-    table[:] = ids
-    return table
-
-
-def _intern(ids):
-    """Sorted unique `ids` and each id's position in that table (int32)."""
-    code = defaultdict(count().__next__)  # id -> first-seen code
-    return _sorted_codes(code, np.fromiter(map(code.__getitem__, ids),
-                                           np.int32, len(ids)))
-
-
-def _sorted_codes(code, codes):
-    """The sorted table of the ids of `code`, an id -> first-seen code
-    dict, and the int32 `codes` into it renumbered into that table, in
-    place, a block of `_TEXT_BLOCK` codes at a time."""
-    table = sorted(code)
-    rank = np.empty(len(table), dtype=np.int32)
-    rank[np.fromiter(map(code.__getitem__, table), np.intp, len(table))] = (
-        np.arange(len(table), dtype=np.int32))
-    for lo in range(0, len(codes), _TEXT_BLOCK):
-        codes[lo:lo + _TEXT_BLOCK] = rank[codes[lo:lo + _TEXT_BLOCK]]
-    return table, codes
-
-
-def _used(ids, codes):
-    """The ids of the table `ids` that `codes` use, in table order, and
-    each code's position among them."""
-    used = np.zeros(len(ids), dtype=bool)
-    used[codes] = True
-    return (_id_array(ids)[used].tolist(),
-            (np.cumsum(used, dtype=np.int32) - 1)[codes])
 
 
 class ScoreSet:

@@ -231,6 +231,25 @@ def ari_oracle(labels_a, labels_b):
     return (same_both - expected) / (max_index - expected)
 
 
+def ari_count_oracle(labels_a, labels_b):
+    """`ari_oracle`'s pair counts taken from Counters of the labels and of
+    the label pairs (c items share a label in c (c - 1) / 2 pairs), for
+    partitions too large for a loop over all item pairs."""
+    def pairs(counter):
+        return sum(c * (c - 1) // 2 for c in counter.values())
+
+    n = len(labels_a)
+    same_a = pairs(Counter(labels_a.values()))
+    same_b = pairs(Counter(labels_b.values()))
+    same_both = pairs(Counter((a, labels_b[u]) for u, a in labels_a.items()))
+    n_pairs = n * (n - 1) // 2
+    expected = same_a * same_b / n_pairs
+    max_index = 0.5 * (same_a + same_b)
+    if max_index == expected:
+        return 1.0
+    return (same_both - expected) / (max_index - expected)
+
+
 def greedy_match_oracle(prev, curr):
     """Greedy maximum-overlap matching from a Counter of (curr, prev)
     label pairs, taken by decreasing count, ties by (curr, prev) label;

@@ -374,6 +374,31 @@ def test_ahc_normalizes_centers():
     ) == 1.0
 
 
+def test_ahc_cut_gives_exactly_k_clusters_when_heights_tie():
+    # the three unit vectors of np.eye(3) are equidistant: both merges
+    # tie, and a maxclust cut by height gave one cluster for two
+    _, labels = ahc_ward(np.eye(3), 2)
+    assert sorted(set(labels.tolist())) == [0, 1]
+    for k in (2, 5, 9):
+        Z, _ = ahc_ward(np.eye(k), 1)
+        for K in range(1, k + 1):
+            labels = clustering._cut(Z, K)
+            assert sorted(set(labels.tolist())) == list(range(K)), (k, K)
+
+
+def test_ahc_cut_equals_maxclust_without_ties():
+    from scipy.cluster.hierarchy import fcluster
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        k = int(rng.integers(2, 30))
+        Z, _ = ahc_ward(rng.standard_normal((k, 4)), 1)
+        assert len(np.unique(Z[:, 2])) == k - 1  # no tied heights
+        for K in range(1, k + 1):
+            assert np.array_equal(
+                clustering._cut(Z, K),
+                fcluster(Z, K, criterion="maxclust") - 1), (k, K)
+
+
 def test_ahc_validation():
     with pytest.raises(EmptyInput):
         ahc_ward(np.empty((0, 3)), 1)

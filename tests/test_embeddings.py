@@ -95,6 +95,19 @@ def test_length_normalize_names_zero_vector_past_first_block():
     assert np.array_equal(s.vectors, vecs)
 
 
+def test_normalize_rows_one_pass_keeps_the_bits_of_two_passes():
+    # each block is divided right after its norms are taken; the bits are
+    # those of the norms of the whole matrix and one whole division
+    from svkit.embeddings import _normalize_rows, _row_norms
+    rng = np.random.default_rng(4)
+    vecs = rng.standard_normal((3 * _ROW_BLOCK + 7, 5)) * 1e3
+    ids = [f"u{i}" for i in range(len(vecs))]
+    want = vecs / _row_norms(vecs)[:, None]
+    assert np.array_equal(_normalize_rows(vecs, ids), want)
+    assert _normalize_rows(vecs, ids, out=vecs) is vecs
+    assert np.array_equal(vecs, want)
+
+
 def test_duplicate_id_rejected():
     with pytest.raises(DuplicateId):
         EmbeddingSet(["a", "a"], [[1.0], [2.0]])
@@ -162,6 +175,27 @@ def test_metadata_table_is_a_mapping_of_uttmeta():
     # length_normalize and with_vectors share the table
     assert length_normalize(s).meta is s.meta
     assert EmbeddingSet(s.ids, s.vectors, s.meta).meta is s.meta
+
+
+def test_speaker_table_is_sorted_for_every_builder(tmp_path):
+    # the table of distinct speakers is sorted, None (no speaker) first,
+    # by each builder, and each row keeps its speaker
+    meta = {f"u{i}": UttMeta(1, 1.0, spk) for i, spk in enumerate(
+        ["s9", None, "s10", "", "s1", "s9", None, "a"])}
+    table = EmbeddingSet(list(meta), np.eye(8), meta).meta
+    assert table.speakers == (None, "", "a", "s1", "s10", "s9")
+    assert dict(table) == meta
+    path = tmp_path / "m.csv"
+    write_metadata(meta, path)
+    back = read_metadata(path)  # an empty speaker reads as none
+    assert back.speakers == (None, "a", "s1", "s10", "s9")
+    assert [m.speaker for m in back.values()] == [
+        m.speaker or None for m in meta.values()]
+    # spk10000 sorts between spk1000 and spk1001
+    synth = synth_dataset(10001, 1, 1, 1.0).meta
+    assert list(synth.speakers) == sorted(synth.speakers)
+    assert synth.speakers[1000:1003] == ("spk1000", "spk10000", "spk1001")
+    assert all(m.speaker == u.split("_")[0] for u, m in synth.items())
 
 
 def test_uttmeta_speech_frames_below_2_63():

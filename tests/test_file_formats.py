@@ -31,9 +31,9 @@ from svkit import (
 )
 from svkit.calibration import read_qmf_cache
 from svkit.clustering import read_labels, write_labels
-from svkit.embeddings import _DECODE_CHUNK, _RECORD_BLOCK
+from svkit.embeddings import _DECODE_CHUNK, _RECORD_BLOCK, _TEXT_BLOCK
 from svkit.errors import DuplicateId, MisalignedTrials, SvkitError
-from svkit.scoring import _TEXT_BLOCK, ScoreSet
+from svkit.scoring import ScoreSet
 
 
 def _trial_result(t):

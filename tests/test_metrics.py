@@ -179,6 +179,28 @@ def test_ari_equals_oracle_exactly_for_any_labels(kind):
         assert adjusted_rand_index(b, a) == oracles.ari_oracle(b, a)
 
 
+def test_ari_count_oracle_equals_the_pair_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        a = {f"i{k}": int(v) for k, v in enumerate(rng.integers(0, 5, n))}
+        b = {f"i{k}": str(v) for k, v in enumerate(rng.integers(0, 3, n))}
+        assert oracles.ari_count_oracle(a, b) == oracles.ari_oracle(a, b)
+
+
+def test_ari_with_more_labels_than_an_int32_code_product_holds():
+    # a cell's key, an a-code times the number of b labels plus a b-code,
+    # passes 2**31 from 46,341 labels a side
+    rng = np.random.default_rng(8)
+    n = 100_000
+    ids = [f"i{k}" for k in range(n)]
+    a = dict(zip(ids, rng.integers(0, 60_000, n).tolist()))
+    b = dict(zip(ids, map(str, rng.integers(0, 60_000, n).tolist())))
+    assert min(len(set(a.values())), len(set(b.values()))) > 46_341
+    assert adjusted_rand_index(a, b) == oracles.ari_count_oracle(a, b)
+    assert adjusted_rand_index(b, a) == oracles.ari_count_oracle(b, a)
+
+
 def test_ari_id_mismatch():
     with pytest.raises(IdMismatch):
         adjusted_rand_index({"a": 0}, {"b": 0})

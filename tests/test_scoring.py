@@ -18,14 +18,16 @@ from svkit import (
     cosine_score,
     length_normalize,
     mean_fuse,
+    read_metadata,
     read_scores,
     read_trials,
     snorm,
     synth_dataset,
+    write_metadata,
     write_scores,
     write_trials,
 )
-from svkit.embeddings import _RECORD_BLOCK
+from svkit.embeddings import _RECORD_BLOCK, _TEXT_BLOCK
 from svkit.errors import (
     DegenerateCohort,
     DimMismatch,
@@ -43,7 +45,6 @@ from svkit.calibration import (
 )
 from svkit.scoring import (
     _ROW_BLOCK,
-    _TEXT_BLOCK,
     ScoreSet,
     _cohort_stats,
 )
@@ -74,6 +75,30 @@ def test_cohort_one_vector_per_speaker_sorted():
     cohort = build_cohort(s)
     assert len(cohort) == 30
     assert cohort.ids == sorted(cohort.ids)
+
+
+@pytest.mark.parametrize("builder", ["mapping", "read_metadata", "synth"])
+def test_cohort_ids_are_lexicographic_for_every_table_builder(builder,
+                                                              tmp_path):
+    # the speakers come from the metadata table's sorted speaker table;
+    # synth's spk10000 sorts between spk1000 and spk1001
+    if builder == "synth":
+        s = synth_dataset(10001, 1, 2, 1.0)
+    else:
+        rng = np.random.default_rng(2)
+        speakers = rng.choice(["s9", "s10", "b", "s1", "a"], size=30).tolist()
+        s = _labeled_set(rng.standard_normal((30, 3)), speakers)
+        if builder == "read_metadata":
+            write_metadata(s.meta, tmp_path / "m.csv")
+            s = EmbeddingSet(s.ids, s.vectors,
+                             read_metadata(tmp_path / "m.csv"))
+    cohort = build_cohort(s)
+    rows = {}
+    for i, u in enumerate(s.ids):
+        rows.setdefault(s.meta[u].speaker, []).append(i)
+    assert cohort.ids == sorted(rows)
+    for spk, mean in zip(cohort.ids, cohort.vectors):
+        assert np.array_equal(mean, s.vectors[rows[spk]].mean(axis=0))
 
 
 def test_cohort_means_equal_per_speaker_means():
